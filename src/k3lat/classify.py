@@ -1,19 +1,19 @@
 """Good isometries of rank-3 lattices and assembly of classification rows.
 
-Pipeline: enumerate good isometries of each invariant lattice, filter
-anti-embeddings of the coinvariant discriminant form through the
-uniqueness criterion, keep the isometries extending over the glued
-lattice, and emit deduplicated rows carrying the polarization degree,
-its divisibility, the transcendental lattice, and the K3-birational flag.
+Pipeline: enumerate good isometries of each invariant lattice, filter the
+glue images of anti-embeddings of the coinvariant discriminant form through
+the uniqueness criterion, keep the isometries extending over the glued
+lattice, and emit one row per GL2(Z) class of the transcendental lattice,
+carrying the polarization degree, its divisibility and the K3-birational flag.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import exact
-from .enumeration import Isometry, all_automorphisms, is_isometric
+from .enumeration import Isometry, all_automorphisms
 from .fqm import Fqm, FqmHom, Subgroup, anti_embeddings, hom_image, \
     k3sq_glue_admissible
 from .glue import check_extendable, divisibility_in_glued, lift_order_search
@@ -74,19 +74,6 @@ def polarization_and_transcendental(n: Lattice, f) -> tuple[tuple[int, ...], Lat
     return h, Lattice(gram)
 
 
-def transcendental_restriction(n: Lattice, f) -> IntMatrix:
-    """The action of f on the rank-2 complement of its fixed line, written
-    in the same basis polarization_and_transcendental normalizes."""
-    matrix = _matrix_of(f)
-    _, t_rows, _ = _fixed_line_and_complement(n, matrix)
-    b = [list(r) for r in t_rows]
-    bt = exact.transpose(b)
-    moved = exact.mat_mul(exact.mat_mul(b, matrix), bt)
-    r = exact.mat_mul(moved, exact.rational_inverse(exact.mat_mul(b, bt)))
-    assert all(x.denominator == 1 for row in r for x in row)
-    return tuple(tuple(int(x) for x in row) for row in r)
-
-
 def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
                        image: Subgroup) -> str:
     """"excluded" when t1, t2 or t1+t2 has divisibility 2 in the glued
@@ -141,42 +128,49 @@ def _row_key(row: ClassificationRow):
     return (row.h_sq, row.h_div, row.m, row.t_gram, row.invariant_gram)
 
 
-def _dedup(rows: list[ClassificationRow]) -> list[ClassificationRow]:
-    kept: list[ClassificationRow] = []
-    for row in sorted(rows, key=_row_key):
-        duplicate = False
-        for r in kept:
-            if (r.h_sq, r.h_div, r.m, r.invariant_gram) != \
-                    (row.h_sq, row.h_div, row.m, row.invariant_gram):
-                continue
-            if is_isometric(Lattice(r.t_gram), Lattice(row.t_gram)) is not None:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append(row)
-    return kept
+def gauss_reduced(t_gram: IntMatrix) -> tuple[int, int, int]:
+    """The unique (a, b, c) with 0 <= 2b <= a <= c in the GL2(Z) class of
+    the positive definite binary Gram ((a, b), (b, c))."""
+    (a, b), (_, c) = t_gram
+    while True:
+        k = (2 * b + a) // (2 * a)  # x -> x - ky brings b into [-a/2, a/2)
+        b, c = b - k * a, c - 2 * k * b + k * k * a
+        if a <= c:
+            return a, abs(b), c
+        a, c = c, a
 
 
 def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
              group_name: str) -> list[ClassificationRow]:
-    """Rows for every (invariant lattice, admissible glue, extendable good
-    isometry) triple, deduplicated by (h^2, div, m, T-isometry class,
-    invariant Gram) and deterministically ordered."""
+    """One row per (h^2, div, m, GL2(Z) class of T, invariant Gram), sorted.
+
+    Loops over distinct admissible glue images, which alone fix condition 1,
+    div and the k3 flag; exact mode (obar given) keeps a row once any gamma
+    of the image passes condition 2.  A merged row prints its smallest T,
+    flags "excluded" only if every gluing does (else "unknown"), and has
+    lift_improved True if any gluing has.
+    """
     mode = "exact" if m_data.obar is not None else "permissive"
-    rows: list[ClassificationRow] = []
+    merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
-        if n.rank != 3 or not n.is_positive_definite:
-            raise ValueError("invariant lattices must be rank-3 positive definite")
-        d_n = disc_map(n).fqm
-        goods = good_isometries(n)
+        goods = good_isometries(n)  # raises unless rank-3 positive definite
         if not goods:
             continue
+        d_n = disc_map(n).fqm
+        by_image: dict[frozenset, tuple[Subgroup, list[FqmHom]]] = {}
         for gam in anti_embeddings(m_data.disc, d_n):
             image = hom_image(gam)
+            by_image.setdefault(frozenset(image.elements()),
+                                (image, []))[1].append(gam)
+        for image, gams in by_image.values():
             if not k3sq_glue_admissible(d_n, image):
                 continue
             for f in goods:
-                ok, witness = check_extendable(n, f, gam, obar_m=m_data.obar)
+                for gam in gams:  # no witness: condition 1 fails on the image
+                    ok, witness = check_extendable(n, f, gam,
+                                                   obar_m=m_data.obar)
+                    if ok or witness is None:
+                        break
                 if not ok:
                     continue
                 h, t_rows, t_gram = _fixed_line_and_complement(n, _matrix_of(f))
@@ -185,7 +179,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
                     improved = lift_order_search(
                         witness, m_data.gram, m_data.g_gens,
                         isos_m=m_data.isometries).improved
-                rows.append(ClassificationRow(
+                row = ClassificationRow(
                     group_name=group_name,
                     h_sq=n.norm(h),
                     h_div=divisibility_in_glued(n, h, image),
@@ -194,5 +188,13 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
                     k3_flag=k3_birational_flag(n, t_rows, image),
                     invariant_gram=n.gram,
                     mode=mode,
-                    lift_improved=improved))
-    return _dedup(rows)
+                    lift_improved=improved)
+                key = (row.h_sq, row.h_div, row.m, row.invariant_gram,
+                       gauss_reduced(t_gram))
+                old = merged.setdefault(key, row)
+                merged[key] = replace(
+                    row, t_gram=min(old.t_gram, t_gram),
+                    k3_flag=row.k3_flag if row.k3_flag == old.k3_flag
+                    else "unknown",
+                    lift_improved=old.lift_improved or improved)
+    return sorted(merged.values(), key=_row_key)

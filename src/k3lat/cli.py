@@ -80,12 +80,12 @@ class GroupEntry:
     coinv_isometries: Optional[tuple[IntMatrix, ...]] = None
     g_gens: tuple[IntMatrix, ...] = ()
 
-    def coinvariant_data(self) -> CoinvariantData:
+    def coinvariant_data(self, mode: str = "permissive") -> CoinvariantData:
         if self.disc is None:
             raise ValueError(f"group {self.name!r} carries no coinvariant "
                              "discriminant data")
         return CoinvariantData(disc=self.disc, gram=self.coinv,
-                               obar=self.obar,
+                               obar=self.obar if mode == "exact" else None,
                                isometries=self.coinv_isometries,
                                g_gens=self.g_gens)
 
@@ -444,7 +444,7 @@ def run_table(dataset: Dataset, mode: str = "permissive",
             warnings.append(f"{g.name}: no coinvariant discriminant data, "
                             "skipped")
             continue
-        data = g.coinvariant_data()
+        data = g.coinvariant_data(mode)
         if mode == "exact" and data.obar is None:
             warnings.append(f"{g.name}: exact mode needs obar generators, "
                             "ran permissive")
@@ -704,11 +704,9 @@ def _cmd_classify(args) -> int:
         raise InputError(f"group {entry.name!r} ships without coinvariant "
                          "discriminant data; supply a dataset with disc "
                          "fields")
-    data = entry.coinvariant_data()
-    if args.mode == "exact" and data.obar is None:
-        print(f"k3lat: {entry.name}: exact mode needs obar generators, "
-              "running permissive", file=sys.stderr)
-    rows = classify(list(entry.grams), data, entry.name)
+    rows, warnings = run_table(Dataset((entry,)), mode=args.mode)
+    for w in warnings:
+        print(f"k3lat: warning: {w}", file=sys.stderr)
     sys.stdout.write(format_table(rows, args.format))
     return 0
 

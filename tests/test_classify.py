@@ -1,13 +1,15 @@
+import itertools
 import random
 
 import pytest
 
+from k3lat import classify as classify_module
 from k3lat import exact, lattice
 from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
-                            classify, good_isometries, k3_birational_flag,
-                            max_group_order_check,
-                            polarization_and_transcendental,
-                            transcendental_restriction)
+                            classify, gauss_reduced, good_isometries,
+                            k3_birational_flag, max_group_order_check,
+                            polarization_and_transcendental)
+from k3lat.cli import builtin_dataset
 from k3lat.enumeration import is_isometric
 from k3lat.fqm import (Fqm, Subgroup, identity_hom, negation_hom,
                        subgroup_presentation)
@@ -68,17 +70,6 @@ class TestGoodIsometries:
                     assert power != exact.identity(3)
                     power = exact.mat_mul(power, m)
                 assert power == exact.identity(3)
-
-    def test_rotation_part(self):
-        # restriction to the rank-2 complement is a determinant-1 rotation
-        # with trace tr - 1; order-2 isometries act there as -id
-        for n in (DIAG6, Lattice(A6_GRAM)):
-            for g in good_isometries(n):
-                r = transcendental_restriction(n, g)
-                assert r[0][0] * r[1][1] - r[0][1] * r[1][0] == 1
-                assert r[0][0] + r[1][1] == GOOD_TRACES[g.order] - 1
-                if g.order == 2:
-                    assert r == ((-1, 0), (0, -1))
 
 
 class TestPolarization:
@@ -211,3 +202,54 @@ class TestClassify:
             assert (a.h_sq, a.h_div, a.m, a.k3_flag) \
                 == (b.h_sq, b.h_div, b.m, b.k3_flag)
             assert is_isometric(Lattice(a.t_gram), Lattice(b.t_gram)) is not None
+
+    def test_reversed_anti_embedding_order_changes_nothing(self, monkeypatch):
+        # M10 has two (h^2, div, m, T) classes reached by one gluing that
+        # excludes and another that does not: both must read "unknown"
+        g = builtin_dataset().group("M10")
+        md = g.coinvariant_data("permissive")
+        base = classify(list(g.grams), md, g.name)
+        real = classify_module.anti_embeddings
+        monkeypatch.setattr(classify_module, "anti_embeddings",
+                            lambda a, b: real(a, b)[::-1])
+        flipped = classify(list(g.grams), md, g.name)
+        assert flipped == base
+        flags = {(r.h_sq, r.h_div, r.m, r.t_gram): r.k3_flag for r in base}
+        assert flags[(2, 1, 2, ((4, 0), (0, 30)))] == "unknown"
+        assert flags[(4, 1, 2, ((2, 0), (0, 30)))] == "unknown"
+
+
+def _random_binary_grams(rng, count):
+    out = []
+    while len(out) < count:
+        a, c = 2 * rng.randint(1, 8), 2 * rng.randint(1, 8)
+        b = rng.randint(-8, 8)
+        if a * c > b * b:
+            out.append(((a, b), (b, c)))
+    return out
+
+
+class TestGaussReduced:
+    def test_reduced_and_invariant_under_basis_change(self):
+        rng = random.Random(2212)
+        for g in _random_binary_grams(rng, 60):
+            a, b, c = gauss_reduced(g)
+            assert 0 <= 2 * b <= a <= c
+            assert a * c - b * b == g[0][0] * g[1][1] - g[0][1] ** 2
+            u = rand_unimodular(rng, 2)
+            moved = tuple(tuple(r) for r in
+                          exact.conjugate_rows(u, [list(r) for r in g]))
+            assert gauss_reduced(moved) == (a, b, c)
+
+    def test_equal_keys_exactly_when_isometric(self):
+        rng = random.Random(2903)
+        grams = sorted(set(_random_binary_grams(rng, 120)))
+        pairs = [(g, h) for g, h in itertools.combinations(grams, 2)
+                 if g[0][0] * g[1][1] - g[0][1] ** 2
+                 == h[0][0] * h[1][1] - h[0][1] ** 2]
+        seen = set()
+        for g, h in pairs:
+            same = is_isometric(Lattice(g), Lattice(h)) is not None
+            assert (gauss_reduced(g) == gauss_reduced(h)) == same
+            seen.add(same)
+        assert seen == {True, False}

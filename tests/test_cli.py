@@ -1,5 +1,6 @@
 """Dataset round trips, fixture integrity, and the command line."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from k3lat.cli import Dataset, DatasetError, InputError, builtin_dataset, \
     emit_dataset, format_table, load_dataset, main, parse_dataset, \
     parse_table, run_table
 from k3lat.fixtures import DATASET_TEXT
-from k3lat.fqm import Fqm, isomorphisms
+from k3lat.fqm import Fqm, identity_hom, isomorphisms
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import leech_lattice
 
@@ -262,6 +263,16 @@ class TestTableRuns:
         assert rows == permissive
         assert len(warnings) == 2
         assert all("exact mode needs obar" in w for w in warnings)
+
+    def test_permissive_mode_ignores_obar(self):
+        g = builtin_dataset().group("M10")
+        with_obar = replace(g, obar=(identity_hom(g.disc),))
+        rows, warnings = run_table(Dataset((with_obar,), ()),
+                                   mode="permissive")
+        assert warnings == []
+        assert len(rows) == 5
+        assert all(r.mode == "permissive" for r in rows)
+        assert rows == run_table(Dataset((g,), ()))[0]
 
     def test_groups_without_disc_are_skipped(self):
         ds = Dataset((builtin_dataset().group("2:A6"),), ())
