@@ -16,7 +16,8 @@ from . import exact
 from .enumeration import Isometry, all_automorphisms
 from .fqm import Fqm, FqmHom, Subgroup, anti_embeddings, hom_image, \
     k3sq_glue_admissible
-from .glue import check_extendable, divisibility_in_glued, lift_order_search
+from .glue import (check_extendable, divisibility_in_glued, lift_order_search,
+                   realized_actions)
 from .lattice import Lattice, disc_map, invariant_and_coinvariant
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -151,6 +152,8 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
     lift_improved True if any gluing has.
     """
     mode = "exact" if m_data.obar is not None else "permissive"
+    realized = (None if m_data.obar is None
+                else realized_actions(m_data.disc, m_data.obar))
     merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
         goods = good_isometries(n)  # raises unless rank-3 positive definite
@@ -168,7 +171,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
             for f in goods:
                 for gam in gams:  # no witness: condition 1 fails on the image
                     ok, witness = check_extendable(n, f, gam,
-                                                   obar_m=m_data.obar)
+                                                   realized=realized)
                     if ok or witness is None:
                         break
                 if not ok:

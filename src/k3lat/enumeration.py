@@ -1,17 +1,17 @@
 """Short-vector enumeration and isometry search for definite lattices.
 
-Everything here is exact: bases are LLL-reduced over Fractions, vectors of a
-given norm come from a Fincke-Pohst walk down an exact LDL decomposition, and
-automorphism / isometry searches backtrack over images of basis vectors with
-partial-Gram pruning.  Results are deterministic (lexicographic order) and
-vector lists are closed under negation.
+Everything here runs on integers: bases are reduced by integral LLL, vectors
+of a given norm come from a Fincke-Pohst walk down an LDL decomposition
+scaled to integers, and automorphism / isometry searches backtrack over
+images of basis vectors with partial-Gram pruning.  Results are
+deterministic (lexicographic order) and vector lists are closed under
+negation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import exact
@@ -30,65 +30,96 @@ class Isometry:
     order: Optional[int]  # None when not meaningful (cross-lattice witness)
 
 
-def _gram_schmidt(h):
-    """Orthogonalization data (B, mu) of a positive definite Fraction gram."""
-    n = len(h)
-    b = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i):
-            s = h[i][j]
-            for k in range(j):
-                s -= mu[i][k] * mu[j][k] * b[k]
-            mu[i][j] = s / b[j]
-        s = h[i][i]
-        for k in range(i):
-            s -= mu[i][k] * mu[i][k] * b[k]
-        b[i] = s
-    return b, mu
+def _round_half_even(num: int, den: int) -> int:
+    """The integer nearest num/den (den > 0), ties to even, as
+    round(Fraction(num, den)) gives it."""
+    q, r = divmod(2 * num + den, 2 * den)
+    if r == 0 and q % 2:
+        q -= 1
+    return q
+
+
+def _gram_schmidt_row(h, k, d, lam) -> None:
+    """Integral Gram-Schmidt data of row k of h from that of rows < k.
+
+    d[j] is the leading j x j minor of h and lam[k][j] = d[j+1] * mu[k][j];
+    fills lam[k][:k] and d[k+1] (Cohen, GTM 138, Alg. 2.6.7, step 2).  All
+    divisions are exact.
+    """
+    lam_k = lam[k]
+    for j in range(k + 1):
+        u = h[k][j]
+        lam_j = lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - lam_k[i] * lam_j[i]) // d[i]
+        if j < k:
+            lam_k[j] = u
+        else:
+            d[k + 1] = u
+    if d[k + 1] <= 0:
+        raise ValueError("Gram-Schmidt needs a positive definite gram")
 
 
 def _lll(gram):
-    """LLL-reduce a positive definite integer gram; returns (gram', U).
+    """Integral LLL (delta = 3/4) of a positive definite integer gram.
 
-    U is unimodular with gram' = U * gram * U^T, so the rows of U are the
-    reduced basis written in the original coordinates.
+    Returns (gram', U, U^-1) with U unimodular and gram' = U * gram * U^T,
+    so the rows of U are the reduced basis written in the original
+    coordinates.  Cohen, GTM 138, Alg. 2.6.7 (de Weger 1989): the leading
+    minors d and the scaled coefficients lam are integers, Gram-Schmidt rows
+    are computed once each and updated in place on a swap.  Row k is
+    size-reduced against k-1, ..., 0 before the Lovasz test
+    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.
     """
     n = len(gram)
-    h = [[Fraction(x) for x in row] for row in gram]
+    h = [list(row) for row in gram]
     u = exact.identity(n)
-
-    def reduce_row(k, l):
-        mu_kl = mu[k][l]
-        if 2 * abs(mu_kl) <= 1:
-            return
-        r = round(mu_kl)
-        for j in range(n):
-            h[k][j] -= r * h[l][j]
-        for i in range(n):
-            h[i][k] -= r * h[i][l]
-        for j in range(n):
-            u[k][j] -= r * u[l][j]
-        for j in range(l):
-            mu[k][j] -= r * mu[l][j]
-        mu[k][l] -= r
-
-    b, mu = _gram_schmidt(h)
-    k = 1
+    u_inv = exact.identity(n)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    if n:
+        _gram_schmidt_row(h, 0, d, lam)
+    k, k_max = 1, 0
     while k < n:
+        if k > k_max:
+            k_max = k
+            _gram_schmidt_row(h, k, d, lam)
+        lam_k = lam[k]
         for l in range(k - 1, -1, -1):
-            reduce_row(k, l)
-        if b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]:
-            k += 1
-        else:
-            h[k - 1], h[k] = h[k], h[k - 1]
+            if 2 * abs(lam_k[l]) <= d[l + 1]:
+                continue
+            r = _round_half_even(lam_k[l], d[l + 1])
+            h[k] = [x - r * y for x, y in zip(h[k], h[l])]
             for row in h:
-                row[k - 1], row[k] = row[k], row[k - 1]
-            u[k - 1], u[k] = u[k], u[k - 1]
-            b, mu = _gram_schmidt(h)
-            k = max(k - 1, 1)
-    gram_red = tuple(tuple(int(x) for x in row) for row in h)
-    return gram_red, tuple(tuple(row) for row in u)
+                row[k] -= r * row[l]
+            u[k] = [x - r * y for x, y in zip(u[k], u[l])]
+            for row in u_inv:
+                row[l] += r * row[k]
+            lam_l = lam[l]
+            for j in range(l):
+                lam_k[j] -= r * lam_l[j]
+            lam_k[l] -= r * d[l + 1]
+        lam_kk = lam_k[k - 1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam_kk ** 2:
+            k += 1
+            continue
+        # swap rows k-1 and k (Cohen's SWAPI)
+        h[k - 1], h[k] = h[k], h[k - 1]
+        for row in h:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        u[k - 1], u[k] = u[k], u[k - 1]
+        for row in u_inv:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        lam[k - 1][:k - 1], lam_k[:k - 1] = lam_k[:k - 1], lam[k - 1][:k - 1]
+        b = (d[k - 1] * d[k + 1] + lam_kk ** 2) // d[k]
+        for i in range(k + 1, k_max + 1):
+            lam_i = lam[i]
+            t = lam_i[k]
+            lam_i[k] = (d[k + 1] * lam_i[k - 1] - lam_kk * t) // d[k]
+            lam_i[k - 1] = (b * t + lam_kk * lam_i[k]) // d[k + 1]
+        d[k] = b
+        k = max(k - 1, 1)
+    return _int_matrix(h), _int_matrix(u), _int_matrix(u_inv)
 
 
 def _reduced_basis(gram):
@@ -97,74 +128,86 @@ def _reduced_basis(gram):
     Plain LLL leaves the trailing Gram-Schmidt norms tiny on lattices like
     the Leech lattice, which blows up the enumeration tree; reducing the
     dual basis and reversing the row order keeps the outer enumeration
-    levels tight.  Returns (gram', U) with gram' = U * gram * U^T.
+    levels tight.  Returns (gram', U, U^-1) with gram' = U * gram * U^T.
     """
-    g1, u1 = _lll(gram)
-    n = len(gram)
-    if n <= 1:
-        return g1, u1
-    inv = exact.rational_inverse([list(r) for r in g1])
-    denom = math.lcm(*[x.denominator for row in inv for x in row])
-    dual = [[int(x * denom) for x in row] for row in inv]
-    _, u2 = _lll(dual)
-    w = exact.transpose(exact.rational_inverse([list(r) for r in u2]))
-    assert all(x.denominator == 1 for row in w for x in row)
-    w = [[int(x) for x in row] for row in w]
-    u3 = exact.mat_mul(w, [list(r) for r in u1])[::-1]
-    g3 = exact.conjugate_rows(u3, [list(r) for r in gram])
-    return (tuple(tuple(int(x) for x in row) for row in g3),
-            tuple(tuple(row) for row in u3))
+    g1, u1, u1_inv = _lll(gram)
+    if len(gram) <= 1:
+        return g1, u1, u1_inv
+    # the adjugate is a positive multiple of the dual gram, and LLL is
+    # scale-invariant, so it gives the dual's transformation
+    _, u2, u2_inv = _lll(exact.adjugate(g1))
+    # dual-reduced basis W * u1 with W = (U2^-1)^T, so W^-1 = U2^T
+    u3 = exact.mat_mul(exact.transpose(u2_inv), u1)[::-1]
+    u3_inv = [row[::-1] for row in exact.mat_mul(u1_inv, exact.transpose(u2))]
+    return (_int_matrix(exact.conjugate_rows(u3, gram)), _int_matrix(u3),
+            _int_matrix(u3_inv))
 
 
-def _ldl(gram):
-    """Diagonal weights d and unit-upper coefficients m with
-    Q(x) = sum_i d_i (x_i + sum_{j>i} m_ij x_j)^2."""
+def _scaled_ldl(gram):
+    """Integers (e, terms, w, scale) with, for every integer x,
+
+        scale * x gram x^T = sum_i w[i] * (e[i] x_i + s_i)^2,
+        s_i = sum of m * x_j over (j, m) in terms[i] (all j > i):
+
+    the LDL form Q(x) = sum_i B_i (x_i + sum_{j>i} mu_ji x_j)^2 of a positive
+    definite gram with each row cleared of its denominator e[i].
+    """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = []
-    m = [[Fraction(0)] * n for _ in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        _gram_schmidt_row(gram, k, d, lam)
+    e, terms, weights = [], [], []
     for i in range(n):
-        d.append(a[i][i])
-        for j in range(i + 1, n):
-            m[i][j] = a[i][j] / a[i][i]
-        for k in range(i + 1, n):
-            for l in range(i + 1, n):
-                a[k][l] -= a[i][k] * a[i][l] / a[i][i]
-    return d, m
-
-
-def _sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound for sqrt(x), x >= 0."""
-    if x < 0:
-        return Fraction(-1)
-    return Fraction(math.isqrt(x.numerator * x.denominator) + 1, x.denominator)
+        # mu_ji = lam[j][i] / d[i+1] and B_i = d[i+1] / d[i]
+        g = math.gcd(d[i + 1], *(lam[j][i] for j in range(i + 1, n)))
+        e.append(d[i + 1] // g)
+        terms.append([(j, lam[j][i] // g) for j in range(i + 1, n) if lam[j][i]])
+        num, den = g * g, d[i] * d[i + 1]  # B_i / e_i^2
+        c = math.gcd(num, den)
+        weights.append((num // c, den // c))
+    scale = math.lcm(*(den for _, den in weights))
+    return e, terms, [num * (scale // den) for num, den in weights], scale
 
 
 def _fp_vectors(gram_red, target: int) -> list[Vector]:
-    """All x (reduced coordinates, zero excluded) with x gram_red x^T = target."""
+    """All x (reduced coordinates, zero excluded) with x gram_red x^T = target.
+
+    A Fincke-Pohst walk from the last coordinate down: with the remaining
+    scaled norm r, level i admits |e_i x_i + s_i| <= isqrt(r // w_i).
+    """
     n = len(gram_red)
-    d, m = _ldl(gram_red)
+    e, terms, w, scale = _scaled_ldl(gram_red)
     found: list[Vector] = []
     coords = [0] * n
 
-    def walk(i: int, remaining: Fraction):
-        if i < 0:
-            if remaining == 0 and any(coords):
-                found.append(tuple(coords))
+    def walk(i: int, remaining: int):
+        s = 0
+        for j, m in terms[i]:
+            s += m * coords[j]
+        e_i, w_i = e[i], w[i]
+        if i == 0:  # the last level must use up the remaining norm exactly
+            t2, rem = divmod(remaining, w_i)
+            t = math.isqrt(t2)
+            if rem or t * t != t2:
+                return
+            for y in ((-t, t) if t else (0,)):
+                x, off = divmod(y - s, e_i)
+                if not off:
+                    coords[0] = x
+                    if any(coords):
+                        found.append(tuple(coords))
+            coords[0] = 0
             return
-        center = sum(m[i][j] * coords[j] for j in range(i + 1, n))
-        radius = _sqrt_upper(remaining / d[i])
-        lo = math.ceil(-center - radius)
-        hi = math.floor(-center + radius)
-        for x in range(lo, hi + 1):
-            c = d[i] * (x + center) ** 2
-            if c > remaining:
-                continue
+        t = math.isqrt(remaining // w_i)
+        for x in range(-((s + t) // e_i), (t - s) // e_i + 1):
+            y = e_i * x + s
             coords[i] = x
-            walk(i - 1, remaining - c)
+            walk(i - 1, remaining - w_i * y * y)
         coords[i] = 0
 
-    walk(n - 1, Fraction(target))
+    if n:
+        walk(n - 1, scale * target)
     return found
 
 
@@ -182,21 +225,11 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     if lat.rank == 0 or n == 0 or (n > 0) != (sign > 0):
         return []
     gram = lat.gram if sign > 0 else tuple(tuple(-x for x in row) for row in lat.gram)
-    gram_red, u = _reduced_basis(gram)
+    gram_red, u, _ = _reduced_basis(gram)
     out = []
     for x in _fp_vectors(gram_red, abs(n)):
         out.append(tuple(sum(x[k] * u[k][j] for k in range(lat.rank))
                          for j in range(lat.rank)))
-    return sorted(out)
-
-
-def vectors_up_to_norm(lat: Lattice, n: int) -> list[Vector]:
-    """All nonzero v with 0 < |v.G.v^T| <= |n|, sorted."""
-    sign = _definite_sign(lat)
-    out = []
-    step = 2 if lat.is_even else 1
-    for k in range(step, abs(n) + 1, step):
-        out.extend(vectors_of_norm(lat, sign * k))
     return sorted(out)
 
 
@@ -232,19 +265,12 @@ def _image_backtrack(target_gram, source_gram, candidates, first_only):
 
 
 def _int_matrix(rows) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(tuple(row) for row in rows)
 
 
-def _conjugate_back(q_red, u):
+def _conjugate_back(q_red, u, u_inv):
     """Map an isometry in reduced coordinates back to the original basis."""
-    u_rows = [list(r) for r in u]
-    inv = exact.rational_inverse(u_rows)
-    prod = exact.mat_mul(exact.mat_mul(inv, [list(r) for r in q_red]), u_rows)
-    out = []
-    for row in prod:
-        assert all(x.denominator == 1 for x in row)
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    return _int_matrix(exact.mat_mul(exact.mat_mul(u_inv, q_red), u))
 
 
 def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
@@ -253,7 +279,7 @@ def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
         return [()]
     sign = _definite_sign(lat)
     gram = lat.gram if sign > 0 else tuple(tuple(-x for x in row) for row in lat.gram)
-    gram_red, u = _reduced_basis(gram)
+    gram_red, u, u_inv = _reduced_basis(gram)
     by_norm: dict[int, list[Vector]] = {}
     for i in range(lat.rank):
         norm = gram_red[i][i]
@@ -262,8 +288,9 @@ def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
     candidates = [by_norm[gram_red[i][i]] for i in range(lat.rank)]
     autos = _image_backtrack(gram_red, gram_red, candidates, first_only=False)
     if len(autos) > _ELEMENT_STORE_LIMIT:
-        raise ValueError("automorphism group exceeds the element-store limit")
-    return sorted(_conjugate_back(q, u) for q in autos)
+        raise ValueError("automorphism group exceeds the element-store limit "
+                         f"of {_ELEMENT_STORE_LIMIT} elements")
+    return sorted(_conjugate_back(q, u, u_inv) for q in autos)
 
 
 def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
@@ -289,11 +316,6 @@ def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
             for q in gens], order
 
 
-def group_order_from_generators(gens: list[IntMatrix], rank: int) -> int:
-    """Order of the group generated by integer matrices (element store)."""
-    return len(exact.matrix_closure(gens, rank, _ELEMENT_STORE_LIMIT))
-
-
 def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     """An isometry L1 -> L2 as a matrix Q with Q.G2.Q^T = G1, or None."""
     if l1.rank != l2.rank:
@@ -307,8 +329,8 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
         return None
     g1 = l1.gram if sign > 0 else tuple(tuple(-x for x in row) for row in l1.gram)
     g2 = l2.gram if sign > 0 else tuple(tuple(-x for x in row) for row in l2.gram)
-    g1_red, u1 = _reduced_basis(g1)
-    g2_red, u2 = _reduced_basis(g2)
+    g1_red, _, u1_inv = _reduced_basis(g1)
+    g2_red, u2, _ = _reduced_basis(g2)
     # fingerprint: counts of short vectors must agree
     max_norm = max(max(g1_red[i][i] for i in range(l1.rank)), 2)
     for k in range(1, max_norm + 1):
@@ -324,12 +346,10 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     if not hits:
         return None
     # rows of M are images in reduced L2 coordinates: M.G2'.M^T = G1'
-    m_rows = [list(r) for r in hits[0]]
-    u1_inv = exact.rational_inverse([list(r) for r in u1])
-    prod = exact.mat_mul(exact.mat_mul(u1_inv, m_rows), [list(r) for r in u2])
-    q = tuple(tuple(int(x) for x in row) for row in prod)
-    assert exact.conjugate_rows([list(r) for r in q], [list(r) for r in l2.gram]) \
-        == [list(r) for r in l1.gram]
+    q = _conjugate_back(hits[0], u2, u1_inv)
+    if exact.conjugate_rows(q, l2.gram) != [list(r) for r in l1.gram]:
+        raise RuntimeError("is_isometric witness Q fails Q.G2.Q^T = G1 for "
+                           f"G1 = {l1.gram}, G2 = {l2.gram}")
     order = exact.multiplicative_order([list(r) for r in q]) if l1.gram == l2.gram \
         else None
     return Isometry(q, order)

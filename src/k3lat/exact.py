@@ -251,6 +251,34 @@ def rational_inverse(a) -> list[list[Fraction]]:
     return [row[n:] for row in work]
 
 
+def adjugate(a: Matrix) -> list[list[int]]:
+    """adj(a) = det(a) * a^-1 of a nonsingular integer matrix.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [a | I]: every division is
+    exact, and the left block ends as det(P a) * I for the row swaps P.
+    """
+    n = len(a)
+    work = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(a)]
+    sign, prev = 1, 1
+    for k in range(n):
+        if work[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if work[i][k]), None)
+            if swap is None:
+                raise ValueError("singular matrix")
+            work[k], work[swap] = work[swap], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = work[i][k]
+                work[i] = [(pivot * x - f * y) // prev
+                           for x, y in zip(work[i], pivot_row)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in work]
+
+
 def char_poly(a: Matrix) -> list[int]:
     """Coefficients [1, c1, ..., cn] of det(xI - a), by Faddeev-LeVerrier."""
     n = len(a)
@@ -304,5 +332,6 @@ def matrix_closure(gens, n: int, limit: int = 10 ** 6) -> set:
                     nxt.append(h)
         frontier = nxt
         if len(seen) > limit:
-            raise ValueError("group closure exceeds the element-store limit")
+            raise ValueError("group closure exceeds the element-store limit "
+                             f"of {limit} elements")
     return seen

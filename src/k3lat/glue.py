@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .fqm import (Fqm, FqmHom, Subgroup, hom_closure_images, hom_image,
-                  hom_preimage, identity_hom, isomorphisms,
+from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
+                  hom_image, hom_preimage, identity_hom, isomorphisms,
                   k3sq_glue_admissible, negated, subgroup_presentation)
 from .lattice import Lattice, direct_sum, disc_map, divisibility, induced_map
 
@@ -143,16 +143,30 @@ def divisibility_in_glued(n: Lattice, v: Sequence[int],
     return g
 
 
+def realized_actions(d_m: Fqm, obar: Iterable[FqmHom]
+                     ) -> set[tuple[Element, ...]]:
+    """Image tuples of the subgroup of O(D_M) generated by obar (generators
+    of the image of O(M) in O(D_M)): the actions on D(M) that isometries of
+    M realize."""
+    obar = list(obar)
+    for h in obar:
+        if h.source != d_m or h.target != d_m or not h.preserves_form() \
+                or not h.is_injective():
+            raise ValueError("obar must consist of automorphisms of D(M)")
+    return hom_closure_images(d_m, obar)
+
+
 def check_extendable(n: Lattice, f, gamma,
-                     obar_m: Optional[Iterable[FqmHom]] = None
+                     realized: Optional[set[tuple[Element, ...]]] = None
                      ) -> tuple[bool, Optional[FqmHom]]:
     """Does the isometry f of N extend over the lattice glued along gamma?
 
     Condition 1: the map induced by f on D(N) preserves the glue image.
     Condition 2: the conjugated action on D(M) is realized by an isometry
-    of M; with obar_m given (generators of the image of O(M) in O(D_M))
-    this is checked exactly, otherwise any form-preserving automorphism is
-    accepted (permissive mode, a superset).
+    of M; with realized given (realized_actions of generators of the image
+    of O(M) in O(D_M), built once per obar) this is checked exactly,
+    otherwise any form-preserving automorphism is accepted (permissive
+    mode, a superset).
 
     Returns (decision, witness), the witness being the conjugated action
     gamma^-1 . f_bar . gamma on D(M) whenever condition 1 holds.
@@ -170,14 +184,9 @@ def check_extendable(n: Lattice, f, gamma,
         e = tuple(int(i == j) for j in range(src.rank))
         preimages.append(hom_preimage(gam, fbar(gam(e))))
     witness = FqmHom(src, src, tuple(preimages))
-    if obar_m is None:
+    if realized is None:
         return True, witness
-    for h in obar_m:
-        if h.source != src or h.target != src or not h.preserves_form() \
-                or not h.is_injective():
-            raise ValueError("obar_m must consist of automorphisms of D(M)")
-    allowed = hom_closure_images(src, list(obar_m))
-    return witness.images in allowed, witness
+    return witness.images in realized, witness
 
 
 @dataclass(frozen=True)

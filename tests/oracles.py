@@ -224,6 +224,16 @@ def rand_definite_even_gram(rng, n, spread=3, sign=1):
         return g
 
 
+def rand_definite_odd_gram(rng, n, spread=3):
+    """Odd positive definite Gram B*Bᵀ (some diagonal entry is odd)."""
+    while True:
+        b = rand_int_matrix(rng, n, n, spread)
+        g = [[sum(b[i][k] * b[j][k] for k in range(n)) for j in range(n)]
+             for i in range(n)]
+        if laplace_det(b) and any(g[i][i] % 2 for i in range(n)):
+            return g
+
+
 def minus10_box(h_sq, l_bound, k_bound):
     """Brute-force Gram candidates for the -10-class system, h.x sign-normalized."""
     grams = set()

@@ -12,7 +12,7 @@ from k3lat.classify import classify, good_isometries, max_group_order_check
 from k3lat.cli import builtin_dataset
 from k3lat.enumeration import all_automorphisms, automorphism_group
 from k3lat.fqm import anti_embeddings
-from k3lat.glue import check_extendable, glue_pairs
+from k3lat.glue import check_extendable, glue_pairs, realized_actions
 from k3lat.hilb2 import minus2_wall_scan, minus10_obstruction_grams
 from k3lat.lattice import Lattice, disc_map, discriminant_group, \
     induced_map, k3_square_lattice
@@ -125,7 +125,8 @@ def test_criterion_5_extension_check_matches_explicit_glue():
             stabilizes(basis, block_diag([list(r) for r in f],
                                          [list(r) for r in g]))
             for g in autos_m)
-        got, witness = check_extendable(n_lat, f, gam, obar_m=obar)
+        got, witness = check_extendable(n_lat, f, gam,
+                                        realized_actions(dm, obar))
         assert got == expected
         if got:
             assert witness is not None

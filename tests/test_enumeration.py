@@ -1,16 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from k3lat import enumeration, exact, lattice
 from k3lat.enumeration import (all_automorphisms, automorphism_group,
-                               group_order_from_generators, is_isometric,
-                               vectors_of_norm, vectors_up_to_norm,
+                               is_isometric, vectors_of_norm,
                                wall_divisor_scan)
 from k3lat.fqm import Subgroup
 from k3lat.lattice import Lattice, disc_map
 from oracles import (box_bound_for, box_vectors, brute_isometries,
-                     rand_definite_even_gram, rand_unimodular)
+                     rand_definite_even_gram, rand_definite_odd_gram,
+                     rand_unimodular)
 
 
 def norm_of(gram, v):
@@ -64,14 +65,24 @@ class TestVectorsOfNorm:
             assert vs == sorted(vs)
             assert set(vs) == {tuple(-x for x in v) for v in vs}
 
-    def test_up_to_norm(self):
-        # A2 represents 2 and 6 below 7, and nothing of norm 4
-        vs = vectors_up_to_norm(lattice.a2(), 6)
-        gram = lattice.a2().gram
-        norms = sorted({norm_of(gram, v) for v in vs})
-        assert norms == [2, 6]
-        assert len(vs) == 12
-        assert vs == sorted(vs)
+    def test_odd_grams_match_box_oracle(self):
+        rng = random.Random(13)
+        for _ in range(10):
+            n = rng.randrange(1, 5)
+            gram = rand_definite_odd_gram(rng, n)
+            lat = Lattice(tuple(tuple(r) for r in gram))
+            for target in (1, rng.randrange(2, 16)):
+                got = vectors_of_norm(lat, target)
+                expected = box_vectors(gram, target, box_bound_for(gram, target))
+                assert got == expected
+
+    def test_rebased_e8_shells(self):
+        rng = random.Random(17)
+        gram = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
+                                    [list(r) for r in lattice.e8().gram])
+        lat = Lattice(tuple(tuple(r) for r in gram))
+        counts = [len(vectors_of_norm(lat, k)) for k in (2, 4, 6)]
+        assert counts == [240, 2160, 6720]
 
 
 class TestAutomorphismGroup:
@@ -84,7 +95,7 @@ class TestAutomorphismGroup:
     def test_a2(self):
         gens, order = automorphism_group(lattice.a2())
         assert order == 12
-        assert group_order_from_generators([g.matrix for g in gens], 2) == 12
+        assert len(exact.matrix_closure([g.matrix for g in gens], 2)) == 12
 
     def test_signed_permutations(self):
         l = Lattice(((6, 0, 0), (0, 6, 0), (0, 0, 6)))
@@ -112,7 +123,7 @@ class TestAutomorphismGroup:
 
     def test_element_store_limit(self, monkeypatch):
         monkeypatch.setattr(enumeration, "_ELEMENT_STORE_LIMIT", 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="element-store limit of 10 "):
             all_automorphisms(Lattice(((6, 0, 0), (0, 6, 0), (0, 0, 6))))
 
 
@@ -156,6 +167,68 @@ class TestIsIsometric:
     def test_negative_definite_pair(self):
         w = is_isometric(lattice.a2(-1), lattice.a2(-1))
         assert w is not None
+
+    def test_bad_backtrack_hit_raises(self, monkeypatch):
+        # a search that returns a non-isometry must not pass as a witness
+        monkeypatch.setattr(enumeration, "_image_backtrack",
+                            lambda *args, **kwargs: [((1, 0), (1, 0))])
+        with pytest.raises(RuntimeError, match="Q.G2.Q"):
+            is_isometric(lattice.a2(), lattice.a2())
+
+
+def _gram_schmidt(gram):
+    """Rational Gram-Schmidt norms B and coefficients mu of a Gram."""
+    n = len(gram)
+    b, mu = [], [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[i][k] * mu[j][k] * b[k]
+                                         for k in range(j))) / b[j]
+        b.append(gram[i][i] - sum(mu[i][k] ** 2 * b[k] for k in range(i)))
+    return b, mu
+
+
+class TestReduction:
+    def _grams(self):
+        rng = random.Random(41)
+        for n in range(1, 9):
+            for _ in range(3):
+                yield rand_definite_even_gram(rng, n)
+                yield rand_definite_odd_gram(rng, n)
+
+    def test_lll_is_reduced(self):
+        for gram in self._grams():
+            n = len(gram)
+            g_red, u, u_inv = enumeration._lll(gram)
+            assert exact.mat_mul(u, u_inv) == exact.identity(n)
+            assert [list(r) for r in g_red] == exact.conjugate_rows(u, gram)
+            b, mu = _gram_schmidt(g_red)
+            for k in range(n):
+                assert all(2 * abs(mu[k][j]) <= 1 for j in range(k))
+                if k:
+                    assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+
+    def test_kernels_make_no_fraction(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        rng = random.Random(43)
+        gram = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
+                                    [list(r) for r in lattice.e8().gram])
+        g_red, _, _ = enumeration._reduced_basis(gram)
+        assert len(enumeration._fp_vectors(g_red, 4)) == 2160
+        assert made == []
+
+    def test_reduced_basis_carries_its_inverse(self):
+        for gram in self._grams():
+            g_red, u, u_inv = enumeration._reduced_basis(gram)
+            assert exact.mat_mul(u, u_inv) == exact.identity(len(gram))
+            assert [list(r) for r in g_red] == exact.conjugate_rows(u, gram)
 
 
 class TestWallDivisorScan:

@@ -153,6 +153,25 @@ class TestRationalInverse:
             exact.rational_inverse([[1, 2], [2, 4]])
 
 
+class TestAdjugate:
+    def test_matches_det_times_inverse(self):
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randrange(1, 6)
+            a = rand_int_matrix(rng, n, n, 4)
+            if rng.random() < 0.5:
+                a[0][0] = 0  # forces a row swap at the first pivot
+            det = laplace_det(a)
+            if det == 0:
+                continue
+            inv = exact.rational_inverse(a)
+            assert exact.adjugate(a) == [[det * x for x in row] for row in inv]
+
+    def test_singular_rejected(self):
+        with pytest.raises(ValueError):
+            exact.adjugate([[1, 2], [2, 4]])
+
+
 class TestCharPoly:
     def test_two_by_two(self):
         # x^2 - (a+d)x + (ad-bc)

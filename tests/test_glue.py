@@ -10,7 +10,7 @@ from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        identity_hom, negation_hom)
 from k3lat.glue import (GlueMap, LiftResult, check_extendable,
                         divisibility_in_glued, glue_pairs, lift_order_search,
-                        overlattice, overlattice_pairs)
+                        overlattice, overlattice_pairs, realized_actions)
 from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
                            e8, induced_map, rescale, span_of_square)
 from oracles import laplace_det, rand_definite_even_gram, rand_even_gram, rand_int_matrix
@@ -258,14 +258,14 @@ class TestCheckExtendable:
         assert ok and wit.images == negation_hom(dm).images
         # exact mode succeeds once -1 is allowed on D(M)
         ok2, _ = check_extendable(n, ((-1, 0), (0, -1)), gams[0],
-                                  obar_m=[negation_hom(dm)])
+                                  realized_actions(dm, [negation_hom(dm)]))
         assert ok2
 
     def test_exact_mode_can_refuse(self):
         n, m, gams = a2_glue()
         dm = disc_map(m).fqm
         ok, wit = check_extendable(n, ((0, 1), (-1, 1)), gams[0],
-                                   obar_m=[identity_hom(dm)])
+                                   realized_actions(dm, [identity_hom(dm)]))
         assert not ok
         assert wit is not None  # condition 1 held; the witness is the obstruction
         assert wit.images == negation_hom(dm).images
@@ -284,7 +284,7 @@ class TestCheckExtendable:
         dm = disc_map(m).fqm
         broken = FqmHom(dm, dm, ((0,),))
         with pytest.raises(ValueError):
-            check_extendable(n, ((1, 0), (0, 1)), gams[0], obar_m=[broken])
+            realized_actions(dm, [broken])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_explicit_extension(self, seed):
@@ -298,6 +298,7 @@ class TestCheckExtendable:
         assert gams
         autos_m = all_automorphisms(m_lat)
         obar = [induced_map(m_lat, [list(r) for r in q]) for q in autos_m]
+        realized = realized_actions(dm, obar)
         checked_explicit = False
         for gam in gams[:2]:
             pairs = [(gam(tuple(int(i == j) for j in range(dm.rank))),
@@ -309,7 +310,7 @@ class TestCheckExtendable:
                 matches = [g for g in autos_m
                            if fbar.compose(gam).images ==
                            gam.compose(induced_map(m_lat, [list(r) for r in g])).images]
-                got, _ = check_extendable(n_lat, f, gam, obar_m=obar)
+                got, _ = check_extendable(n_lat, f, gam, realized)
                 assert got == bool(matches)
                 if matches:
                     # permissive mode is a superset of exact mode
