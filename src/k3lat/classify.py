@@ -160,12 +160,17 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         if not goods:
             continue
         d_n = disc_map(n).fqm
-        by_image: dict[frozenset, tuple[Subgroup, list[FqmHom]]] = {}
+        by_image: list[tuple[Subgroup, list[FqmHom]]] = []
         for gam in anti_embeddings(m_data.disc, d_n):
-            image = hom_image(gam)
-            by_image.setdefault(frozenset(image.elements()),
-                                (image, []))[1].append(gam)
-        for image, gams in by_image.values():
+            # every gamma is injective on the same source, so an image that
+            # holds gamma's generator images is gamma's image
+            for image, gams in by_image:
+                if all(y in image for y in gam.images):
+                    gams.append(gam)
+                    break
+            else:
+                by_image.append((hom_image(gam), [gam]))
+        for image, gams in by_image:
             if not k3sq_glue_admissible(d_n, image):
                 continue
             for f in goods:

@@ -5,6 +5,12 @@ d_1 | d_2 | ... | d_r (trivial factors dropped), with q(g_i) stored in [0, 2)
 and the pairing b(g_i, g_j) in [0, 1).  Elements are coefficient tuples
 reduced modulo the orders.  These objects model discriminant groups of even
 lattices, but nothing in this module depends on a lattice.
+
+Internally the form runs on scaled integers: with e the exponent (the
+largest order), e*q takes values mod 2e and e*b values mod e, derived once
+per module on first use.  q and b still return Fractions, and the searches
+(anti-embeddings, isomorphisms, the glue criterion, subgroup closure) make
+none.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 Element = tuple[int, ...]
@@ -85,27 +92,64 @@ class Fqm:
             i, j = j, i
         return self.b_off[i][j - i - 1]
 
+    @cached_property
+    def _ints(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(e, Q, B): the exponent e, Q_i = e q(g_i) in [0, 2e) and the
+        symmetric B_ij = e b(g_i, g_j) in [0, e).  All are integers because
+        d_i q(g_i) and d_i b(g_i, g_j) are and d_i divides e."""
+        r = self.rank
+        e = self.orders[-1] if r else 1
+        qs = tuple(int(q * e) for q in self.q_diag)
+        bm = [[0] * r for _ in range(r)]
+        for i in range(r):
+            bm[i][i] = qs[i] % e
+            for j in range(i + 1, r):
+                bm[i][j] = bm[j][i] = int(self.b_off[i][j - i - 1] * e)
+        return e, qs, tuple(tuple(row) for row in bm)
+
+    def _eq(self, x: Element) -> int:
+        """e q(x) mod 2e.  Well defined on unreduced coordinates."""
+        e, qs, bm = self._ints
+        total = 0
+        for i, c in enumerate(x):
+            if c:
+                total += c * c * qs[i]
+                row = bm[i]
+                for j in range(i + 1, len(x)):
+                    if x[j]:
+                        total += 2 * c * x[j] * row[j]
+        return total % (2 * e)
+
+    def _pair_row(self, y: Element) -> tuple[int, ...]:
+        """w with e b(x, y) = sum_i x_i w_i mod e for every x."""
+        e, _, bm = self._ints
+        return tuple(sum(c * bij for c, bij in zip(y, row)) % e for row in bm)
+
+    def _eb(self, x: Element, y: Element) -> int:
+        """e b(x, y) mod e."""
+        return sum(c * w for c, w in zip(x, self._pair_row(y))) % self._ints[0]
+
+    @cached_property
+    def _three_half(self) -> list[Element]:
+        """The level set q = 3/2 in elements() order; empty for odd e."""
+        e = self._ints[0]
+        if e % 2:
+            return []
+        return [x for x in self.elements() if self._eq(x) == 3 * e // 2]
+
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        """Is the radical of b trivial?"""
+        return not any(any(x) and not any(self._pair_row(x))
+                       for x in self.elements())
+
     def q(self, x: Iterable[int]) -> Fraction:
         """q(x) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij, reduced mod 2."""
-        c = self.reduce(x)
-        total = Fraction(0)
-        for i in range(self.rank):
-            if not c[i]:
-                continue
-            total += c[i] * c[i] * self.q_diag[i]
-            for j in range(i + 1, self.rank):
-                if c[j]:
-                    total += 2 * c[i] * c[j] * self.b_off[i][j - i - 1]
-        return total % 2
+        return Fraction(self._eq(self.reduce(x)), self._ints[0])
 
     def b(self, x: Iterable[int], y: Iterable[int]) -> Fraction:
-        cx, cy = self.reduce(x), self.reduce(y)
-        total = Fraction(0)
-        for i in range(self.rank):
-            for j in range(self.rank):
-                if cx[i] and cy[j]:
-                    total += cx[i] * cy[j] * self._b_gen(i, j)
-        return total % 1
+        return Fraction(self._eb(self.reduce(x), self.reduce(y)),
+                        self._ints[0])
 
 
 TRIVIAL = Fqm((), (), ())
@@ -188,19 +232,24 @@ class Subgroup:
 
     @classmethod
     def generated(cls, ambient: Fqm, gens: Iterable[Iterable[int]]) -> "Subgroup":
+        """Cyclic extension: <S, g> is the union of the cosets S + k g for
+        0 <= k < o, o the least k > 0 with k g in S; the cosets are
+        disjoint, so each element is built once."""
         gs = tuple(ambient.reduce(g) for g in gens)
-        zero = ambient.zero()
-        seen = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gs:
-                    y = ambient.add(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        orders = ambient.orders
+        cols: list[list[int]] = [[0] for _ in orders]  # members, by coordinate
+        seen = {ambient.zero()}
+        for g in gs:
+            coset, new = cols, [[] for _ in orders]
+            shift = g
+            while shift not in seen:
+                coset = [[(x + c) % d for x in col] if c else col
+                         for col, c, d in zip(coset, g, orders)]
+                for acc, col in zip(new, coset):
+                    acc += col
+                shift = ambient.add(shift, g)
+            cols = [old + add for old, add in zip(cols, new)]
+            seen.update(zip(*new))
         return cls(ambient, gs, frozenset(seen))
 
     def __contains__(self, x) -> bool:
@@ -228,30 +277,50 @@ def hom_preimage(f: FqmHom, y: Iterable[int]) -> Element:
 
 
 def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int) -> list[FqmHom]:
+    """Injective homs A -> B multiplying the form by sign.
+
+    A's generator values are carried into B's scale e: one that is not an
+    integer there has no partner in B.  A hom matching b up to sign has its
+    kernel inside the radical of A's pairing, so injectivity is checked per
+    map only when A is degenerate.
+    """
     if a.order > bound or b.order > bound:
         raise ValueError(f"module order exceeds search bound {bound}")
-    candidates: list[list[Element]] = []
-    for i in range(a.rank):
-        d, qi = a.orders[i], (sign * a.q_diag[i]) % 2
-        cand = [y for y in b.elements()
-                if not any(b.scale(d, y)) and b.q(y) == qi]
-        candidates.append(cand)
+    ea, qa, ba = a._ints
+    e = b._ints[0]
+
+    def rescale(v: int, mod: int) -> Optional[int]:
+        num = sign * v * e
+        return None if num % ea else (num // ea) % mod
+
+    targets = [rescale(v, 2 * e) for v in qa]
+    candidates: list[list[Element]] = [[] for _ in targets]
+    for y in b.elements():
+        v = b._eq(y)
+        for i, d in enumerate(a.orders):
+            if targets[i] == v and \
+                    not any(d * c % o for c, o in zip(y, b.orders)):
+                candidates[i].append(y)
+    want = [[rescale(ba[i][j], e) for j in range(i)] for i in range(a.rank)]
+    check_injective = not a._nondegenerate
 
     found: list[FqmHom] = []
 
-    def extend(chosen: list[Element]):
+    def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
         i = len(chosen)
         if i == a.rank:
             hom = FqmHom(a, b, tuple(chosen))
-            if hom.is_injective():
+            if not check_injective or hom.is_injective():
                 found.append(hom)
             return
+        if None in want[i]:
+            return
         for y in candidates[i]:
-            if all(b.b(y, chosen[j]) == (sign * a._b_gen(i, j)) % 1
-                   for j in range(i)):
-                extend(chosen + [y])
+            if all(sum(c * w for c, w in zip(y, row)) % e == t
+                   for row, t in zip(rows, want[i])):
+                extend(chosen + [y], rows + [b._pair_row(y)])
 
-    extend([])
+    extend([], [])
     return found
 
 
@@ -309,17 +378,18 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
 
     True iff some x outside the image pairs integrally with the whole image
     and has q(x) = 3/2 mod 2.  This is the uniqueness criterion for the glued
-    lattice being the rank-23 hyperkaehler one.
+    lattice being the rank-23 hyperkaehler one.  Only the q = 3/2 level set
+    is scanned, which is empty when the exponent e is odd.
     """
     if image.ambient != d_n:
         raise ValueError("image must be a subgroup of the given module")
-    three_half = Fraction(3, 2)
-    for x in d_n.elements():
-        if x in image:
+    e = d_n._ints[0]
+    rows = [d_n._pair_row(g) for g in image.generators]
+    inside = image._elements
+    for x in d_n._three_half:
+        if x in inside:
             continue
-        if d_n.q(x) != three_half:
-            continue
-        if all(d_n.b(x, g) == 0 for g in image.generators):
+        if not any(sum(c * w for c, w in zip(x, row)) % e for row in rows):
             return True
     return False
 
@@ -358,11 +428,16 @@ def subgroup_presentation(sub: Subgroup) -> FqmHom:
         if d == 1:
             continue
         combo = [u_inv[j][i] for j in range(k)]
-        assert all(c.denominator == 1 for c in combo)
+        if any(c.denominator != 1 for c in combo):
+            raise RuntimeError("subgroup presentation: U^-1 of a unimodular "
+                               f"Smith transform is not integral: {combo}")
         elem = amb.zero()
         for c, g in zip(combo, gens):
             elem = amb.add(elem, amb.scale(int(c), g))
-        assert amb.element_order(elem) == d
+        if amb.element_order(elem) != d:
+            raise RuntimeError(f"subgroup presentation: generator {elem} has "
+                               f"order {amb.element_order(elem)}, not the "
+                               f"invariant factor {d}")
         new_gens.append(elem)
         orders.append(d)
     if not new_gens:
@@ -372,5 +447,7 @@ def subgroup_presentation(sub: Subgroup) -> FqmHom:
                         for j in range(i + 1, len(new_gens)))
                   for i in range(len(new_gens)))
     presented = Fqm(tuple(orders), q_diag, b_off)
-    assert presented.order == sub.order
+    if presented.order != sub.order:
+        raise RuntimeError(f"subgroup presentation has order {presented.order}"
+                           f", the subgroup {sub.order}")
     return FqmHom(presented, amb, tuple(new_gens))

@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
-                  hom_image, hom_preimage, identity_hom, isomorphisms,
-                  k3sq_glue_admissible, negated, subgroup_presentation)
+                  hom_image, isomorphisms, k3sq_glue_admissible, negated,
+                  subgroup_presentation)
 from .lattice import Lattice, direct_sum, disc_map, divisibility, induced_map
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -96,8 +96,11 @@ def overlattice(n: Lattice, m: Lattice, gamma) -> Lattice:
         e = tuple(int(i == j) for j in range(dm.fqm.rank))
         pairs.append((gam(e), e))
     lat = overlattice_pairs(n, m, pairs)
-    # det L = det N det M / |D_M|^2, in absolute value
-    assert abs(lat.det) * dm.fqm.order ** 2 == abs(n.det * m.det)
+    if abs(lat.det) * dm.fqm.order ** 2 != abs(n.det * m.det):
+        raise RuntimeError("glued lattice breaks |det L| |D_M|^2 = "
+                           f"|det N det M|: det L = {lat.det}, "
+                           f"|D_M| = {dm.fqm.order}, det N = {n.det}, "
+                           f"det M = {m.det}")
     return lat
 
 
@@ -138,7 +141,10 @@ def divisibility_in_glued(n: Lattice, v: Sequence[int],
     for gen in image.generators:
         lift = dn.lift(gen)
         pairing = sum(a * b for a, b in zip(v_gram, lift))
-        assert pairing.denominator == 1
+        if pairing.denominator != 1:
+            raise RuntimeError(f"v = {list(v)} in N pairs to {pairing} with "
+                               f"the dual lift of glue class {gen}, not an "
+                               "integer")
         g = math.gcd(g, abs(int(pairing)))
     return g
 
@@ -174,19 +180,33 @@ def check_extendable(n: Lattice, f, gamma,
     gam = _gamma_hom(gamma)
     matrix = f.matrix if hasattr(f, "matrix") else f
     fbar = induced_map(n, [list(r) for r in matrix])
-    image = hom_image(gam)
-    for a in gam.images:
-        if fbar(a) not in image:
-            return False, None
-    src = gam.source
-    preimages = []
-    for i in range(src.rank):
-        e = tuple(int(i == j) for j in range(src.rank))
-        preimages.append(hom_preimage(gam, fbar(gam(e))))
-    witness = FqmHom(src, src, tuple(preimages))
+    preimage = _preimage_table(gam)
+    moved = [fbar(a) for a in gam.images]
+    if any(y not in preimage for y in moved):
+        return False, None
+    witness = FqmHom(gam.source, gam.source,
+                     tuple(preimage[y] for y in moved))
     if realized is None:
         return True, witness
     return witness.images in realized, witness
+
+
+def _preimage_table(f: FqmHom) -> dict[Element, Element]:
+    """{f(x): x} over f.source.elements(), the first x winning, so each
+    value is the one hom_preimage returns; its keys are hom_image(f)."""
+    add = f.target.add
+    pairs = [((), f.target.zero())]
+    for d, im in zip(f.source.orders, f.images):
+        nxt = []
+        for x, y in pairs:
+            for k in range(d):
+                nxt.append((x + (k,), y))
+                y = add(y, im)
+        pairs = nxt
+    table: dict[Element, Element] = {}
+    for x, y in pairs:
+        table.setdefault(y, x)
+    return table
 
 
 @dataclass(frozen=True)
@@ -273,7 +293,10 @@ def _index_two_subgroups(d: Fqm) -> list[Subgroup]:
             e[i] = 1
             gens.append(tuple(e))
         sub = Subgroup.generated(d, gens)
-        assert 2 * sub.order == d.order
+        if 2 * sub.order != d.order:
+            raise RuntimeError(f"kernel of the character on {hit} has order "
+                               f"{sub.order} in a module of order {d.order}"
+                               ", not index 2")
         subs.append(sub)
     return subs
 

@@ -119,6 +119,29 @@ def fqm_q_value(orders, q_diag, b_off, x):
     return total % 2
 
 
+def fqm_b_value(orders, q_diag, b_off, x, y):
+    """b(x, y) in [0, 1) by polarization: (q(x+y) - q(x) - q(y)) / 2."""
+    s = tuple((a + b) % d for a, b, d in zip(x, y, orders))
+    total = (fqm_q_value(orders, q_diag, b_off, s)
+             - fqm_q_value(orders, q_diag, b_off, x)
+             - fqm_q_value(orders, q_diag, b_off, y))
+    return (total / 2) % 1
+
+
+def glue_admissible_walk(orders, q_diag, b_off, image_elements, image_gens):
+    """Some x outside the image with q(x) = 3/2 pairing to 0 with every
+    image generator, found by walking the whole group on Fractions."""
+    for x in itertools.product(*[range(d) for d in orders]):
+        if x in image_elements:
+            continue
+        if fqm_q_value(orders, q_diag, b_off, x) != Fraction(3, 2):
+            continue
+        if all(fqm_b_value(orders, q_diag, b_off, x, g) == 0
+               for g in image_gens):
+            return True
+    return False
+
+
 def subgroup_closure(orders, gens):
     """All elements generated by gens inside prod Z/orders."""
     zero = tuple(0 for _ in orders)
@@ -144,9 +167,7 @@ def all_anti_embeddings(src_orders, src_q, src_b, dst_orders, dst_q, dst_b):
         return fqm_q_value(dst_orders, dst_q, dst_b, x)
 
     def db(x, y):
-        # bilinear form by polarization: b(x,y) = (q(x+y)-q(x)-q(y))/2 mod 1
-        s = tuple((a + b) % d for a, b, d in zip(x, y, dst_orders))
-        return ((dq(s) - dq(x) - dq(y)) / 2) % 1
+        return fqm_b_value(dst_orders, dst_q, dst_b, x, y)
 
     def sb(i, j):
         if i == j:

@@ -1,13 +1,19 @@
+import ast
 import random
 from fractions import Fraction
 
 import pytest
 
+from k3lat import fqm, glue
+from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,
                        identity_hom, isomorphisms, k3sq_glue_admissible,
                        negation_hom, orthogonal_group, subgroup_presentation)
-from oracles import all_anti_embeddings, fqm_q_value, subgroup_closure
+from k3lat.glue import partner_disc_candidates
+from k3lat.lattice import disc_map
+from oracles import (all_anti_embeddings, fqm_b_value, fqm_q_value,
+                     glue_admissible_walk, subgroup_closure)
 
 F = Fraction
 
@@ -27,6 +33,15 @@ def rand_fqm(rng):
 
 def cyclic(d, q):
     return Fqm((d,), (F(q) % 2,), ((),))
+
+
+def b_dict(m):
+    return {(i, i + 1 + k): v
+            for i, row in enumerate(m.b_off) for k, v in enumerate(row)}
+
+
+def rand_element(rng, m):
+    return tuple(rng.randrange(d) for d in m.orders)
 
 
 class TestValidation:
@@ -94,6 +109,47 @@ class TestArithmetic:
         assert list(TRIVIAL.elements()) == [()]
 
 
+class TestIntegerForm:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_q_and_b_on_every_element(self, seed):
+        rng = random.Random(1700 + seed)
+        m = rand_fqm(rng)
+        e = m.orders[-1]
+        bd = b_dict(m)
+        elems = list(m.elements())
+        for x in elems:
+            want = fqm_q_value(m.orders, m.q_diag, bd, x)
+            assert m._eq(x) == want * e
+            assert m.q(x) == want
+        for x in elems:
+            for y in elems[::3]:
+                want = fqm_b_value(m.orders, m.q_diag, bd, x, y)
+                assert m._eb(x, y) == want * e
+                assert m.b(x, y) == want
+
+    def test_unreduced_coordinates(self):
+        m = Fqm((2, 4), (F(1, 2), F(3, 4)), ((F(1, 2),), ()))
+        for x in m.elements():
+            shifted = (x[0] - 6, x[1] + 12)
+            assert m._eq(shifted) == m._eq(x)
+            assert m._eb(shifted, (1, 3)) == m._eb(x, (1, 3))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_radical(self, seed):
+        rng = random.Random(1750 + seed)
+        m = rand_fqm(rng)
+        radical = [x for x in m.elements() if any(x) and
+                   all(m.b(x, y) == 0 for y in m.elements())]
+        assert m._nondegenerate == (radical == [])
+
+    def test_integer_data_is_built_lazily(self):
+        m = cyclic(4, F(1, 4) * 2)
+        assert "_ints" not in m.__dict__
+        m.q((1,))
+        assert m.__dict__["_ints"] == (4, (2,), ((2,),))
+        assert m == cyclic(4, F(1, 2)) and hash(m) == hash(cyclic(4, F(1, 2)))
+
+
 class TestHoms:
     def test_image_order_checked(self):
         with pytest.raises(ValueError):
@@ -145,6 +201,28 @@ class TestSubgroup:
         assert m.order % sub.order == 0
         assert m.zero() in sub
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_zero_and_redundant_generators(self, seed):
+        rng = random.Random(1350 + seed)
+        m = rand_fqm(rng)
+        g, h = rand_element(rng, m), rand_element(rng, m)
+        gens = [m.zero(), g, g, m.add(g, h), h, m.scale(3, g), m.neg(h),
+                m.zero()]
+        rng.shuffle(gens)
+        sub = Subgroup.generated(m, gens)
+        assert set(sub.elements()) == subgroup_closure(m.orders, gens)
+        assert sub.order == len(subgroup_closure(m.orders, [g, h]))
+
+    def test_unreduced_generators(self):
+        m = Fqm((2, 6), (F(1, 2), F(1, 6) * 2), ((F(0),), ()))
+        sub = Subgroup.generated(m, [(3, -2)])
+        assert sub.generators == ((1, 4),)
+        assert set(sub.elements()) == {(0, 0), (1, 4), (0, 2), (1, 0),
+                                       (0, 4), (1, 2)}
+
+    def test_trivial_ambient(self):
+        assert Subgroup.generated(TRIVIAL, [(), ()]).elements() == [()]
+
     def test_hom_image(self):
         m = cyclic(9, F(2, 9))
         f = FqmHom(m, m, ((3,),))
@@ -186,6 +264,35 @@ class TestAntiEmbeddings:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             anti_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)), bound=2)
+
+    @pytest.mark.parametrize("source", [
+        cyclic(2, 0),
+        Fqm((2, 2), (F(0), F(0)), ((F(0),), ())),
+        Fqm((2, 2), (F(0), F(1, 2)), ((F(0),), ())),  # radical {(1, 0)}
+        Fqm((2, 4), (F(0), F(1, 2)), ((F(0),), ())),
+    ])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_degenerate_source_drops_non_injective(self, source, seed):
+        rng = random.Random(1450 + seed)
+        target = Fqm((2, 4), (F(rng.randrange(4), 2), F(rng.randrange(8), 4)),
+                     ((F(rng.randrange(2), 2),), ()))
+        assert not source._nondegenerate
+        got = anti_embeddings(source, target)
+        expected = all_anti_embeddings(source.orders, source.q_diag,
+                                       b_dict(source), target.orders,
+                                       target.q_diag, b_dict(target))
+        assert sorted(f.images for f in got) == sorted(expected)
+        assert all(f.is_injective() and f.negates_form() for f in got)
+
+    def test_zero_map_from_degenerate_source(self):
+        # 0 has q = 0, so it is a candidate image; only injectivity drops it
+        src = cyclic(2, 0)
+        maps = anti_embeddings(src, Fqm((2, 2), (F(0), F(0)), ((F(1, 2),), ())))
+        assert sorted(f.images for f in maps) == [((0, 1),), ((1, 0),)]
+
+    def test_source_values_outside_target_scale(self):
+        # -q = 2/3 is not a multiple of 1/4, so no element of Z/4 matches
+        assert anti_embeddings(cyclic(3, F(4, 3)), cyclic(4, F(1, 4) * 2)) == []
 
 
 class TestIsomorphisms:
@@ -253,6 +360,26 @@ class TestGlueAdmissible:
         with pytest.raises(ValueError):
             k3sq_glue_admissible(m, Subgroup.generated(other, []))
 
+    def test_matches_fraction_walk(self):
+        rng = random.Random(1600)
+        outcomes = set()
+        odd = 0
+        for _ in range(150):
+            m = rand_fqm(rng)
+            gens = [rand_element(rng, m) for _ in range(rng.randint(0, 2))]
+            sub = Subgroup.generated(m, gens)
+            want = glue_admissible_walk(m.orders, m.q_diag, b_dict(m),
+                                        set(sub.elements()), sub.generators)
+            assert k3sq_glue_admissible(m, sub) == want
+            outcomes.add(want)
+            odd += m.orders[-1] % 2
+        assert outcomes == {True, False} and odd > 0
+
+    def test_odd_exponent_has_no_three_half_level(self):
+        m = Fqm((3, 9), (F(2, 3), F(2, 9)), ((F(1, 3),), ()))
+        assert 3 * m._ints[0] % 2 == 1
+        assert not k3sq_glue_admissible(m, Subgroup.generated(m, []))
+
 
 class TestSubgroupPresentation:
     def test_cyclic_subgroup(self):
@@ -299,3 +426,67 @@ class TestSubgroupPresentation:
         # inclusion matches the ambient form on every element
         for e in inc.source.elements():
             assert inc.source.q(e) == amb.q(inc(e))
+
+
+class TestFractionFreeSearch:
+    def test_glue_search_makes_no_fraction(self, monkeypatch):
+        group = builtin_dataset().group("S6")
+        src, dst = group.disc, disc_map(group.grams[0]).fqm
+        src._ints, dst._ints  # the lazily derived integer form
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        gams = anti_embeddings(src, dst)
+        images = [hom_image(g) for g in gams]
+        verdicts = [k3sq_glue_admissible(dst, im) for im in images]
+        autos = isomorphisms(src, src)
+        assert made == []
+        assert len(gams) == 96 and all(verdicts)
+        assert len(autos) == orthogonal_group(src)[1]
+
+
+class TestBuiltinCounts:
+    # anti-embeddings of each group's D(M) into D(N), one count per
+    # invariant Gram; 832 in all
+    ANTI_EMBEDDINGS = {
+        "L2(11)": [24, 24], "L3(4)": [24, 24], "A7": [8, 8, 8, 8],
+        "S6": [96], "M10": [16, 16], "(3xA5):2": [48, 48],
+        "3^2:QD16": [48], "3^(1+4):2.2^2": [288], "3^4:A6": [144],
+    }
+    # orders of the partner_disc_candidates forms, one list per Gram
+    PARTNER_ORDERS = {
+        "L2(11)": [[121], [121]], "L3(4)": [[84], [84]],
+        "A7": [[105]] * 4, "2^3:L2(7)": [[112, 112]],
+        "2xL2(7)": [[196, 196]] * 2, "2:A6": [[96, 96]] * 2,
+        "2^4:S5": [[160, 160]] * 2, "S6": [[180]], "M10": [[120]] * 2,
+        "(3xA5):2": [[225]] * 2, "Q(3^2:2)": [[192, 192]],
+        "2^4:(S3xS3)": [[288, 288]], "3^2:QD16": [[216]],
+        "3^(1+4):2.2^2": [[108]], "3^4:A6": [[81]],
+    }
+
+    def test_anti_embedding_counts(self):
+        got = {g.name: [len(anti_embeddings(g.disc, disc_map(n).fqm))
+                        for n in g.grams]
+               for g in builtin_dataset().groups if g.disc is not None}
+        assert got == self.ANTI_EMBEDDINGS
+        assert sum(map(sum, got.values())) == 832
+
+    def test_partner_candidate_orders(self):
+        got = {g.name: [[c.order for c in partner_disc_candidates(n)]
+                        for n in g.grams]
+               for g in builtin_dataset().groups}
+        assert got == self.PARTNER_ORDERS
+
+
+@pytest.mark.parametrize("module", [fqm, glue])
+def test_invariants_survive_optimization(module):
+    # python -O strips assert statements; invariants must raise instead
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)]

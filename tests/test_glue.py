@@ -6,8 +6,9 @@ import pytest
 
 from k3lat import exact, lattice
 from k3lat.enumeration import all_automorphisms
+from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       identity_hom, negation_hom)
+                       hom_image, hom_preimage, identity_hom, negation_hom)
 from k3lat.glue import (GlueMap, LiftResult, check_extendable,
                         divisibility_in_glued, glue_pairs, lift_order_search,
                         overlattice, overlattice_pairs, realized_actions)
@@ -319,6 +320,42 @@ class TestCheckExtendable:
                         assert stabilizes(basis, block_diag(f, matches[0]))
                         checked_explicit = True
         assert checked_explicit
+
+
+def extendable_by_preimage_scan(n, f, gam):
+    """Condition 1 and the witness images via hom_image and hom_preimage."""
+    fbar = induced_map(n, [list(r) for r in f])
+    image = hom_image(gam)
+    if any(fbar(a) not in image for a in gam.images):
+        return False, None
+    return True, tuple(hom_preimage(gam, fbar(a)) for a in gam.images)
+
+
+class TestPreimageTable:
+    @pytest.mark.parametrize("name", ["M10", "A7", "L2(11)"])
+    def test_builtin_witnesses_unchanged(self, name):
+        group = builtin_dataset().group(name)
+        for n in group.grams:
+            gams = anti_embeddings(group.disc, disc_map(n).fqm)
+            for f in all_automorphisms(n)[::5]:
+                for gam in gams[::3]:
+                    ok, wit = check_extendable(n, f, gam)
+                    want_ok, want_images = extendable_by_preimage_scan(
+                        n, f, gam)
+                    assert ok == want_ok
+                    assert (wit and wit.images) == want_images
+
+    def test_non_injective_gamma_takes_first_preimage(self):
+        n = Lattice(((4, 0), (0, 4)))
+        src = disc_map(span_of_square(-4)).fqm
+        gam = FqmHom(src, disc_map(n).fqm, ((2, 0),))  # kills 2 in Z/4
+        outcomes = set()
+        for f in all_automorphisms(n):
+            ok, wit = check_extendable(n, f, gam)
+            assert (ok, wit and wit.images) == \
+                extendable_by_preimage_scan(n, f, gam)
+            outcomes.add(ok)
+        assert outcomes == {True, False}
 
 
 class TestLiftOrderSearch:
