@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .enumeration import Isometry, all_automorphisms
-from .fqm import Fqm, FqmHom, Subgroup, anti_embeddings, hom_image, \
+from .fqm import Fqm, FqmHom, Subgroup, anti_embeddings, glue_images, \
     k3sq_glue_admissible
 from .glue import (check_extendable, divisibility_in_glued, lift_order_search,
                    realized_actions)
@@ -160,17 +160,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         if not goods:
             continue
         d_n = disc_map(n).fqm
-        by_image: list[tuple[Subgroup, list[FqmHom]]] = []
-        for gam in anti_embeddings(m_data.disc, d_n):
-            # every gamma is injective on the same source, so an image that
-            # holds gamma's generator images is gamma's image
-            for image, gams in by_image:
-                if all(y in image for y in gam.images):
-                    gams.append(gam)
-                    break
-            else:
-                by_image.append((hom_image(gam), [gam]))
-        for image, gams in by_image:
+        for image, gams in glue_images(anti_embeddings(m_data.disc, d_n)):
             if not k3sq_glue_admissible(d_n, image):
                 continue
             for f in goods:

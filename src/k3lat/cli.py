@@ -46,7 +46,9 @@ from typing import Optional, Sequence
 from .classify import ClassificationRow, CoinvariantData, classify, \
     good_isometries
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, FqmHom, anti_embeddings, hom_image, k3sq_glue_admissible
+from .fqm import Fqm, FqmHom, anti_embeddings, glue_images, \
+    k3sq_glue_admissible
+from .fqm import hom_image  # noqa: F401  (perfbench/workloads.py calls it)
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
 
@@ -690,10 +692,10 @@ def _cmd_glue_check(args) -> int:
         n = _resolve_lattice(args)
     d_n = disc_map(n).fqm
     embeddings = anti_embeddings(m_disc, d_n)
-    admissible = [e for e in embeddings
-                  if k3sq_glue_admissible(d_n, hom_image(e))]
+    admissible = sum(len(gams) for image, gams in glue_images(embeddings)
+                     if k3sq_glue_admissible(d_n, image))
     print("anti-embeddings:", len(embeddings))
-    print("admissible:", len(admissible))
+    print("admissible:", admissible)
     print("verdict:", "admissible" if admissible else "no admissible glue")
     return 0
 

@@ -4,11 +4,18 @@ Everything downstream (discriminant groups, gluing, enumeration) sits on the
 routines here, so no floating point is allowed anywhere in this module.
 Matrices are plain nested lists (or tuples) of Python ints; rationals are
 ``fractions.Fraction``.  Vectors are rows: a map acts as ``v @ Q``.
+
+The kernels are fraction-free: signature, determinant and adjugate run on
+integers by Bareiss elimination, and rational_inverse clears denominators
+once and makes at most one Fraction per entry at the end.  Discriminant data
+built on them (lattice.disc_map) is integer numerators over one denominator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
@@ -47,7 +54,7 @@ def mat_mul(a, b):
 
 def mat_vec(v, a):
     """Row vector times matrix."""
-    return [sum(x * y for x, y in zip(v, col)) for col in transpose(a)]
+    return [sum(map(mul, v, col)) for col in zip(*a)]
 
 
 def conjugate_rows(rows, gram):
@@ -164,34 +171,42 @@ def bareiss_det(a: Matrix) -> int:
 def signature(g: Matrix) -> tuple[int, int]:
     """Sign counts (pos, neg) of a nondegenerate symmetric matrix.
 
-    Exact rational congruence diagonalization; degenerate input is rejected.
+    Fraction-free symmetric Bareiss elimination: the k-th pivot is the
+    leading (k+1)-minor, so the k-th diagonal entry of the congruent
+    diagonal form has the sign of pivot_k * pivot_{k-1}.  A zero pivot is
+    cured by the congruence row_k += c row_l, col_k += c col_l on the
+    trailing block (minors are multilinear, so the later divisions stay
+    exact); degenerate input is rejected.
     """
     if not is_symmetric(g):
         raise ValueError("signature of a non-symmetric matrix")
     n = len(g)
-    a = [[Fraction(x) for x in row] for row in g]
+    a = copy_matrix(g)
     pos = neg = 0
+    prev = 1
     for k in range(n):
-        if a[k][k] == 0:
-            l = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+        rk = a[k]
+        if rk[k] == 0:
+            l = next((i for i in range(k + 1, n) if a[i][k]), None)
             if l is None:
                 raise ValueError("degenerate form")
-            c = 1 if a[l][l] + 2 * a[l][k] != 0 else 2
-            for j in range(n):
-                a[k][j] += c * a[l][j]
-            for i in range(n):
-                a[i][k] += c * a[i][l]
+            rl = a[l]
+            c = 1 if rl[l] + 2 * rl[k] else 2
+            for j in range(k, n):
+                rk[j] += c * rl[j]
+            for row in a[k:]:
+                row[k] += c * row[l]
+        pivot = rk[k]
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                for j in range(n):
-                    a[i][j] -= f * a[k][j]
-                for j in range(n):
-                    a[j][i] -= f * a[j][k]
-        if a[k][k] > 0:
+            ri = a[i]
+            f = ri[k]
+            for j in range(k + 1, n):
+                ri[j] = (pivot * ri[j] - f * rk[j]) // prev
+        if (pivot > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
+        prev = pivot
     return pos, neg
 
 
@@ -233,22 +248,24 @@ def hermite_row_basis(a: Matrix) -> list[list[int]]:
     return work[:r]
 
 
-def rational_inverse(a) -> list[list[Fraction]]:
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [row[n:] for row in work]
+def rational_inverse(a) -> list[list]:
+    """a^-1 of a nonsingular matrix of ints or Fractions.
+
+    Denominators are cleared once, a = b / d with b integral, and
+    a^-1 = d adj(b) / det(b) comes from the integer adjugate.  The entries
+    are ints when the inverse is integral (|det a| = 1 for an integer
+    matrix), else one Fraction each.
+    """
+    if not a:
+        return []
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    adj = adjugate(b)
+    det = sum(map(mul, b[0], (row[0] for row in adj)))  # (b adj(b))_00
+    num = [[d * x for x in row] for row in adj]
+    if all(x % det == 0 for row in num for x in row):
+        return [[x // det for x in row] for row in num]
+    return [[Fraction(x, det) for x in row] for row in num]
 
 
 def adjugate(a: Matrix) -> list[list[int]]:

@@ -46,14 +46,15 @@ class Fqm:
             if not (0 <= q < 2):
                 raise ValueError("q values must be reduced into [0, 2)")
             # q(k g) = k^2 q(g) is well defined mod 2 iff both of these hold
-            if (q * d) % 1:
+            # (tested on numerators, so checking makes no Fraction)
+            if q.numerator * d % q.denominator:
                 raise ValueError(f"{d} * q(g) must be an integer")
-            if (q * d * d) % 2:
+            if q.numerator * d * d % (2 * q.denominator):
                 raise ValueError(f"q({d}*g) must vanish mod 2")
             for k, b in enumerate(self.b_off[i]):
                 if not (0 <= b < 1):
                     raise ValueError("b values must be reduced into [0, 1)")
-                if (b * d) % 1:
+                if b.numerator * d % b.denominator:
                     raise ValueError("pairing must kill the generator order")
 
     @property
@@ -267,6 +268,24 @@ def hom_image(f: FqmHom) -> Subgroup:
     return Subgroup.generated(f.target, f.images)
 
 
+def glue_images(homs: Iterable[FqmHom]
+                ) -> list[tuple[Subgroup, list[FqmHom]]]:
+    """Injective homs from one source grouped by image, in first-seen order.
+
+    All homs have the same source order, so an image holding a hom's
+    generator images is that hom's image: one subgroup is built per image.
+    """
+    groups: list[tuple[Subgroup, list[FqmHom]]] = []
+    for f in homs:
+        for image, members in groups:
+            if all(y in image for y in f.images):
+                members.append(f)
+                break
+        else:
+            groups.append((hom_image(f), [f]))
+    return groups
+
+
 def hom_preimage(f: FqmHom, y: Iterable[int]) -> Element:
     """Some x with f(x) = y; raises if y is not in the image."""
     want = f.target.reduce(y)
@@ -433,7 +452,7 @@ def subgroup_presentation(sub: Subgroup) -> FqmHom:
                                f"Smith transform is not integral: {combo}")
         elem = amb.zero()
         for c, g in zip(combo, gens):
-            elem = amb.add(elem, amb.scale(int(c), g))
+            elem = amb.add(elem, amb.scale(c, g))
         if amb.element_order(elem) != d:
             raise RuntimeError(f"subgroup presentation: generator {elem} has "
                                f"order {amb.element_order(elem)}, not the "

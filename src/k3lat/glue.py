@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
                   hom_image, isomorphisms, k3sq_glue_admissible, negated,
                   subgroup_presentation)
-from .lattice import Lattice, direct_sum, disc_map, divisibility, induced_map
+from .lattice import Lattice, direct_sum, disc_map, induced_map
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -59,25 +60,25 @@ def overlattice_pairs(n: Lattice, m: Lattice,
     pairs.  Raises if the span fails to be an integral even lattice."""
     dn, dm = disc_map(n), disc_map(m)
     total = n.rank + m.rank
-    rows = [[Fraction(int(i == j)) for j in range(total)] for i in range(total)]
+    # every row is a numerator over den: N + M itself, then the glue lifts
+    den = math.lcm(dn.den, dm.den)
+    sn, sm = den // dn.den, den // dm.den
+    rows = [[den * int(i == j) for j in range(total)] for i in range(total)]
     for a, b in class_pairs:
-        lift = list(dn.lift(a)) + list(dm.lift(b))
-        rows.append([Fraction(x) for x in lift])
-    denom = math.lcm(*[x.denominator for row in rows for x in row])
-    scaled = [[int(x * denom) for x in row] for row in rows]
-    basis = [row for row in exact.hermite_row_basis(scaled) if any(row)]
+        rows.append([sn * x for x in dn.lift(a)] + [sm * x for x in dm.lift(b)])
+    basis = [row for row in exact.hermite_row_basis(rows) if any(row)]
     if len(basis) != total:
         raise ValueError("glue classes do not span a full-rank lattice")
     ambient_gram = [list(r) for r in direct_sum(n, m).gram]
-    frac_basis = [[Fraction(x, denom) for x in row] for row in basis]
-    gram = exact.conjugate_rows(frac_basis, ambient_gram)
+    gram = exact.conjugate_rows(basis, ambient_gram)
     out = []
     for i, row in enumerate(gram):
-        if any(x.denominator != 1 for x in row):
+        if any(x % (den * den) for x in row):
             raise ValueError("glue classes do not pair integrally")
+        row = [x // (den * den) for x in row]
         if row[i] % 2:
             raise ValueError("glue class with odd square")
-        out.append(tuple(int(x) for x in row))
+        out.append(tuple(row))
     return Lattice(tuple(out))
 
 
@@ -118,12 +119,11 @@ def glue_pairs(ambient: Lattice, n_rows: Sequence[Sequence[int]],
     m_lat = Lattice(exact.conjugate_rows([list(r) for r in m_rows],
                                          [list(r) for r in ambient.gram]))
     dn, dm = disc_map(n_lat), disc_map(m_lat)
-    inv = exact.rational_inverse(stacked)
-    pairs = []
-    for i in range(ambient.rank):
-        coords = [inv[i][j] for j in range(ambient.rank)]
-        pairs.append((dn.project(coords[:k]), dm.project(coords[k:])))
-    return pairs
+    # row i of adj / det holds the split coordinates of ambient basis vector i
+    adj = exact.adjugate(stacked)
+    det = exact.bareiss_det(stacked)
+    return [(dn.project(row[:k], det), dm.project(row[k:], det))
+            for row in adj]
 
 
 def divisibility_in_glued(n: Lattice, v: Sequence[int],
@@ -135,17 +135,15 @@ def divisibility_in_glued(n: Lattice, v: Sequence[int],
     dn = disc_map(n)
     if image.ambient != dn.fqm:
         raise ValueError("image must live in D(N)")
-    g = divisibility(n, v)
-    gram = [list(r) for r in n.gram]
-    v_gram = exact.mat_vec(list(v), gram)
+    v_gram = exact.mat_vec(v, n.gram)
+    g = math.gcd(*v_gram)  # divisibility of v in N
     for gen in image.generators:
-        lift = dn.lift(gen)
-        pairing = sum(a * b for a, b in zip(v_gram, lift))
-        if pairing.denominator != 1:
-            raise RuntimeError(f"v = {list(v)} in N pairs to {pairing} with "
-                               f"the dual lift of glue class {gen}, not an "
-                               "integer")
-        g = math.gcd(g, abs(int(pairing)))
+        pairing = sum(map(mul, v_gram, dn.lift(gen)))
+        if pairing % dn.den:
+            raise RuntimeError(f"v = {list(v)} in N pairs to "
+                               f"{Fraction(pairing, dn.den)} with the dual "
+                               f"lift of glue class {gen}, not an integer")
+        g = math.gcd(g, pairing // dn.den)
     return g
 
 
@@ -243,13 +241,10 @@ def lift_order_search(f_witness: FqmHom, m: Lattice,
         [[list(r) for r in g] for g in g_gens], m.rank)
 
     def normalizes(q) -> bool:
-        q_inv = exact.rational_inverse([list(r) for r in q])
+        q_inv = exact.rational_inverse(q)  # integral: q is an isometry
         for h in g_gens:
-            conj = exact.mat_mul(exact.mat_mul(q_inv, [list(r) for r in h]),
-                                 [list(r) for r in q])
-            entry = tuple(tuple(int(x) for x in row) for row in conj)
-            if any(x.denominator != 1 for row in conj for x in row) \
-                    or entry not in g_closure:
+            conj = exact.mat_mul(exact.mat_mul(q_inv, h), q)
+            if tuple(map(tuple, conj)) not in g_closure:
                 return False
         return True
 

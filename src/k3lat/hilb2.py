@@ -79,7 +79,10 @@ def minus10_solutions(h_sq: int, l_bound: Optional[int] = None):
             if math.gcd(k, odd) != 1:  # y would not be primitive
                 continue
             x_sq = num // (k * k)
-            assert x_sq % 2 == 0  # x lives in the even K3 lattice
+            if x_sq % 2:
+                raise RuntimeError(f"-10 obstruction with h^2 = {h_sq}, "
+                                   f"l = {l}, k = {k}: x^2 = {x_sq} is odd, "
+                                   "but x lies in the even K3 lattice")
             h_x = odd // k
             if h_sq * x_sq >= h_x * h_x:  # Hodge index, strict
                 continue
@@ -126,7 +129,9 @@ def minus2_wall_scan(h_sq: int) -> WallScan:
     terminal = None
     if gram_seen is not None:
         z = minus_two_class(gram_seen, pairing=None)
-        assert z is not None  # det < 0 guarantees a -2 vector here
+        if z is None:
+            raise RuntimeError(f"-2 wall scan with h^2 = {h_sq}: the block "
+                               f"{gram_seen} has det < 0 but no -2 vector")
         terminal = _span_with_h(gram_seen, z)
     # t = 0: h.x = 0 and Hodge force x^2 < 0, so l = 0 and k*x is a
     # -2-class orthogonal to the ample h; nothing survives

@@ -3,8 +3,11 @@
 A lattice is Z^n with a nondegenerate symmetric pairing; vectors are integer
 row tuples in the basis, and an isometry Q acts on rows, v -> v*Q, so the
 defining invariant is Q*G*Qᵀ = G.  Dual vectors live in Q^n as rational rows
-in the same basis.  The discriminant group D_L = L^dual / L is produced as an
-Fqm together with the lift/projection data the gluing code needs.
+in the same basis, carried as integer numerator rows over one denominator.
+The discriminant group D_L = L^dual / L is produced as an Fqm together with
+the lift/projection data the gluing code needs; that data is integer
+numerators over the exponent of D_L, read off the Smith form, and the only
+Fractions made are the q and b values of the generators.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .fqm import Fqm, FqmHom
@@ -110,13 +114,7 @@ def saturate(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
         return []
     s, _, v = exact.smith_normal_form(rows)
     r = sum(1 for i in range(min(len(rows), n)) if s[i][i] != 0)
-    vinv = exact.rational_inverse(v)
-    out = []
-    for i in range(r):
-        row = [x if isinstance(x, int) else x.numerator for x in vinv[i]]
-        assert all(Fraction(x) == y for x, y in zip(row, vinv[i]))
-        out.append(row)
-    return out
+    return exact.rational_inverse(v)[:r]  # V is unimodular: integer rows
 
 
 def sublattice(ambient: Lattice, rows: Iterable[Sequence[int]]) -> Sublattice:
@@ -157,29 +155,38 @@ def invariant_and_coinvariant(lat: Lattice, gens: Sequence[Sequence[Sequence[int
 
 @dataclass(frozen=True)
 class DiscMap:
-    """Discriminant group of an even lattice with lift and projection data."""
+    """Discriminant group of an even lattice with lift and projection data.
+
+    A dual vector is an integer numerator row x over a denominator; the
+    dual lift of generator a is lifts[a] / den, den the exponent of D_L.
+    """
 
     lattice: Lattice
     fqm: Fqm
-    gen_lifts: tuple[tuple[Fraction, ...], ...]  # dual vectors, basis coords
-    _v_cols: tuple[tuple[int, ...], ...]
-    _kept: tuple[int, ...]
+    den: int
+    lifts: tuple[tuple[int, ...], ...]  # numerators over den, basis coords
+    _v_cols: tuple[tuple[int, ...], ...]  # columns of V for the generators
 
-    def project(self, x: Sequence) -> tuple[int, ...]:
-        """Class of a dual vector x (rational row, basis coordinates) in D_L."""
-        g = [list(r) for r in self.lattice.gram]
-        y = exact.mat_vec([Fraction(c) for c in x], g)
-        if any(c.denominator != 1 for c in map(Fraction, y)):
-            raise ValueError("vector does not pair integrally with the lattice")
-        w = exact.mat_vec([int(c) for c in y], [list(r) for r in self._v_cols])
-        orders = self.fqm.orders
-        return tuple(w[i] % d for i, d in zip(self._kept, orders))
+    def project(self, x: Sequence[int], den: Optional[int] = None
+                ) -> tuple[int, ...]:
+        """Class in D_L of the dual vector x / den (den defaults to self.den,
+        the denominator of lift): the coordinates of x.G.V / den."""
+        den = self.den if den is None else den
+        y = []
+        for row in self.lattice.gram:  # G is symmetric: its rows are columns
+            c, r = divmod(sum(map(mul, x, row)), den)
+            if r:
+                raise ValueError("vector does not pair integrally with the "
+                                 "lattice")
+            y.append(c)
+        return tuple(sum(map(mul, y, col)) % d
+                     for col, d in zip(self._v_cols, self.fqm.orders))
 
-    def lift(self, coeffs: Sequence[int]) -> tuple[Fraction, ...]:
-        """A dual vector representing the class with the given coefficients."""
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for c, gen in zip(coeffs, self.gen_lifts):
+    def lift(self, coeffs: Sequence[int]) -> tuple[int, ...]:
+        """Numerators over den of a dual vector in the class with the given
+        coefficients."""
+        out = [0] * self.lattice.rank
+        for c, gen in zip(coeffs, self.lifts):
             if c:
                 out = [a + c * b for a, b in zip(out, gen)]
         return tuple(out)
@@ -189,24 +196,31 @@ class DiscMap:
 def disc_map(lat: Lattice) -> DiscMap:
     if not lat.is_even:
         raise ValueError("discriminant form requires an even lattice")
-    n = lat.rank
-    g = [list(r) for r in lat.gram]
-    s, _, v = exact.smith_normal_form(g)
-    ginv = exact.rational_inverse(g)
-    vinv = exact.rational_inverse(v)
-    kept = [i for i in range(n) if s[i][i] > 1]
-    lifts = []
-    for i in kept:
-        yi = [int(x) for x in vinv[i]]
-        lifts.append(tuple(exact.mat_vec([Fraction(c) for c in yi], ginv)))
+    g = lat.gram
+    s, u, v = exact.smith_normal_form([list(r) for r in g])
+    kept = [i for i in range(lat.rank) if s[i][i] > 1]
     orders = tuple(s[i][i] for i in kept)
-    q_diag = []
-    b_rows = []
-    for a, va in enumerate(lifts):
-        q_diag.append(lat.pair(va, va) % 2)
-        b_rows.append(tuple(lat.pair(va, vb) % 1 for vb in lifts[a + 1:]))
-    fqm = Fqm(orders, tuple(q_diag), tuple(b_rows))
-    return DiscMap(lat, fqm, tuple(lifts), tuple(tuple(r) for r in v), tuple(kept))
+    den = math.lcm(*orders)
+    # U G V = S gives G^-1 = V S^-1 U: the dual vector x with x.G.V = e_i
+    # is u_i / s_i, and x.G = u_i.G / s_i is row i of V^-1
+    lifts, ys = [], []
+    for i in kept:
+        d = s[i][i]
+        lifts.append(tuple(den // d * x for x in u[i]))
+        y = exact.mat_vec(u[i], g)
+        if any(c % d for c in y):
+            raise RuntimeError(f"Smith form U G V = S breaks: u_{i}.G is not "
+                               f"divisible by s_{i} = {d} for G = {g}")
+        ys.append([c // d for c in y])
+    # q and b of the generators: x_a.G.x_b = y_a.lift_b / den
+    q_diag = tuple(Fraction(sum(map(mul, ya, la)) % (2 * den), den)
+                   for ya, la in zip(ys, lifts))
+    b_rows = tuple(tuple(Fraction(sum(map(mul, ya, lb)) % den, den)
+                         for lb in lifts[a + 1:])
+                   for a, ya in enumerate(ys))
+    v_cols = tuple(tuple(row[i] for row in v) for i in kept)
+    return DiscMap(lat, Fqm(orders, q_diag, b_rows), den, tuple(lifts),
+                   v_cols)
 
 
 def discriminant_group(lat: Lattice) -> Fqm:
@@ -218,9 +232,7 @@ def induced_map(lat: Lattice, f: Sequence[Sequence[int]]) -> FqmHom:
     if not lat.is_isometry(f):
         raise ValueError("not an isometry of the lattice")
     dm = disc_map(lat)
-    flist = [list(r) for r in f]
-    images = tuple(dm.project(exact.mat_vec(list(lift), flist))
-                   for lift in dm.gen_lifts)
+    images = tuple(dm.project(exact.mat_vec(lift, f)) for lift in dm.lifts)
     return FqmHom(dm.fqm, dm.fqm, images)
 
 

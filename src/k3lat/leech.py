@@ -55,16 +55,22 @@ def build_leech_gram() -> tuple[tuple[int, ...], ...]:
     gens.append(first)
     gens.append([-3] + [1] * 23)
     basis = exact.hermite_row_basis(gens)
-    assert len(basis) == 24
-    assert abs(exact.bareiss_det(basis)) == 8 ** 12
+    if len(basis) != 24:
+        raise RuntimeError(f"Leech construction: the generators span rank "
+                           f"{len(basis)}, not 24")
+    det = exact.bareiss_det(basis)
+    if abs(det) != 8 ** 12:
+        raise RuntimeError(f"Leech construction: the sqrt(8)-scaled basis "
+                           f"has det {det}, not +-8^12")
     prod = exact.mat_mul(basis, exact.transpose(basis))
-    gram = []
-    for row in prod:
-        assert all(x % 8 == 0 for x in row)
-        gram.append(tuple(x // 8 for x in row))
-    out = tuple(gram)
-    assert exact.bareiss_det([list(r) for r in out]) == 1
-    assert all(out[i][i] % 2 == 0 for i in range(24))
+    if any(x % 8 for row in prod for x in row):
+        raise RuntimeError("Leech construction: a basis pairing is not "
+                           "divisible by 8")
+    out = tuple(tuple(x // 8 for x in row) for row in prod)
+    det = exact.bareiss_det([list(r) for r in out])
+    if det != 1 or any(out[i][i] % 2 for i in range(24)):
+        raise RuntimeError(f"Leech Gram is not even unimodular: det {det}, "
+                           f"diagonal {[out[i][i] for i in range(24)]}")
     return out
 
 

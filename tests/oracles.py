@@ -64,11 +64,24 @@ def box_bound_for(gram, norm):
     """
     n = len(gram)
     sign = 1 if gram[0][0] > 0 else -1
-    g = [[Fraction(sign * x) for x in row] for row in gram]
-    # rational inverse by Gauss-Jordan
-    work = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(g)]
+    inv = fraction_inverse([[sign * x for x in row] for row in gram])
+    bound = 0
+    for i in range(n):
+        c = inv[i][i] * abs(norm)
+        r = math.isqrt(c.numerator // c.denominator) + 1
+        bound = max(bound, r)
+    return bound
+
+
+def fraction_inverse(a):
+    """a^-1 by Gauss-Jordan on Fractions; raises ValueError when singular."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
     for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col] != 0)
+        piv = next((i for i in range(col, n) if work[i][col] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
         work[col], work[piv] = work[piv], work[col]
         inv = 1 / work[col][col]
         work[col] = [x * inv for x in work[col]]
@@ -76,12 +89,51 @@ def box_bound_for(gram, norm):
             if i != col and work[i][col]:
                 f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    bound = 0
-    for i in range(n):
-        c = work[i][n + i] * abs(norm)
-        r = math.isqrt(c.numerator // c.denominator) + 1
-        bound = max(bound, r)
-    return bound
+    return [row[n:] for row in work]
+
+
+def congruence_signature(g):
+    """(pos, neg) of a symmetric matrix by Fraction congruence
+    diagonalization: a nonzero diagonal entry is swapped into the pivot
+    slot, else the pivot row is added to a row it pairs with; raises
+    ValueError on a degenerate matrix."""
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    signs = []
+    for k in range(n):
+        l = next((i for i in range(k, n) if a[i][i] != 0), None)
+        if l is None:
+            l = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+            if l is None:
+                # the pivot row of the trailing block is zero: P^T G P has a
+                # zero row for an invertible P
+                raise ValueError("degenerate form")
+            # a_kk = a_ll = 0, so adding row/col l to k makes a_kk = 2 a_kl
+            a[k] = [x + y for x, y in zip(a[k], a[l])]
+            for row in a:
+                row[k] += row[l]
+        elif l != k:
+            a[k], a[l] = a[l], a[k]
+            for row in a:
+                row[k], row[l] = row[l], row[k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+            for row in a:
+                row[i] -= f * row[k]
+        signs.append(a[k][k] > 0)
+    return signs.count(True), signs.count(False)
+
+
+def dual_class(lifts, orders, x):
+    """The unique c with x - sum_a c_a lifts[a] integral, by trying every c
+    (lifts are Fraction rows of the dual generators); None if there is none."""
+    for c in itertools.product(*[range(d) for d in orders]):
+        rest = [xi - sum(ca * lift[j] for ca, lift in zip(c, lifts))
+                for j, xi in enumerate(x)]
+        if all(v.denominator == 1 for v in rest):
+            return c
+    return None
 
 
 def brute_isometries(g1, g2, bound=None):

@@ -1,5 +1,9 @@
 """Dataset round trips, fixture integrity, and the command line."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,9 +14,14 @@ from k3lat.cli import Dataset, DatasetError, InputError, builtin_dataset, \
     emit_dataset, format_table, load_dataset, main, parse_dataset, \
     parse_table, run_table
 from k3lat.fixtures import DATASET_TEXT
-from k3lat.fqm import Fqm, identity_hom, isomorphisms
+from k3lat.fqm import Fqm, anti_embeddings, hom_image, identity_hom, \
+    isomorphisms
 from k3lat.glue import partner_disc_candidates
-from k3lat.lattice import leech_lattice
+from k3lat.lattice import Lattice, disc_map, leech_lattice
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+# the frozen `k3lat table` output (permissive, built-in dataset); read only
+FROZEN_TABLE = ROOT / "perfbench" / "expected" / "table.csv"
 
 PINNED_ORDERS = {
     "L2(11)": 660, "L3(4)": 20160, "A7": 2520, "2^3:L2(7)": 1344,
@@ -358,6 +367,37 @@ class TestMain:
                      "--disc", "11,11", "--q", "16/11,20/11"]) == 0
         assert capsys.readouterr().out == via_group
 
+    def test_glue_check_decides_each_image_once(self, capsys, monkeypatch):
+        decided = []
+        real = cli.k3sq_glue_admissible
+
+        def counting(d_n, image):
+            decided.append(frozenset(image.elements()))
+            return real(d_n, image)
+
+        monkeypatch.setattr(cli, "k3sq_glue_admissible", counting)
+        group = builtin_dataset().group("L2(11)")
+        inline_disc = Fqm((11, 11), (Fraction(16, 11), Fraction(20, 11)),
+                          ((Fraction(0),), ()))
+        routes = [
+            (["glue-check", "--group", "L2(11)"], group.disc, group.grams[0]),
+            (["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22", "--disc",
+              "11,11", "--q", "16/11,20/11"], inline_disc,
+             Lattice([[2, 1, 0], [1, 6, 0], [0, 0, 22]])),
+        ]
+        for argv, m_disc, n in routes:
+            decided.clear()
+            assert main(argv) == 0
+            out = capsys.readouterr().out.splitlines()
+            d_n = disc_map(n).fqm
+            embeddings = anti_embeddings(m_disc, d_n)
+            per_embedding = sum(real(d_n, hom_image(e)) for e in embeddings)
+            assert out[:2] == [f"anti-embeddings: {len(embeddings)}",
+                               f"admissible: {per_embedding}"]
+            images = {frozenset(hom_image(e).elements()) for e in embeddings}
+            assert sorted(decided, key=sorted) == sorted(images, key=sorted)
+            assert len(images) < len(embeddings) == 24
+
     def test_glue_check_without_data(self, capsys):
         assert main(["glue-check", "--group", "2:A6"]) == 1
         assert "without coinvariant" in capsys.readouterr().err
@@ -452,3 +492,17 @@ class TestMain:
         monkeypatch.setattr(cli, "obstruction_report", boom)
         assert main(["hilb2", "--h2", "4"]) == 2
         assert "internal invariant violation" in capsys.readouterr().err
+
+
+class TestFrozenTable:
+    def test_table_matches_the_frozen_csv(self, capsys):
+        assert main(["table"]) == 0
+        assert capsys.readouterr().out.encode() == FROZEN_TABLE.read_bytes()
+
+    def test_table_under_python_O_matches_the_frozen_csv(self):
+        # -O strips asserts: the table must not lean on any
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run([sys.executable, "-O", "-m", "k3lat.cli", "table"],
+                              capture_output=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == FROZEN_TABLE.read_bytes()

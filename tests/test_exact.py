@@ -4,7 +4,26 @@ from fractions import Fraction
 import pytest
 
 from k3lat import exact
-from oracles import invariant_factors_via_minors, laplace_det, rand_int_matrix, rand_unimodular
+from oracles import (congruence_signature, fraction_inverse,
+                     invariant_factors_via_minors, laplace_det,
+                     rand_int_matrix, rand_unimodular)
+
+
+def rand_symmetric(rng, n, rank, spread=3):
+    """Random symmetric P D P^T with rank nonzero entries in D, so both
+    signs occur, and zero leading entries as often as not."""
+    d = [rng.choice((-1, 1)) * rng.randint(1, spread) for _ in range(rank)]
+    d += [0] * (n - rank)
+    rng.shuffle(d)
+    p = rand_unimodular(rng, n, steps=3 * n)
+    g = [[sum(p[i][k] * d[k] * p[j][k] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    if n > 1 and rank == n and rng.random() < 0.5:
+        # zero leading pivots: a hyperbolic plane on the first two rows
+        for i in range(n):
+            g[0][i] = g[i][0] = g[1][i] = g[i][1] = 0
+        g[0][1] = g[1][0] = 1
+    return g
 
 
 def diag_of(s):
@@ -102,6 +121,91 @@ class TestSignature:
         p = rand_unimodular(rng, n)
         conj = exact.mat_mul(exact.mat_mul(p, g), exact.transpose(p))
         assert exact.signature(conj) == exact.signature(g)
+
+
+class TestSignatureOracle:
+    def _cases(self):
+        rng = random.Random(83)
+        for n in range(1, 9):
+            for _ in range(12):
+                yield rand_symmetric(rng, n, rng.choice((n, n, rng.randrange(n))))
+
+    def test_matches_congruence_oracle(self):
+        degenerate = indefinite = zero_pivot = 0
+        for g in self._cases():
+            if laplace_det(g) == 0:
+                degenerate += 1
+                with pytest.raises(ValueError, match="degenerate"):
+                    exact.signature(g)
+                with pytest.raises(ValueError):
+                    congruence_signature(g)
+                continue
+            got = exact.signature(g)
+            assert got == congruence_signature(g)
+            indefinite += 0 not in got
+            zero_pivot += g[0][0] == 0
+        assert min(degenerate, indefinite, zero_pivot) >= 10
+
+    def test_zero_pivots_all_along_the_diagonal(self):
+        # blocks with a_ll + 2 a_lk = 0, where adding row l once would
+        # leave the pivot at 0 (c = 2 case), first and last
+        for g in ([[0, 1, 0], [1, -2, 0], [0, 0, 5]],
+                  [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, -2]],
+                  [[0, 1, 1], [1, -2, 0], [1, 0, 4]]):
+            assert exact.signature(g) == congruence_signature(g)
+        assert exact.signature([[0, 1, 0], [1, -2, 0], [0, 0, 5]]) == (2, 1)
+        h = exact.identity(6)
+        for i in range(0, 6, 2):
+            h[i][i] = h[i + 1][i + 1] = 0
+            h[i][i + 1] = h[i + 1][i] = 3
+        assert exact.signature(h) == (3, 3)
+
+
+class TestRationalInverseOracle:
+    def test_integer_input(self):
+        rng = random.Random(89)
+        seen = 0
+        for n in range(1, 7):
+            for _ in range(8):
+                a = rand_int_matrix(rng, n, n, 5)
+                det = laplace_det(a)
+                if det == 0:
+                    continue
+                seen += 1
+                inv = exact.rational_inverse(a)
+                assert inv == fraction_inverse(a)
+                integral = abs(det) == 1
+                assert all(isinstance(x, int) == integral
+                           for row in inv for x in row)
+        assert seen > 30
+
+    def test_unimodular_input_gives_ints(self):
+        rng = random.Random(97)
+        for n in range(1, 9):
+            u = rand_unimodular(rng, n, steps=4 * n)
+            inv = exact.rational_inverse(u)
+            assert all(type(x) is int for row in inv for x in row)
+            assert exact.mat_mul(u, inv) == exact.identity(n)
+
+    def test_fraction_input(self):
+        rng = random.Random(101)
+        for n in range(1, 6):
+            a = [[Fraction(x, rng.randint(1, 6)) for x in row]
+                 for row in rand_int_matrix(rng, n, n, 5)]
+            if laplace_det(a) == 0:
+                continue
+            inv = exact.rational_inverse(a)
+            assert inv == fraction_inverse(a)
+            assert exact.mat_mul(a, inv) == exact.identity(n)
+        # an integral inverse comes back as ints even from Fraction input
+        half = [[Fraction(1, 2), Fraction(0)], [Fraction(1, 2), Fraction(1)]]
+        assert exact.rational_inverse(half) == [[2, 0], [-1, 1]]
+        assert all(type(x) is int
+                   for row in exact.rational_inverse(half) for x in row)
+
+    def test_singular_fraction_input_rejected(self):
+        with pytest.raises(ValueError):
+            exact.rational_inverse([[Fraction(1, 2), 1], [1, 2]])
 
 
 class TestIntegerKernel:

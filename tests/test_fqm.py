@@ -1,13 +1,14 @@
 import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from k3lat import fqm, glue
+from k3lat import fqm
 from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       hom_closure_images, hom_image, hom_preimage,
+                       glue_images, hom_closure_images, hom_image, hom_preimage,
                        identity_hom, isomorphisms, k3sq_glue_admissible,
                        negation_hom, orthogonal_group, subgroup_presentation)
 from k3lat.glue import partner_disc_candidates
@@ -450,6 +451,23 @@ class TestFractionFreeSearch:
         assert len(autos) == orthogonal_group(src)[1]
 
 
+class TestGlueImages:
+    def test_groups_follow_hom_image(self):
+        # M10 has two disjoint images; on 3^2:QD16 and 3^(1+4):2.2^2 every
+        # anti-embedding has a generator image inside another image too
+        for name in ("M10", "3^2:QD16", "3^(1+4):2.2^2"):
+            group = builtin_dataset().group(name)
+            gams = anti_embeddings(group.disc,
+                                   disc_map(group.grams[0]).fqm)
+            want: dict = {}
+            for f in gams:
+                want.setdefault(frozenset(hom_image(f).elements()),
+                                []).append(f)
+            got = [(frozenset(image.elements()), members)
+                   for image, members in glue_images(gams)]
+            assert got == list(want.items())
+
+
 class TestBuiltinCounts:
     # anti-embeddings of each group's D(M) into D(N), one count per
     # invariant Gram; 832 in all
@@ -483,10 +501,11 @@ class TestBuiltinCounts:
         assert got == self.PARTNER_ORDERS
 
 
-@pytest.mark.parametrize("module", [fqm, glue])
-def test_invariants_survive_optimization(module):
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(fqm.__file__).parent.glob("*.py")),
+    ids=lambda p: f"k3lat.{p.stem}")
+def test_invariants_survive_optimization(path):
     # python -O strips assert statements; invariants must raise instead
-    with open(module.__file__) as fh:
-        tree = ast.parse(fh.read())
+    tree = ast.parse(path.read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Assert)]

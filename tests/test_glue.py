@@ -221,7 +221,8 @@ def glued_basis(n_lat, m_lat, pairs):
     total = n_lat.rank + m_lat.rank
     rows = [[Fraction(int(i == j)) for j in range(total)] for i in range(total)]
     for a, b in pairs:
-        rows.append([Fraction(x) for x in list(dn.lift(a)) + list(dm.lift(b))])
+        rows.append([Fraction(x, dn.den) for x in dn.lift(a)]
+                    + [Fraction(x, dm.den) for x in dm.lift(b)])
     denom = math.lcm(*[x.denominator for row in rows for x in row])
     scaled = [[int(x * denom) for x in row] for row in rows]
     basis = [row for row in exact.hermite_row_basis(scaled) if any(row)]

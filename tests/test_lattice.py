@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from k3lat import exact, lattice
-from k3lat.fqm import identity_hom, negation_hom
-from oracles import (brute_isometries, invariant_factors_via_minors, laplace_det,
-                     rand_definite_even_gram, rand_even_gram, rand_int_matrix)
+from k3lat.classify import good_isometries
+from k3lat.cli import builtin_dataset
+from k3lat.fqm import anti_embeddings, hom_image, identity_hom, negation_hom
+from k3lat.glue import divisibility_in_glued
+from oracles import (brute_isometries, dual_class, invariant_factors_via_minors,
+                     laplace_det, rand_definite_even_gram, rand_even_gram,
+                     rand_int_matrix, rand_unimodular)
 
 
 class TestConstructions:
@@ -270,13 +274,166 @@ class TestGlueGroupOfSplit:
         assert abs(l.det) * index * index == abs(det_m * det_c)
         dm = lattice.disc_map(m.as_lattice())
         dc = lattice.disc_map(c.as_lattice())
-        inv = exact.rational_inverse(stacked)
+        adj, det = exact.adjugate(stacked), laplace_det(stacked)
         forward, backward = {}, {}
         for i in range(l.rank):
-            coords = list(inv[i])  # e_i in the split basis, rationally
-            xm = dm.project(coords[:m.rank])
-            xc = dc.project(coords[m.rank:])
+            coords = adj[i]  # e_i in the split basis: coords / det
+            xm = dm.project(coords[:m.rank], det)
+            xc = dc.project(coords[m.rank:], det)
             # glue classes form the graph of an anti-isometry
             assert forward.setdefault(xm, xc) == xc
             assert backward.setdefault(xc, xm) == xm
             assert (dm.fqm.q(xm) + dc.fqm.q(xc)) % 2 == 0
+
+
+def small_even_lattice(rng, max_det=64):
+    while True:
+        g = rand_even_gram(rng, rng.randint(1, 4))
+        if 0 < abs(laplace_det(g)) <= max_det:
+            return lattice.Lattice(g)
+
+
+def rebased(lat, u):
+    """The lattice in the basis given by the rows of the unimodular u."""
+    return lattice.Lattice(exact.conjugate_rows(u, [list(r) for r in lat.gram]))
+
+
+def fraction_lifts(dm):
+    return [[Fraction(x, dm.den) for x in lift] for lift in dm.lifts]
+
+
+def check_against_fraction_reference(lat):
+    """q, b, orders and lifts of disc_map(lat), recomputed on Fractions."""
+    dm = lattice.disc_map(lat)
+    g, n = lat.gram, lat.rank
+    lifts = fraction_lifts(dm)
+    assert dm.fqm.order == abs(lat.det)
+
+    def pair(x, y):
+        return sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n))
+
+    for a, (lift, d) in enumerate(zip(lifts, dm.fqm.orders)):
+        # a dual vector whose class has order exactly d
+        assert all(sum(lift[i] * g[i][j] for i in range(n)).denominator == 1
+                   for j in range(n))
+        assert all((d * x).denominator == 1 for x in lift)
+        for p in (p for p in range(2, d + 1) if d % p == 0
+                  and all(p % k for k in range(2, p))):
+            assert any((d // p * x).denominator != 1 for x in lift)
+        assert dm.fqm.q_diag[a] == pair(lift, lift) % 2
+        for b, other in enumerate(lifts[a + 1:]):
+            assert dm.fqm.b_off[a][b] == pair(lift, other) % 1
+    return dm, lifts
+
+
+class TestDiscMapOracle:
+    def test_random_even_lattices(self):
+        rng = random.Random(661)
+        for _ in range(25):
+            lat = small_even_lattice(rng)
+            dm, lifts = check_against_fraction_reference(lat)
+            orders = dm.fqm.orders
+            for c in dm.fqm.elements():
+                # the classes of the lifts are independent, and project
+                # reads them back, also through another denominator and
+                # after moving by a lattice vector
+                num = dm.lift(c)
+                x = [Fraction(v, dm.den) for v in num]
+                assert dual_class(lifts, orders, x) == c
+                assert dm.project(num) == c
+                k, shift = rng.randint(2, 5), rand_int_matrix(rng, 1, lat.rank)[0]
+                moved = [k * (v + dm.den * s) for v, s in zip(num, shift)]
+                assert dm.project(moved, k * dm.den) == c
+
+    def test_project_rejects_non_dual_vectors(self):
+        rng = random.Random(662)
+        for _ in range(10):
+            lat = small_even_lattice(rng)
+            row = lat.gram[0]
+            den = 2 * max(abs(x) for x in row) + 1
+            with pytest.raises(ValueError, match="pair integrally"):
+                lattice.disc_map(lat).project(
+                    [1] + [0] * (lat.rank - 1), den)
+
+    def test_induced_map_matches_fraction_reference(self):
+        # L + L' with L' = L rebased by u: the swap (x, y) -> (y u^-1, x u)
+        # is an isometry acting on D_L + D_L' by exchanging the summands
+        rng = random.Random(663)
+        for _ in range(12):
+            lat = small_even_lattice(rng, max_det=12)
+            k = lat.rank
+            u = rand_unimodular(rng, k, steps=3 * k)
+            u_inv = exact.rational_inverse(u)
+            total = lattice.direct_sum(lat, rebased(lat, u))
+            swap = [[0] * k + list(r) for r in u_inv] + \
+                   [list(r) + [0] * k for r in u]
+            minus = [[-x for x in r] for r in swap]
+            dm = lattice.disc_map(total)
+            lifts = fraction_lifts(dm)
+            for f in (swap, minus):
+                want = tuple(
+                    dual_class(lifts, dm.fqm.orders,
+                               [sum(lift[i] * f[i][j] for i in range(2 * k))
+                                for j in range(2 * k)])
+                    for lift in lifts)
+                assert lattice.induced_map(total, f).images == want
+
+    def test_k3_lattices(self):
+        rng = random.Random(664)
+        u22 = rand_unimodular(rng, 22, steps=40)
+        k3 = rebased(lattice.k3_lattice(), u22)
+        dm, _ = check_against_fraction_reference(k3)
+        assert (dm.fqm.orders, dm.den, dm.lifts) == ((), 1, ())
+        u = rand_unimodular(rng, 23, steps=40)
+        u_inv = exact.rational_inverse(u)
+        k3sq = rebased(lattice.k3_square_lattice(), u)
+        dm, lifts = check_against_fraction_reference(k3sq)
+        assert dm.fqm.orders == (2,) and dm.fqm.q_diag == (Fraction(3, 2),)
+        assert dm.project(dm.lift((1,))) == (1,)
+        # isometries of the standard form, rebased: -1, the swap of the two
+        # E8(-1) blocks and of two hyperbolic planes
+        perm = list(range(8, 16)) + list(range(8)) + [18, 19, 16, 17] + \
+            list(range(20, 23))
+        std = [[int(j == perm[i]) for j in range(23)] for i in range(23)]
+        for f0 in (std, [[-x for x in r] for r in exact.identity(23)]):
+            f = exact.mat_mul(exact.mat_mul(u, f0), u_inv)
+            want = dual_class(lifts, (2,), [
+                sum(lifts[0][i] * f[i][j] for i in range(23))
+                for j in range(23)])
+            assert lattice.induced_map(k3sq, f).images == (want,)
+
+
+class TestFractionFreeDiscLayer:
+    def test_disc_layer_makes_no_fraction(self, monkeypatch):
+        rng = random.Random(665)
+        group = builtin_dataset().group("S6")
+        n = group.grams[0]
+        image = hom_image(anti_embeddings(group.disc,
+                                          lattice.disc_map(n).fqm)[0])
+        goods = [f.matrix for f in good_isometries(n)]
+        vectors = [rand_int_matrix(rng, 1, 3, 3)[0] for _ in range(20)]
+        vectors = [v for v in vectors if any(v)]
+        grams = [rand_even_gram(rng, k) for k in range(1, 9)]
+        unimodular = rand_unimodular(rng, 8, steps=32)
+        fresh = [small_even_lattice(rng) for _ in range(10)]
+        fresh.append(rebased(lattice.k3_square_lattice(),
+                             rand_unimodular(rng, 23, steps=40)))
+        made = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        sigs = [exact.signature(g) for g in grams]
+        inverse = exact.rational_inverse(unimodular)
+        maps = [lattice.induced_map(n, f) for f in goods]
+        divs = [divisibility_in_glued(n, v, image) for v in vectors]
+        assert made == []
+        for lat in fresh:
+            before = len(made)
+            r = lattice.disc_map.__wrapped__(lat).fqm.rank
+            assert len(made) - before == r + r * (r - 1) // 2  # one per q, b
+        assert len(sigs) == 8 and len(inverse) == 8
+        assert len(maps) == len(goods) and min(divs) >= 1
