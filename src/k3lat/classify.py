@@ -18,7 +18,7 @@ from .fqm import Fqm, FqmHom, Subgroup, anti_embeddings, glue_images, \
     k3sq_glue_admissible
 from .glue import (check_extendable, divisibility_in_glued, lift_order_search,
                    realized_actions)
-from .lattice import Lattice, disc_map, invariant_and_coinvariant
+from .lattice import Lattice, disc_map, induced_map, invariant_and_coinvariant
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -147,7 +147,9 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
 
     Loops over distinct admissible glue images, which alone fix condition 1,
     div and the k3 flag; exact mode (obar given) keeps a row once any gamma
-    of the image passes condition 2.  A merged row prints its smallest T,
+    of the image passes condition 2.  Per invariant lattice, the map each
+    good isometry induces on D(N) is built once, and its fixed line and
+    complement once it yields a row.  A merged row prints its smallest T,
     flags "excluded" only if every gluing does (else "unknown"), and has
     lift_improved True if any gluing has.
     """
@@ -160,18 +162,25 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         if not goods:
             continue
         d_n = disc_map(n).fqm
-        for image, gams in glue_images(anti_embeddings(m_data.disc, d_n)):
-            if not k3sq_glue_admissible(d_n, image):
-                continue
-            for f in goods:
+        images = [(image, gams) for image, gams
+                  in glue_images(anti_embeddings(m_data.disc, d_n))
+                  if k3sq_glue_admissible(d_n, image)]
+        if not images:
+            continue
+        fbars = [induced_map(n, _matrix_of(f)) for f in goods]
+        lines: dict[int, tuple] = {}  # good isometry index -> (h, T rows, T)
+        for image, gams in images:
+            for i, f in enumerate(goods):
                 for gam in gams:  # no witness: condition 1 fails on the image
-                    ok, witness = check_extendable(n, f, gam,
+                    ok, witness = check_extendable(fbars[i], gam,
                                                    realized=realized)
                     if ok or witness is None:
                         break
                 if not ok:
                     continue
-                h, t_rows, t_gram = _fixed_line_and_complement(n, _matrix_of(f))
+                if i not in lines:
+                    lines[i] = _fixed_line_and_complement(n, _matrix_of(f))
+                h, t_rows, t_gram = lines[i]
                 improved = None
                 if m_data.isometries is not None and m_data.gram is not None:
                     improved = lift_order_search(

@@ -37,7 +37,6 @@ import ast
 import csv
 import io
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -424,23 +423,20 @@ def emit_dataset(dataset: Dataset) -> str:
 
 # ------------------------------------------------------------- the table
 
-def _table_task(task) -> list[ClassificationRow]:
-    name, grams, data = task
-    return classify(list(grams), data, name)
-
-
-def run_table(dataset: Dataset, mode: str = "permissive",
-              jobs: int = 1) -> tuple[list[ClassificationRow], list[str]]:
+def run_table(dataset: Dataset, mode: str = "permissive"
+              ) -> tuple[list[ClassificationRow], list[str]]:
     """Classification rows for every group with glue data, plus warnings.
 
     Groups without a disc form are skipped with a warning; asking for exact
     mode on a group without obar generators downgrades that group to
-    permissive with a warning.  Row order follows the dataset.
+    permissive with a warning.  Row order follows the dataset.  A failure
+    inside one group's classification is re-raised as a RuntimeError
+    naming the group.
     """
     if mode not in ("permissive", "exact"):
         raise InputError(f"unknown mode {mode!r}")
     warnings: list[str] = []
-    tasks = []
+    rows: list[ClassificationRow] = []
     for g in dataset.groups:
         if g.disc is None:
             warnings.append(f"{g.name}: no coinvariant discriminant data, "
@@ -450,13 +446,13 @@ def run_table(dataset: Dataset, mode: str = "permissive",
         if mode == "exact" and data.obar is None:
             warnings.append(f"{g.name}: exact mode needs obar generators, "
                             "ran permissive")
-        tasks.append((g.name, g.grams, data))
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_table_task, tasks))
-    else:
-        results = [_table_task(t) for t in tasks]
-    return [row for result in results for row in result], warnings
+        try:
+            rows += classify(list(g.grams), data, g.name)
+        except (InputError, DatasetError):
+            raise
+        except Exception as exc:
+            raise RuntimeError(f"{g.name}: {exc}") from exc
+    return rows, warnings
 
 
 def _t_text(t: IntMatrix) -> str:
@@ -736,9 +732,10 @@ def _cmd_hilb2(args) -> int:
 
 def _cmd_table(args) -> int:
     dataset = _resolve_dataset(args)
-    if args.jobs < 1:
-        raise InputError("--jobs must be at least 1")
-    rows, warnings = run_table(dataset, mode=args.mode, jobs=args.jobs)
+    if args.jobs is not None:
+        print("k3lat: warning: --jobs is deprecated and ignored",
+              file=sys.stderr)
+    rows, warnings = run_table(dataset, mode=args.mode)
     sys.stdout.write(format_table(rows, args.format))
     for w in warnings:
         print(f"k3lat: warning: {w}", file=sys.stderr)
@@ -803,7 +800,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("permissive", "exact"),
                    default="permissive")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int,
+                   help="deprecated and ignored; the table runs in one "
+                        "process")
     p.set_defaults(handler=_cmd_table)
 
     return parser

@@ -185,6 +185,25 @@ class FqmHom:
         img = Subgroup.generated(self.target, self.images)
         return img.order == self.source.order
 
+    @cached_property
+    def preimage_table(self) -> dict[Element, Element]:
+        """{f(x): x} over source.elements(), the first x winning, so each
+        value is the one hom_preimage returns; its keys are hom_image(f).
+        Built on first use (equality and hash ignore it)."""
+        add = self.target.add
+        pairs = [((), self.target.zero())]
+        for d, im in zip(self.source.orders, self.images):
+            nxt = []
+            for x, y in pairs:
+                for k in range(d):
+                    nxt.append((x + (k,), y))
+                    y = add(y, im)
+            pairs = nxt
+        table: dict[Element, Element] = {}
+        for x, y in pairs:
+            table.setdefault(y, x)
+        return table
+
     def _form_sign_ok(self, sign: int) -> bool:
         src = self.source
         for i in range(src.rank):

@@ -160,12 +160,14 @@ def realized_actions(d_m: Fqm, obar: Iterable[FqmHom]
     return hom_closure_images(d_m, obar)
 
 
-def check_extendable(n: Lattice, f, gamma,
+def check_extendable(fbar: FqmHom, gamma,
                      realized: Optional[set[tuple[Element, ...]]] = None
                      ) -> tuple[bool, Optional[FqmHom]]:
     """Does the isometry f of N extend over the lattice glued along gamma?
 
-    Condition 1: the map induced by f on D(N) preserves the glue image.
+    fbar is the map f induces on D(N), induced_map(n, f); callers deciding
+    many gluings compute it once per isometry.
+    Condition 1: fbar preserves the glue image.
     Condition 2: the conjugated action on D(M) is realized by an isometry
     of M; with realized given (realized_actions of generators of the image
     of O(M) in O(D_M), built once per obar) this is checked exactly,
@@ -173,12 +175,12 @@ def check_extendable(n: Lattice, f, gamma,
     mode, a superset).
 
     Returns (decision, witness), the witness being the conjugated action
-    gamma^-1 . f_bar . gamma on D(M) whenever condition 1 holds.
+    gamma^-1 . fbar . gamma on D(M) whenever condition 1 holds.
     """
     gam = _gamma_hom(gamma)
-    matrix = f.matrix if hasattr(f, "matrix") else f
-    fbar = induced_map(n, [list(r) for r in matrix])
-    preimage = _preimage_table(gam)
+    if fbar.source != gam.target or fbar.target != gam.target:
+        raise ValueError("fbar must act on the target of gamma")
+    preimage = gam.preimage_table
     moved = [fbar(a) for a in gam.images]
     if any(y not in preimage for y in moved):
         return False, None
@@ -187,24 +189,6 @@ def check_extendable(n: Lattice, f, gamma,
     if realized is None:
         return True, witness
     return witness.images in realized, witness
-
-
-def _preimage_table(f: FqmHom) -> dict[Element, Element]:
-    """{f(x): x} over f.source.elements(), the first x winning, so each
-    value is the one hom_preimage returns; its keys are hom_image(f)."""
-    add = f.target.add
-    pairs = [((), f.target.zero())]
-    for d, im in zip(f.source.orders, f.images):
-        nxt = []
-        for x, y in pairs:
-            for k in range(d):
-                nxt.append((x + (k,), y))
-                y = add(y, im)
-        pairs = nxt
-    table: dict[Element, Element] = {}
-    for x, y in pairs:
-        table.setdefault(y, x)
-    return table
 
 
 @dataclass(frozen=True)

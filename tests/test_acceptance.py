@@ -125,13 +125,13 @@ def test_criterion_5_extension_check_matches_explicit_glue():
             stabilizes(basis, block_diag([list(r) for r in f],
                                          [list(r) for r in g]))
             for g in autos_m)
-        got, witness = check_extendable(n_lat, f, gam,
-                                        realized_actions(dm, obar))
+        fbar = induced_map(n_lat, [list(r) for r in f])
+        got, witness = check_extendable(fbar, gam, realized_actions(dm, obar))
         assert got == expected
         if got:
             assert witness is not None
             # permissive mode accepts everything exact mode accepts
-            assert check_extendable(n_lat, f, gam)[0]
+            assert check_extendable(fbar, gam)[0]
             extended += 1
         else:
             refused += 1

@@ -1,19 +1,26 @@
 import itertools
 import random
+from collections import Counter
+from dataclasses import replace
+from functools import cached_property
 
 import pytest
 
 from k3lat import classify as classify_module
 from k3lat import exact, lattice
 from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
-                            classify, gauss_reduced, good_isometries,
+                            _fixed_line_and_complement, _row_key, classify,
+                            gauss_reduced, good_isometries,
                             k3_birational_flag, max_group_order_check,
                             polarization_and_transcendental)
 from k3lat.cli import builtin_dataset
 from k3lat.enumeration import is_isometric
-from k3lat.fqm import (Fqm, Subgroup, identity_hom, negation_hom,
-                       subgroup_presentation)
-from k3lat.lattice import Lattice, disc_map
+from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings, glue_images,
+                       hom_closure_images, hom_image, hom_preimage,
+                       identity_hom, k3sq_glue_admissible, negation_hom,
+                       orthogonal_group, subgroup_presentation)
+from k3lat.glue import divisibility_in_glued
+from k3lat.lattice import Lattice, disc_map, induced_map
 from oracles import rand_unimodular
 
 A6_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
@@ -217,6 +224,123 @@ class TestClassify:
         flags = {(r.h_sq, r.h_div, r.m, r.t_gram): r.k3_flag for r in base}
         assert flags[(2, 1, 2, ((4, 0), (0, 30)))] == "unknown"
         assert flags[(4, 1, 2, ((2, 0), (0, 30)))] == "unknown"
+
+
+def reference_extendable(n, f, gam, realized):
+    """check_extendable decided afresh: the induced map built for this call,
+    condition 1 on hom_image and the witness from hom_preimage."""
+    fbar = induced_map(n, [list(r) for r in f.matrix])
+    image = hom_image(gam)
+    moved = [fbar(a) for a in gam.images]
+    if any(y not in image for y in moved):
+        return False, None
+    witness = tuple(hom_preimage(gam, y) for y in moved)
+    return realized is None or witness in realized, witness
+
+
+def reference_classify(lattices, m_data, group_name):
+    """classify as a plain per-(image, f, gamma) loop with every decision
+    made afresh: the merged rows and the list of (ok, witness images)."""
+    mode = "permissive" if m_data.obar is None else "exact"
+    realized = (None if m_data.obar is None
+                else hom_closure_images(m_data.disc, m_data.obar))
+    decisions, groups = [], {}
+    for n in lattices:
+        goods = good_isometries(n)
+        d_n = disc_map(n).fqm
+        for image, gams in glue_images(anti_embeddings(m_data.disc, d_n)):
+            if not goods or not k3sq_glue_admissible(d_n, image):
+                continue
+            for f in goods:
+                for gam in gams:
+                    ok, witness = reference_extendable(n, f, gam, realized)
+                    decisions.append((ok, witness))
+                    if ok or witness is None:
+                        break
+                if not ok:
+                    continue
+                h, t_rows, t_gram = _fixed_line_and_complement(n, f.matrix)
+                row = ClassificationRow(
+                    group_name, n.norm(h), divisibility_in_glued(n, h, image),
+                    f.order, t_gram, k3_birational_flag(n, t_rows, image),
+                    n.gram, mode)
+                key = (row.h_sq, row.h_div, row.m, row.invariant_gram,
+                       gauss_reduced(t_gram))
+                groups.setdefault(key, []).append(row)
+    rows = []
+    for group in groups.values():
+        flags = {r.k3_flag for r in group}
+        rows.append(replace(group[0], t_gram=min(r.t_gram for r in group),
+                            k3_flag=flags.pop() if len(flags) == 1
+                            else "unknown"))
+    return sorted(rows, key=_row_key), decisions
+
+
+def recording_check_extendable(monkeypatch):
+    """Patch classify's check_extendable to log (ok, witness images)."""
+    real, log = classify_module.check_extendable, []
+
+    def check(fbar, gam, realized=None):
+        ok, witness = real(fbar, gam, realized)
+        log.append((ok, witness and witness.images))
+        return ok, witness
+    monkeypatch.setattr(classify_module, "check_extendable", check)
+    return log
+
+
+class TestHoistedLoop:
+    @pytest.mark.parametrize("mode", ["permissive", "exact"])
+    def test_matches_per_gamma_reference(self, mode, monkeypatch):
+        log = recording_check_extendable(monkeypatch)
+        for g in builtin_dataset().groups:
+            if g.disc is None:
+                continue
+            obar = None
+            if mode == "exact":  # generates all of O(D_M)
+                obar = tuple(orthogonal_group(g.disc)[0])
+            md = CoinvariantData(disc=g.disc, obar=obar)
+            log.clear()
+            rows = classify(list(g.grams), md, g.name)
+            want_rows, want_decisions = reference_classify(
+                list(g.grams), md, g.name)
+            assert rows == want_rows, g.name
+            assert log == want_decisions, g.name
+            assert all(r.mode == mode for r in rows)
+
+    def test_per_isometry_and_per_gamma_work_is_done_once(self, monkeypatch):
+        log = recording_check_extendable(monkeypatch)
+        calls = Counter()
+        tables_built = Counter()  # gamma value -> preimage tables built
+        for name in ("induced_map", "_fixed_line_and_complement"):
+            def counted(n, matrix, real=getattr(classify_module, name),
+                        name=name):
+                calls[name, n.gram, tuple(map(tuple, matrix))] += 1
+                return real(n, matrix)
+            monkeypatch.setattr(classify_module, name, counted)
+        build = FqmHom.__dict__["preimage_table"].func
+
+        def counted_build(gam):
+            tables_built[gam] += 1
+            return build(gam)
+        table = cached_property(counted_build)
+        table.__set_name__(FqmHom, "preimage_table")
+        monkeypatch.setattr(FqmHom, "preimage_table", table)
+        for g in builtin_dataset().groups:
+            if g.disc is not None:
+                classify(list(g.grams), g.coinvariant_data(), g.name)
+        per_name = Counter()
+        for (name, *_), count in calls.items():
+            assert count == 1, name  # once per (N, f)
+            per_name[name] += count
+        assert per_name["induced_map"] == 106
+        assert len(log) == 161
+        assert sum(ok for ok, _ in log) == 105
+        assert per_name["_fixed_line_and_complement"] == 94  # (N, f) with a row
+        # 19 gamma values, one table each, except that three A7 lattices
+        # share D(N): each of their anti_embeddings calls returns its own
+        # copy of one gamma, and each copy builds its table once
+        assert len(tables_built) == 19
+        assert sum(tables_built.values()) == 21
 
 
 def _random_binary_grams(rng, count):

@@ -304,10 +304,6 @@ class TestTableRuns:
             text = format_table(rows, fmt)
             assert parse_table(text, fmt) == row_tuples(rows)
 
-    def test_parallel_run_matches_serial(self):
-        serial = run_table(small_dataset())
-        assert run_table(small_dataset(), jobs=2) == serial
-
 
 class TestMain:
     def test_disc_inline(self, capsys):
@@ -469,8 +465,22 @@ class TestMain:
     def test_table_missing_file(self, capsys):
         assert main(["table", "--dataset", "/no/such/file"]) == 1
 
-    def test_table_bad_jobs(self, capsys):
-        assert main(["table", "--jobs", "0"]) == 1
+    def test_table_jobs_is_deprecated_and_ignored(self, capsys):
+        assert main(["table"]) == 0
+        plain = capsys.readouterr()
+        assert main(["table", "--jobs", "2"]) == 0
+        jobs = capsys.readouterr()
+        assert jobs.out == plain.out
+        assert jobs.err == ("k3lat: warning: --jobs is deprecated and "
+                            "ignored\n" + plain.err)
+
+    def test_cli_import_loads_no_process_pool(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, k3lat.cli; "
+             "print('concurrent.futures' in sys.modules)"],
+            capture_output=True, env=env, timeout=60)
+        assert done.stdout == b"False\n", done.stderr.decode()
 
     def test_dataset_diagnostics_reach_stderr(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -492,6 +502,19 @@ class TestMain:
         monkeypatch.setattr(cli, "obstruction_report", boom)
         assert main(["hilb2", "--h2", "4"]) == 2
         assert "internal invariant violation" in capsys.readouterr().err
+
+    def test_table_failure_exits_two_naming_the_group(self, capsys,
+                                                       monkeypatch):
+        def boom(grams, data, group_name):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "classify", boom)
+        first = next(g.name for g in builtin_dataset().groups
+                     if g.disc is not None)
+        assert main(["table"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("k3lat: internal invariant violation: "
+                                f"{first}: boom\n")
 
 
 class TestFrozenTable:

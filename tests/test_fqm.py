@@ -191,6 +191,49 @@ class TestHoms:
             hom_preimage(FqmHom(m, m, ((0,),)), (1,))
 
 
+def rand_hom(rng, source, target):
+    """A random hom: each generator goes to a random element whose order
+    divides the generator's, so zero and non-injective maps come up."""
+    return FqmHom(source, target, tuple(
+        rng.choice([y for y in target.elements()
+                    if d % target.element_order(y) == 0])
+        for d in source.orders))
+
+
+class TestPreimageTable:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_hom_preimage(self, seed):
+        rng = random.Random(2600 + seed)
+        src, tgt = rand_fqm(rng), rand_fqm(rng)
+        homs = [rand_hom(rng, src, tgt), rand_hom(rng, src, src),
+                FqmHom(src, tgt, (tgt.zero(),) * src.rank)]
+        for f in homs:
+            table = f.preimage_table
+            assert set(table) == set(hom_image(f).elements())
+            for y, x in table.items():
+                assert x == hom_preimage(f, y)  # first x in elements()
+
+    def test_non_injective_first_wins(self):
+        m = cyclic(4, F(1, 4) * 2)
+        f = FqmHom(m, m, ((2,),))  # kills 2 in Z/4
+        assert f.preimage_table == {(0,): (0,), (2,): (1,)}
+        zero = FqmHom(m, m, ((0,),))
+        assert zero.preimage_table == {(0,): (0,)}
+
+    def test_built_on_first_use(self):
+        m = cyclic(9, F(2, 9))
+        f, g = FqmHom(m, m, ((2,),)), FqmHom(m, m, ((2,),))
+        assert "preimage_table" not in f.__dict__
+        f((1,))
+        assert "preimage_table" not in f.__dict__
+        table = f.preimage_table
+        assert f.__dict__["preimage_table"] is table
+        assert f.preimage_table is table
+        # equality and hash ignore the cached table
+        assert f == g and hash(f) == hash(g)
+        assert "preimage_table" not in g.__dict__
+
+
 class TestSubgroup:
     @pytest.mark.parametrize("seed", range(15))
     def test_closure_matches_oracle(self, seed):

@@ -250,23 +250,24 @@ def block_diag(f, g):
 class TestCheckExtendable:
     def test_identity_extends(self):
         n, m, gams = a2_glue()
-        ok, wit = check_extendable(n, ((1, 0), (0, 1)), gams[0])
+        ok, wit = check_extendable(induced_map(n, ((1, 0), (0, 1))), gams[0])
         assert ok and wit.images == identity_hom(disc_map(m).fqm).images
 
     def test_negation_extends(self):
         n, m, gams = a2_glue()
         dm = disc_map(m).fqm
-        ok, wit = check_extendable(n, ((-1, 0), (0, -1)), gams[0])
+        fbar = induced_map(n, ((-1, 0), (0, -1)))
+        ok, wit = check_extendable(fbar, gams[0])
         assert ok and wit.images == negation_hom(dm).images
         # exact mode succeeds once -1 is allowed on D(M)
-        ok2, _ = check_extendable(n, ((-1, 0), (0, -1)), gams[0],
+        ok2, _ = check_extendable(fbar, gams[0],
                                   realized_actions(dm, [negation_hom(dm)]))
         assert ok2
 
     def test_exact_mode_can_refuse(self):
         n, m, gams = a2_glue()
         dm = disc_map(m).fqm
-        ok, wit = check_extendable(n, ((0, 1), (-1, 1)), gams[0],
+        ok, wit = check_extendable(induced_map(n, ((0, 1), (-1, 1))), gams[0],
                                    realized_actions(dm, [identity_hom(dm)]))
         assert not ok
         assert wit is not None  # condition 1 held; the witness is the obstruction
@@ -278,8 +279,14 @@ class TestCheckExtendable:
         m_disc = disc_map(span_of_square(-4)).fqm
         gam = FqmHom(m_disc, disc_map(n).fqm, ((1, 0),))
         gm = GlueMap(gam, n, m_disc, span_of_square(-4))
-        ok, wit = check_extendable(n, ((0, 1), (1, 0)), gm)
+        ok, wit = check_extendable(induced_map(n, ((0, 1), (1, 0))), gm)
         assert (ok, wit) == (False, None)
+
+    def test_fbar_must_act_on_the_glue_target(self):
+        n, m, gams = a2_glue()
+        other = span_of_square(4)
+        with pytest.raises(ValueError, match="target of gamma"):
+            check_extendable(induced_map(other, ((-1,),)), gams[0])
 
     def test_obar_validation(self):
         n, m, gams = a2_glue()
@@ -312,11 +319,11 @@ class TestCheckExtendable:
                 matches = [g for g in autos_m
                            if fbar.compose(gam).images ==
                            gam.compose(induced_map(m_lat, [list(r) for r in g])).images]
-                got, _ = check_extendable(n_lat, f, gam, realized)
+                got, _ = check_extendable(fbar, gam, realized)
                 assert got == bool(matches)
                 if matches:
                     # permissive mode is a superset of exact mode
-                    assert check_extendable(n_lat, f, gam)[0]
+                    assert check_extendable(fbar, gam)[0]
                     if not checked_explicit:
                         assert stabilizes(basis, block_diag(f, matches[0]))
                         checked_explicit = True
@@ -340,7 +347,7 @@ class TestPreimageTable:
             gams = anti_embeddings(group.disc, disc_map(n).fqm)
             for f in all_automorphisms(n)[::5]:
                 for gam in gams[::3]:
-                    ok, wit = check_extendable(n, f, gam)
+                    ok, wit = check_extendable(induced_map(n, f), gam)
                     want_ok, want_images = extendable_by_preimage_scan(
                         n, f, gam)
                     assert ok == want_ok
@@ -352,7 +359,7 @@ class TestPreimageTable:
         gam = FqmHom(src, disc_map(n).fqm, ((2, 0),))  # kills 2 in Z/4
         outcomes = set()
         for f in all_automorphisms(n):
-            ok, wit = check_extendable(n, f, gam)
+            ok, wit = check_extendable(induced_map(n, f), gam)
             assert (ok, wit and wit.images) == \
                 extendable_by_preimage_scan(n, f, gam)
             outcomes.add(ok)
