@@ -733,6 +733,8 @@ def _cmd_hilb2(args) -> int:
 def _cmd_table(args) -> int:
     dataset = _resolve_dataset(args)
     if args.jobs is not None:
+        if args.jobs < 1:
+            raise InputError("--jobs must be at least 1")
         print("k3lat: warning: --jobs is deprecated and ignored",
               file=sys.stderr)
     rows, warnings = run_table(dataset, mode=args.mode)

@@ -304,6 +304,12 @@ class TestTableRuns:
             text = format_table(rows, fmt)
             assert parse_table(text, fmt) == row_tuples(rows)
 
+    def test_parallel_run_matches_serial(self, capsys):
+        assert main(["table"]) == 0
+        serial = capsys.readouterr().out
+        assert main(["table", "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
 
 class TestMain:
     def test_disc_inline(self, capsys):
@@ -464,6 +470,12 @@ class TestMain:
 
     def test_table_missing_file(self, capsys):
         assert main(["table", "--dataset", "/no/such/file"]) == 1
+
+    def test_table_bad_jobs(self, capsys):
+        assert main(["table", "--jobs", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "k3lat: --jobs must be at least 1\n"
 
     def test_table_jobs_is_deprecated_and_ignored(self, capsys):
         assert main(["table"]) == 0
