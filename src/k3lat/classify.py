@@ -1,10 +1,11 @@
 """Good isometries of rank-3 lattices and assembly of classification rows.
 
-Pipeline: enumerate good isometries of each invariant lattice, filter the
-glue images of anti-embeddings of the coinvariant discriminant form through
-the uniqueness criterion, keep the isometries extending over the glued
-lattice, and emit one row per GL2(Z) class of the transcendental lattice,
-carrying the polarization degree, its divisibility and the K3-birational flag.
+Pipeline: enumerate good isometries of each invariant lattice, read the
+admissible glue images off D(N) (each is c^perp for an order-2 class c with
+q(c) = 3/2) together with anti-embeddings of the coinvariant discriminant
+form onto them, keep the isometries extending over the glued lattice, and
+emit one row per GL2(Z) class of the transcendental lattice, carrying the
+polarization degree, its divisibility and the K3-birational flag.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Optional, Sequence
 
 from . import exact
 from .enumeration import Isometry, all_automorphisms
-from .fqm import Fqm, FqmHom, Subgroup, anti_embeddings, glue_images, \
-    k3sq_glue_admissible
+from .fqm import Fqm, FqmHom, Subgroup, k3sq_glue_admissible, \
+    k3sq_glue_images
 from .glue import (check_extendable, divisibility_in_glued, lift_order_search,
                    realized_actions)
 from .lattice import Lattice, disc_map, induced_map, invariant_and_coinvariant
@@ -87,11 +88,6 @@ def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
     return "unknown"
 
 
-def max_group_order_check(symplectic_order: int, m: int) -> int:
-    """Order of the full automorphism group over its symplectic part."""
-    return symplectic_order * m
-
-
 @dataclass(frozen=True)
 class CoinvariantData:
     """Discriminant-side data of the rank-20 coinvariant lattice.
@@ -145,26 +141,35 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
              group_name: str) -> list[ClassificationRow]:
     """One row per (h^2, div, m, GL2(Z) class of T, invariant Gram), sorted.
 
-    Loops over distinct admissible glue images, which alone fix condition 1,
-    div and the k3 flag; exact mode (obar given) keeps a row once any gamma
-    of the image passes condition 2.  Per invariant lattice, the map each
-    good isometry induces on D(N) is built once, and its fixed line and
-    complement once it yields a row.  A merged row prints its smallest T,
-    flags "excluded" only if every gluing does (else "unknown"), and has
-    lift_improved True if any gluing has.
+    Loops over the admissible glue images of D(N), each c^perp for an
+    order-2 class c with q(c) = 3/2, found once per distinct D(N); an image
+    alone fixes condition 1, div and the k3 flag.  Permissive mode searches
+    one gamma onto each image; exact mode (obar given) takes all of them
+    and keeps a row once any passes condition 2.  Per invariant lattice,
+    the map each good isometry induces on D(N) is built once, and its fixed
+    line and complement once it yields a row.  A merged row prints its
+    smallest T, flags "excluded" only if every gluing does (else
+    "unknown"), and has lift_improved True if any gluing has.
     """
     mode = "exact" if m_data.obar is not None else "permissive"
     realized = (None if m_data.obar is None
                 else realized_actions(m_data.disc, m_data.obar))
+    images_of: dict[Fqm, list[tuple[Subgroup, list[FqmHom]]]] = {}
     merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
         goods = good_isometries(n)  # raises unless rank-3 positive definite
         if not goods:
             continue
         d_n = disc_map(n).fqm
-        images = [(image, gams) for image, gams
-                  in glue_images(anti_embeddings(m_data.disc, d_n))
-                  if k3sq_glue_admissible(d_n, image)]
+        if d_n not in images_of:
+            images_of[d_n] = k3sq_glue_images(m_data.disc, d_n,
+                                              every=realized is not None)
+            for image, _ in images_of[d_n]:
+                if not k3sq_glue_admissible(d_n, image):
+                    raise RuntimeError(
+                        f"glue image generated by {image.generators} is "
+                        "c^perp but fails k3sq_glue_admissible")
+        images = images_of[d_n]
         if not images:
             continue
         fbars = [induced_map(n, _matrix_of(f)) for f in goods]

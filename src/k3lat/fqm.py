@@ -314,16 +314,26 @@ def hom_preimage(f: FqmHom, y: Iterable[int]) -> Element:
     raise ValueError("element is not in the image")
 
 
-def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int) -> list[FqmHom]:
-    """Injective homs A -> B multiplying the form by sign.
+def _check_bound(bound: int, *modules: Fqm) -> None:
+    if any(m.order > bound for m in modules):
+        raise ValueError(f"module order exceeds search bound {bound}")
 
+
+def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int,
+                     inside: Optional[tuple[int, ...]] = None
+                     ) -> Iterator[FqmHom]:
+    """Injective homs A -> B multiplying the form by sign, in the
+    lexicographic order of their generator images.
+
+    The candidates are picked here, so the bound raises at call time; the
+    backtrack runs lazily.  Given a pairing row (``B._pair_row(c)``), only
+    candidates y with b(y, c) = 0 are kept, i.e. the maps into c^perp.
     A's generator values are carried into B's scale e: one that is not an
     integer there has no partner in B.  A hom matching b up to sign has its
     kernel inside the radical of A's pairing, so injectivity is checked per
     map only when A is degenerate.
     """
-    if a.order > bound or b.order > bound:
-        raise ValueError(f"module order exceeds search bound {bound}")
+    _check_bound(bound, a, b)
     ea, qa, ba = a._ints
     e = b._ints[0]
 
@@ -334,6 +344,8 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int) -> list[FqmHom]:
     targets = [rescale(v, 2 * e) for v in qa]
     candidates: list[list[Element]] = [[] for _ in targets]
     for y in b.elements():
+        if inside is not None and sum(c * w for c, w in zip(y, inside)) % e:
+            continue
         v = b._eq(y)
         for i, d in enumerate(a.orders):
             if targets[i] == v and \
@@ -342,40 +354,73 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int) -> list[FqmHom]:
     want = [[rescale(ba[i][j], e) for j in range(i)] for i in range(a.rank)]
     check_injective = not a._nondegenerate
 
-    found: list[FqmHom] = []
-
     def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
         i = len(chosen)
         if i == a.rank:
             hom = FqmHom(a, b, tuple(chosen))
             if not check_injective or hom.is_injective():
-                found.append(hom)
+                yield hom
             return
         if None in want[i]:
             return
         for y in candidates[i]:
             if all(sum(c * w for c, w in zip(y, row)) % e == t
                    for row, t in zip(rows, want[i])):
-                extend(chosen + [y], rows + [b._pair_row(y)])
+                yield from extend(chosen + [y], rows + [b._pair_row(y)])
 
-    extend([], [])
-    return found
+    return extend([], [])
 
 
 def anti_embeddings(a: Fqm, b: Fqm, bound: int = 10 ** 6) -> list[FqmHom]:
     """All injective homs A -> B negating q (and hence the pairing)."""
-    return _form_embeddings(a, b, -1, bound)
+    return list(_form_embeddings(a, b, -1, bound))
 
 
 def isomorphisms(a: Fqm, b: Fqm, bound: int = 10 ** 6) -> list[FqmHom]:
     if a.order != b.order:
         return []
-    return _form_embeddings(a, b, 1, bound)
+    return list(_form_embeddings(a, b, 1, bound))
+
+
+def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False,
+                     bound: int = 10 ** 6
+                     ) -> list[tuple[Subgroup, list[FqmHom]]]:
+    """The images of anti-embeddings A -> D(N) that k3sq_glue_admissible
+    accepts, each with the first anti-embedding onto it (all of them when
+    every is set): glue_images(anti_embeddings(a, d_n)) so filtered, in
+    the same order, without listing the other anti-embeddings.
+
+    An admissible image H has index 2 and a class c outside it with
+    q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = 1/2, H = c^perp and b(c, .)
+    is a character of order 2; conversely every c with q(c) = 3/2 and
+    b(2c, .) = 0 makes c^perp admissible.  So the search runs once per such
+    character, inside c^perp only.  On a nondegenerate D(N), such as a
+    discriminant form, these c are the order-2 classes with q = 3/2.
+    """
+    if 2 * a.order != d_n.order:
+        return []
+    _check_bound(bound, a, d_n)
+    e = d_n._ints[0]
+    found, seen = [], set()
+    for c in d_n._three_half:
+        row = d_n._pair_row(c)
+        # c + r, r in the radical, has the same character
+        if any(2 * w % e for w in row) or row in seen:
+            continue
+        seen.add(row)
+        gams = _form_embeddings(a, d_n, -1, bound, row)
+        gams = list(gams) if every else list(itertools.islice(gams, 1))
+        if gams:
+            found.append((hom_image(gams[0]), gams))
+    # each candidate list is in elements() order, so sorting by the first
+    # map's images is the order in which anti_embeddings meets the images
+    found.sort(key=lambda item: item[1][0].images)
+    return found
 
 
 def orthogonal_group(m: Fqm, bound: int = 10 ** 6) -> tuple[list[FqmHom], int]:
     """Generators of the form-preserving automorphism group, plus its order."""
-    autos = _form_embeddings(m, m, 1, bound)
+    autos = list(_form_embeddings(m, m, 1, bound))
     ident = identity_hom(m).images
     gens: list[FqmHom] = []
     generated = {ident}
@@ -414,13 +459,16 @@ def hom_closure_images(m: Fqm, gens: Iterable[FqmHom]) -> set[tuple[Element, ...
 def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
     """Does gluing along the image leave exactly the order-2, q = 3/2 quotient?
 
-    True iff some x outside the image pairs integrally with the whole image
-    and has q(x) = 3/2 mod 2.  This is the uniqueness criterion for the glued
-    lattice being the rank-23 hyperkaehler one.  Only the q = 3/2 level set
-    is scanned, which is empty when the exponent e is odd.
+    True iff the image has index 2 and some x outside it pairs integrally
+    with the whole image and has q(x) = 3/2 mod 2.  This is the uniqueness
+    criterion for the glued lattice being the rank-23 hyperkaehler one.
+    Only the q = 3/2 level set is scanned, which is empty when the exponent
+    e is odd.
     """
     if image.ambient != d_n:
         raise ValueError("image must be a subgroup of the given module")
+    if 2 * image.order != d_n.order:
+        return False
     e = d_n._ints[0]
     rows = [d_n._pair_row(g) for g in image.generators]
     inside = image._elements

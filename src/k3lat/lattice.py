@@ -236,14 +236,6 @@ def induced_map(lat: Lattice, f: Sequence[Sequence[int]]) -> FqmHom:
     return FqmHom(dm.fqm, dm.fqm, images)
 
 
-def reflection_compose(lat: Lattice, h: Sequence[int], v: Sequence[int]) -> Vec:
-    """v -> -v + (h.v) h; an isometry fixing h and negating its complement."""
-    if lat.norm(h) != 2:
-        raise ValueError("formula is integral only for h of square 2")
-    hv = lat.pair(h, v)
-    return tuple(-a + hv * b for a, b in zip(v, h))
-
-
 # -- standard constructions -------------------------------------------------
 
 def hyperbolic_plane() -> Lattice:

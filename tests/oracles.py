@@ -181,8 +181,11 @@ def fqm_b_value(orders, q_diag, b_off, x, y):
 
 
 def glue_admissible_walk(orders, q_diag, b_off, image_elements, image_gens):
-    """Some x outside the image with q(x) = 3/2 pairing to 0 with every
-    image generator, found by walking the whole group on Fractions."""
+    """An image of index 2 and some x outside it with q(x) = 3/2 pairing to
+    0 with every image generator, found by walking the whole group on
+    Fractions."""
+    if 2 * len(image_elements) != math.prod(orders):
+        return False
     for x in itertools.product(*[range(d) for d in orders]):
         if x in image_elements:
             continue

@@ -8,10 +8,11 @@ import pytest
 
 from k3lat import classify as classify_module
 from k3lat import exact, lattice
+from k3lat import fqm as fqm_module
 from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
                             _fixed_line_and_complement, _row_key, classify,
                             gauss_reduced, good_isometries,
-                            k3_birational_flag, max_group_order_check,
+                            k3_birational_flag,
                             polarization_and_transcendental)
 from k3lat.cli import builtin_dataset
 from k3lat.enumeration import is_isometric
@@ -129,14 +130,6 @@ class TestBirationalFlag:
         assert k3_birational_flag(n, ((1, 0, 0), (0, 0, 1)), img) == "excluded"
 
 
-class TestMaxGroupOrder:
-    def test_table_arithmetic(self):
-        assert max_group_order_check(29160, 6) == 174960
-        assert max_group_order_check(972, 66) == 64152
-        assert max_group_order_check(972, 66) < max_group_order_check(29160, 6)
-        assert max_group_order_check(7, 1) == 7
-
-
 class TestClassify:
     def test_a6_row(self):
         n = Lattice(A6_GRAM)
@@ -212,18 +205,32 @@ class TestClassify:
 
     def test_reversed_anti_embedding_order_changes_nothing(self, monkeypatch):
         # M10 has two (h^2, div, m, T) classes reached by one gluing that
-        # excludes and another that does not: both must read "unknown"
+        # excludes and another that does not: both must read "unknown".
+        # The glue images come in reverse order, and so do the
+        # anti-embeddings onto each image (all of them in exact mode)
         g = builtin_dataset().group("M10")
-        md = g.coinvariant_data("permissive")
-        base = classify(list(g.grams), md, g.name)
-        real = classify_module.anti_embeddings
-        monkeypatch.setattr(classify_module, "anti_embeddings",
-                            lambda a, b: real(a, b)[::-1])
-        flipped = classify(list(g.grams), md, g.name)
+        mds = [CoinvariantData(disc=g.disc),
+               CoinvariantData(disc=g.disc,
+                               obar=tuple(orthogonal_group(g.disc)[0]))]
+        base = [classify(list(g.grams), md, g.name) for md in mds]
+        real = classify_module.k3sq_glue_images
+        seen = []
+
+        def reversed_images(a, d_n, every=False):
+            images = real(a, d_n, every)
+            seen.append((every, [len(gams) for _, gams in images]))
+            return [(image, gams[::-1]) for image, gams in images[::-1]]
+        monkeypatch.setattr(classify_module, "k3sq_glue_images",
+                            reversed_images)
+        flipped = [classify(list(g.grams), md, g.name) for md in mds]
         assert flipped == base
-        flags = {(r.h_sq, r.h_div, r.m, r.t_gram): r.k3_flag for r in base}
-        assert flags[(2, 1, 2, ((4, 0), (0, 30)))] == "unknown"
-        assert flags[(4, 1, 2, ((2, 0), (0, 30)))] == "unknown"
+        # several images per D(N), and several gammas per image when exact
+        assert all(len(lens) > 1 for _, lens in seen)
+        assert all(min(lens) > 1 for every, lens in seen if every)
+        for rows in base:
+            flags = {(r.h_sq, r.h_div, r.m, r.t_gram): r.k3_flag for r in rows}
+            assert flags[(2, 1, 2, ((4, 0), (0, 30)))] == "unknown"
+            assert flags[(4, 1, 2, ((2, 0), (0, 30)))] == "unknown"
 
 
 def reference_extendable(n, f, gam, realized):
@@ -336,11 +343,35 @@ class TestHoistedLoop:
         assert len(log) == 161
         assert sum(ok for ok, _ in log) == 105
         assert per_name["_fixed_line_and_complement"] == 94  # (N, f) with a row
-        # 19 gamma values, one table each, except that three A7 lattices
-        # share D(N): each of their anti_embeddings calls returns its own
-        # copy of one gamma, and each copy builds its table once
+        # 19 gamma values, one table each: the three A7 lattices that share
+        # D(N) share its glue images and their gammas too
         assert len(tables_built) == 19
-        assert sum(tables_built.values()) == 21
+        assert sum(tables_built.values()) == 19
+
+
+    def test_permissive_mode_builds_one_gamma_per_image(self, monkeypatch):
+        # listing every anti-embedding would build 832 maps here
+        built, decided = [], []
+        real_hom = fqm_module.FqmHom
+        real_admissible = classify_module.k3sq_glue_admissible
+
+        def counted_hom(*args):
+            built.append(args[0])
+            return real_hom(*args)
+
+        def counted_admissible(d_n, image):
+            decided.append(frozenset(image.elements()))
+            return real_admissible(d_n, image)
+        monkeypatch.setattr(fqm_module, "FqmHom", counted_hom)
+        monkeypatch.setattr(classify_module, "k3sq_glue_admissible",
+                            counted_admissible)
+        for g in builtin_dataset().groups:
+            if g.disc is not None:
+                start = len(built)
+                classify(list(g.grams), g.coinvariant_data(), g.name)
+                # every map built is a gamma out of this group's D(M)
+                assert all(src == g.disc for src in built[start:]), g.name
+        assert len(decided) == len(built) == 19
 
 
 def _random_binary_grams(rng, count):

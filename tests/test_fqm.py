@@ -10,7 +10,8 @@ from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        glue_images, hom_closure_images, hom_image, hom_preimage,
                        identity_hom, isomorphisms, k3sq_glue_admissible,
-                       negation_hom, orthogonal_group, subgroup_presentation)
+                       k3sq_glue_images, negation_hom, negated,
+                       orthogonal_group, subgroup_presentation)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, fqm_b_value, fqm_q_value,
@@ -309,6 +310,11 @@ class TestAntiEmbeddings:
         with pytest.raises(ValueError):
             anti_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)), bound=2)
 
+    def test_bound_raises_before_the_search_starts(self):
+        # the search itself is lazy; the bound must not wait for next()
+        with pytest.raises(ValueError, match="search bound 2"):
+            fqm._form_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)), -1, 2)
+
     @pytest.mark.parametrize("source", [
         cyclic(2, 0),
         Fqm((2, 2), (F(0), F(0)), ((F(0),), ())),
@@ -419,6 +425,16 @@ class TestGlueAdmissible:
             odd += m.orders[-1] % 2
         assert outcomes == {True, False} and odd > 0
 
+    def test_image_must_have_index_two(self):
+        # a q = 3/2 class pairs integrally with the trivial image, but the
+        # quotient has order 4 or 8, not 2
+        for m in (Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ())),
+                  Fqm((2, 4), (F(3, 2), F(1, 4)), ((F(0),), ()))):
+            assert (1, 0) in m._three_half
+            assert not k3sq_glue_admissible(m, Subgroup.generated(m, []))
+        m = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
+        assert k3sq_glue_admissible(m, Subgroup.generated(m, [(0, 1)]))
+
     def test_odd_exponent_has_no_three_half_level(self):
         m = Fqm((3, 9), (F(2, 3), F(2, 9)), ((F(1, 3),), ()))
         assert 3 * m._ints[0] % 2 == 1
@@ -509,6 +525,101 @@ class TestGlueImages:
             got = [(frozenset(image.elements()), members)
                    for image, members in glue_images(gams)]
             assert got == list(want.items())
+
+
+def admissible_images_by_listing(d_m, d_n):
+    """Every anti-embedding listed, grouped by image, then filtered."""
+    return [(image, gams) for image, gams
+            in glue_images(anti_embeddings(d_m, d_n))
+            if k3sq_glue_admissible(d_n, image)]
+
+
+EVEN_CHAINS = [(2,), (4,), (6,), (2, 2), (2, 4), (2, 6), (4, 4), (2, 2, 2),
+               (2, 2, 4)]
+
+
+def rand_glue_pair(rng):
+    """A random D(N), degenerate or not, and a D(M) that is the negated form
+    on c^perp for a random q = 3/2 class c with b(2c, .) = 0 (when there is
+    one) or on a random subgroup of any index."""
+    orders = rng.choice(EVEN_CHAINS)
+    q = tuple(F(rng.randrange(2 * d), d) for d in orders)
+    b = tuple(tuple(F(rng.randrange(orders[i]), orders[i])
+                    for _ in range(len(orders) - i - 1))
+              for i in range(len(orders)))
+    d_n = Fqm(orders, q, b)
+    classes = [c for c in d_n._three_half
+               if all(d_n.b(d_n.scale(2, c), y) == 0 for y in d_n.elements())]
+    if classes and rng.randrange(2):
+        c = rng.choice(classes)
+        gens = [y for y in d_n.elements() if d_n.b(y, c) == 0]
+    else:
+        gens = [rand_element(rng, d_n) for _ in range(rng.randint(0, 3))]
+    sub = Subgroup.generated(d_n, gens)
+    return negated(subgroup_presentation(sub).source), d_n
+
+
+class TestK3sqGlueImages:
+    def check_against_listing(self, d_m, d_n):
+        want = admissible_images_by_listing(d_m, d_n)
+        every = k3sq_glue_images(d_m, d_n, every=True)
+        first = k3sq_glue_images(d_m, d_n)
+        assert [image for image, _ in every] == [image for image, _ in want]
+        assert [image for image, _ in first] == [image for image, _ in want]
+        assert [gams for _, gams in every] == [gams for _, gams in want]
+        assert [gams for _, gams in first] == [gams[:1] for _, gams in want]
+        return len(want)
+
+    def test_builtin_groups_match_listing(self):
+        # groups without shipped data are checked with each partner form
+        # that partner_disc_candidates leaves for them
+        found = 0
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                d_n = disc_map(n).fqm
+                forms = ([g.disc] if g.disc is not None
+                         else partner_disc_candidates(n))
+                for d_m in forms:
+                    found += self.check_against_listing(d_m, d_n) > 0
+        assert found > 0
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pairs_match_listing(self, seed):
+        rng = random.Random(1700 + seed)
+        d_m, d_n = rand_glue_pair(rng)
+        self.check_against_listing(d_m, d_n)
+
+    def test_random_pairs_cover_every_case(self):
+        cases = set()
+        for seed in range(40):
+            d_m, d_n = rand_glue_pair(random.Random(1700 + seed))
+            images = k3sq_glue_images(d_m, d_n, every=True)
+            cases.add((d_n._nondegenerate, 2 * d_m.order == d_n.order,
+                       len(images) > 0,
+                       max((len(g) for _, g in images), default=0) > 1))
+        assert {(True, False, False, False), (True, True, False, False),
+                (True, True, True, False), (True, True, True, True),
+                (False, True, True, True)} <= cases
+
+    def test_wrong_order_has_no_image(self):
+        d_n = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
+        assert k3sq_glue_images(TRIVIAL, d_n) == []
+        assert k3sq_glue_images(d_n, d_n) == []
+
+    @pytest.mark.parametrize("d_n", [
+        Fqm((2, 2), (F(3, 2), F(0)), ((F(0),), ())),  # c and c + (0, 1)
+        Fqm((4,), (F(3, 2),), ((),)),  # c of order 4 with 2c in the radical
+    ])
+    def test_degenerate_module_gives_each_image_once(self, d_n):
+        assert not d_n._nondegenerate
+        images = k3sq_glue_images(cyclic(2, 0), d_n, every=True)
+        assert len(images) == 1
+        self.check_against_listing(cyclic(2, 0), d_n)
+
+    def test_bound_enforced(self):
+        d_n = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
+        with pytest.raises(ValueError, match="search bound 3"):
+            k3sq_glue_images(cyclic(2, F(1, 2)), d_n, bound=3)
 
 
 class TestBuiltinCounts:

@@ -185,25 +185,6 @@ class TestInvariantCoinvariant:
                 assert all(s[i][i] == 1 for i in range(len(rows)))
 
 
-class TestReflection:
-    def test_fixes_h(self):
-        u = lattice.hyperbolic_plane()
-        h = (1, 1)
-        assert lattice.reflection_compose(u, h, h) == h
-
-    def test_negates_complement(self):
-        u = lattice.hyperbolic_plane()
-        assert lattice.reflection_compose(u, (1, 1), (1, -1)) == (-1, 1)
-
-    def test_swaps_hyperbolic_basis(self):
-        u = lattice.hyperbolic_plane()
-        assert lattice.reflection_compose(u, (1, 1), (1, 0)) == (0, 1)
-
-    def test_wrong_square_rejected(self):
-        with pytest.raises(ValueError):
-            lattice.reflection_compose(lattice.a2(), (1, 1), (1, 0))
-
-
 class TestInducedMap:
     def test_identity(self):
         l = lattice.Lattice([[6, 3], [3, 6]])
