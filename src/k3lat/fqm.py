@@ -314,6 +314,9 @@ def hom_preimage(f: FqmHom, y: Iterable[int]) -> Element:
     raise ValueError("element is not in the image")
 
 
+_SEARCH_BOUND = 10 ** 6
+
+
 def _check_bound(bound: int, *modules: Fqm) -> None:
     if any(m.order > bound for m in modules):
         raise ValueError(f"module order exceeds search bound {bound}")
@@ -371,19 +374,20 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int,
     return extend([], [])
 
 
-def anti_embeddings(a: Fqm, b: Fqm, bound: int = 10 ** 6) -> list[FqmHom]:
+def anti_embeddings(a: Fqm, b: Fqm,
+                    bound: int = _SEARCH_BOUND) -> list[FqmHom]:
     """All injective homs A -> B negating q (and hence the pairing)."""
     return list(_form_embeddings(a, b, -1, bound))
 
 
-def isomorphisms(a: Fqm, b: Fqm, bound: int = 10 ** 6) -> list[FqmHom]:
+def isomorphisms(a: Fqm, b: Fqm,
+                 bound: int = _SEARCH_BOUND) -> list[FqmHom]:
     if a.order != b.order:
         return []
     return list(_form_embeddings(a, b, 1, bound))
 
 
-def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False,
-                     bound: int = 10 ** 6
+def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
                      ) -> list[tuple[Subgroup, list[FqmHom]]]:
     """The images of anti-embeddings A -> D(N) that k3sq_glue_admissible
     accepts, each with the first anti-embedding onto it (all of them when
@@ -399,7 +403,7 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False,
     """
     if 2 * a.order != d_n.order:
         return []
-    _check_bound(bound, a, d_n)
+    _check_bound(_SEARCH_BOUND, a, d_n)
     e = d_n._ints[0]
     found, seen = [], set()
     for c in d_n._three_half:
@@ -408,7 +412,7 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False,
         if any(2 * w % e for w in row) or row in seen:
             continue
         seen.add(row)
-        gams = _form_embeddings(a, d_n, -1, bound, row)
+        gams = _form_embeddings(a, d_n, -1, _SEARCH_BOUND, row)
         gams = list(gams) if every else list(itertools.islice(gams, 1))
         if gams:
             found.append((hom_image(gams[0]), gams))
@@ -418,7 +422,8 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False,
     return found
 
 
-def orthogonal_group(m: Fqm, bound: int = 10 ** 6) -> tuple[list[FqmHom], int]:
+def orthogonal_group(m: Fqm,
+                     bound: int = _SEARCH_BOUND) -> tuple[list[FqmHom], int]:
     """Generators of the form-preserving automorphism group, plus its order."""
     autos = list(_form_embeddings(m, m, 1, bound))
     ident = identity_hom(m).images

@@ -616,11 +616,6 @@ class TestK3sqGlueImages:
         assert len(images) == 1
         self.check_against_listing(cyclic(2, 0), d_n)
 
-    def test_bound_enforced(self):
-        d_n = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
-        with pytest.raises(ValueError, match="search bound 3"):
-            k3sq_glue_images(cyclic(2, F(1, 2)), d_n, bound=3)
-
 
 class TestBuiltinCounts:
     # anti-embeddings of each group's D(M) into D(N), one count per
