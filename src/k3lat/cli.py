@@ -45,9 +45,9 @@ from typing import Optional, Sequence
 from .classify import ClassificationRow, CoinvariantData, classify, \
     good_isometries
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, FqmHom, anti_embeddings, glue_images, \
-    k3sq_glue_admissible
-from .fqm import hom_image  # noqa: F401  (perfbench/workloads.py calls it)
+from .fqm import Fqm, FqmHom, anti_embeddings, k3sq_glue_images
+# perfbench/workloads.py calls these through cli
+from .fqm import hom_image, k3sq_glue_admissible  # noqa: F401
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
 
@@ -605,20 +605,21 @@ def _group_entry(args) -> GroupEntry:
 
 
 def _inline_disc(args) -> Fqm:
-    orders = tuple(int(x) for x in args.disc.split(","))
-    q_vals = tuple(Fraction(x) for x in args.q.split(",")) \
-        if args.q else ()
-    r = len(orders)
-    b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
-    for triple in args.b or ():
-        i_txt, j_txt, val = triple.split(",")
-        i, j = int(i_txt), int(j_txt)
-        if not 0 <= i < j < r:
-            raise InputError("--b: indices must satisfy 0 <= i < j < rank")
-        b_off[i][j - i - 1] = Fraction(val)
     try:
+        orders = tuple(int(x) for x in args.disc.split(","))
+        q_vals = tuple(Fraction(x) for x in args.q.split(",")) \
+            if args.q else ()
+        r = len(orders)
+        b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
+        for triple in args.b or ():
+            i_txt, j_txt, val = triple.split(",")
+            i, j = int(i_txt), int(j_txt)
+            if not 0 <= i < j < r:
+                raise InputError("--b: indices must satisfy "
+                                 "0 <= i < j < rank")
+            b_off[i][j - i - 1] = Fraction(val)
         return Fqm(orders, q_vals, tuple(tuple(row) for row in b_off))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"disc form: {exc}")
 
 
@@ -687,10 +688,9 @@ def _cmd_glue_check(args) -> int:
         m_disc = _inline_disc(args)
         n = _resolve_lattice(args)
     d_n = disc_map(n).fqm
-    embeddings = anti_embeddings(m_disc, d_n)
-    admissible = sum(len(gams) for image, gams in glue_images(embeddings)
-                     if k3sq_glue_admissible(d_n, image))
-    print("anti-embeddings:", len(embeddings))
+    admissible = sum(len(gams) for _, gams in
+                     k3sq_glue_images(m_disc, d_n, every=True))
+    print("anti-embeddings:", len(anti_embeddings(m_disc, d_n)))
     print("admissible:", admissible)
     print("verdict:", "admissible" if admissible else "no admissible glue")
     return 0

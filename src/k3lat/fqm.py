@@ -387,6 +387,25 @@ def isomorphisms(a: Fqm, b: Fqm,
     return list(_form_embeddings(a, b, 1, bound))
 
 
+def k3sq_glue_characters(d_n: Fqm) -> list[tuple[int, ...]]:
+    """The admissible glue images of D(N), one pairing row per image.
+
+    An admissible image H has index 2 and a class c outside it with
+    q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = 1/2, H = c^perp and b(c, .)
+    is a character of order 2; conversely every c with q(c) = 3/2 and
+    b(2c, .) = 0 makes c^perp admissible.  Returns the rows
+    w = d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, of these
+    characters in the order their first c appears in elements(); each w_i
+    is 0 or e/2.  On a nondegenerate D(N), such as a discriminant form,
+    the c are the order-2 classes with q = 3/2.
+    """
+    e = d_n._ints[0]
+    rows = (d_n._pair_row(c) for c in d_n._three_half)
+    # c + r, r in the radical, has the same character: keep it once
+    return list(dict.fromkeys(w for w in rows
+                              if not any(2 * x % e for x in w)))
+
+
 def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
                      ) -> list[tuple[Subgroup, list[FqmHom]]]:
     """The images of anti-embeddings A -> D(N) that k3sq_glue_admissible
@@ -394,24 +413,14 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
     every is set): glue_images(anti_embeddings(a, d_n)) so filtered, in
     the same order, without listing the other anti-embeddings.
 
-    An admissible image H has index 2 and a class c outside it with
-    q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = 1/2, H = c^perp and b(c, .)
-    is a character of order 2; conversely every c with q(c) = 3/2 and
-    b(2c, .) = 0 makes c^perp admissible.  So the search runs once per such
-    character, inside c^perp only.  On a nondegenerate D(N), such as a
-    discriminant form, these c are the order-2 classes with q = 3/2.
+    The search runs once per k3sq_glue_characters row, inside its c^perp
+    only.
     """
     if 2 * a.order != d_n.order:
         return []
     _check_bound(_SEARCH_BOUND, a, d_n)
-    e = d_n._ints[0]
-    found, seen = [], set()
-    for c in d_n._three_half:
-        row = d_n._pair_row(c)
-        # c + r, r in the radical, has the same character
-        if any(2 * w % e for w in row) or row in seen:
-            continue
-        seen.add(row)
+    found = []
+    for row in k3sq_glue_characters(d_n):
         gams = _form_embeddings(a, d_n, -1, _SEARCH_BOUND, row)
         gams = list(gams) if every else list(itertools.islice(gams, 1))
         if gams:

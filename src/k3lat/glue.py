@@ -1,10 +1,12 @@
 """Overlattices from glue maps, the extension criterion, and divisibility.
 
 Gluing: given even lattices N and M and a form-negating embedding gamma of
-D(M) into D(N), the vectors x + gamma(x) span an even overlattice of N + M.
-The extension criterion decides when an isometry of N extends over such an
-overlattice; divisibility_in_glued computes div(v) of v in N measured inside
-the glued ambient lattice without constructing it.
+D(M) into D(N), an FqmHom, the vectors x + gamma(x) span an even
+overlattice of N + M.  The extension criterion decides when an isometry of N
+extends over such an overlattice; divisibility_in_glued computes div(v) of v
+in N measured inside the glued ambient lattice without constructing it.
+partner_disc_candidates lists the forms a glue partner of N can carry; like
+classify it takes the admissible images from fqm.k3sq_glue_characters.
 """
 
 from __future__ import annotations
@@ -17,41 +19,11 @@ from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
-                  hom_image, isomorphisms, k3sq_glue_admissible, negated,
+                  isomorphisms, k3sq_glue_characters, negated,
                   subgroup_presentation)
 from .lattice import Lattice, direct_sum, disc_map, induced_map
 
 IntMatrix = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class GlueMap:
-    """A form-negating embedding of D(M) into D(N), with its context."""
-
-    gamma: FqmHom  # source = M_disc, target = D(N)
-    n: Lattice
-    m_disc: Fqm
-    m_gram: Optional[Lattice] = None
-
-    def __post_init__(self):
-        if self.gamma.source != self.m_disc:
-            raise ValueError("glue map source must be the stated M module")
-        if self.gamma.target != disc_map(self.n).fqm:
-            raise ValueError("glue map target must be D(N)")
-        if not self.gamma.negates_form():
-            raise ValueError("glue map must negate the quadratic form")
-        if not self.gamma.is_injective():
-            raise ValueError("glue map must be injective")
-        if self.m_gram is not None:
-            if disc_map(self.m_gram).fqm != self.m_disc:
-                raise ValueError("M gram does not present the stated module")
-
-    def image(self) -> Subgroup:
-        return hom_image(self.gamma)
-
-
-def _gamma_hom(gamma) -> FqmHom:
-    return gamma.gamma if isinstance(gamma, GlueMap) else gamma
 
 
 def overlattice_pairs(n: Lattice, m: Lattice,
@@ -82,20 +54,19 @@ def overlattice_pairs(n: Lattice, m: Lattice,
     return Lattice(tuple(out))
 
 
-def overlattice(n: Lattice, m: Lattice, gamma) -> Lattice:
+def overlattice(n: Lattice, m: Lattice, gamma: FqmHom) -> Lattice:
     """The overlattice glued along gamma, an anti-embedding D(M) -> D(N)."""
-    gam = _gamma_hom(gamma)
     dn, dm = disc_map(n), disc_map(m)
-    if gam.source != dm.fqm:
+    if gamma.source != dm.fqm:
         raise ValueError("glue map source must be D(M)")
-    if gam.target != dn.fqm:
+    if gamma.target != dn.fqm:
         raise ValueError("glue map target must be D(N)")
-    if not gam.negates_form() or not gam.is_injective():
+    if not gamma.negates_form() or not gamma.is_injective():
         raise ValueError("glue map must be a form-negating embedding")
     pairs = []
     for i in range(dm.fqm.rank):
         e = tuple(int(i == j) for j in range(dm.fqm.rank))
-        pairs.append((gam(e), e))
+        pairs.append((gamma(e), e))
     lat = overlattice_pairs(n, m, pairs)
     if abs(lat.det) * dm.fqm.order ** 2 != abs(n.det * m.det):
         raise RuntimeError("glued lattice breaks |det L| |D_M|^2 = "
@@ -160,7 +131,7 @@ def realized_actions(d_m: Fqm, obar: Iterable[FqmHom]
     return hom_closure_images(d_m, obar)
 
 
-def check_extendable(fbar: FqmHom, gamma,
+def check_extendable(fbar: FqmHom, gamma: FqmHom,
                      realized: Optional[set[tuple[Element, ...]]] = None
                      ) -> tuple[bool, Optional[FqmHom]]:
     """Does the isometry f of N extend over the lattice glued along gamma?
@@ -177,14 +148,13 @@ def check_extendable(fbar: FqmHom, gamma,
     Returns (decision, witness), the witness being the conjugated action
     gamma^-1 . fbar . gamma on D(M) whenever condition 1 holds.
     """
-    gam = _gamma_hom(gamma)
-    if fbar.source != gam.target or fbar.target != gam.target:
+    if fbar.source != gamma.target or fbar.target != gamma.target:
         raise ValueError("fbar must act on the target of gamma")
-    preimage = gam.preimage_table
-    moved = [fbar(a) for a in gam.images]
+    preimage = gamma.preimage_table
+    moved = [fbar(a) for a in gamma.images]
     if any(y not in preimage for y in moved):
         return False, None
-    witness = FqmHom(gam.source, gam.source,
+    witness = FqmHom(gamma.source, gamma.source,
                      tuple(preimage[y] for y in moved))
     if realized is None:
         return True, witness
@@ -250,51 +220,38 @@ def lift_order_search(f_witness: FqmHom, m: Lattice,
                       False)
 
 
-def _index_two_subgroups(d: Fqm) -> list[Subgroup]:
-    # one subgroup per nontrivial character to Z/2; generators of odd
-    # order must die, so characters live on the even-order factors
-    evens = [i for i, o in enumerate(d.orders) if o % 2 == 0]
-    rank = len(d.orders)
+def partner_disc_candidates(n: Lattice) -> list[Fqm]:
+    """Discriminant forms a glue partner of N in the hyperkaehler lattice
+    can carry.
 
-    def unit(i, c=1):
-        e = [0] * rank
-        e[i] = c
-        return tuple(e)
+    Such a partner anti-embeds onto an admissible image H = c^perp of D(N)
+    (fqm.k3sq_glue_characters), so the partner's form is (H, -q).  Each H
+    is the kernel of an order-2 character, nonzero on the generators in its
+    support (all of even order); the kernels are visited in the binary
+    order of the supports, bit i standing for generator i.  Returns one
+    presentation per isomorphism class of H; a single entry means the
+    invariant side alone pins down the partner's glue data.
+    """
+    d = disc_map(n).fqm
+    rank = d.rank
 
-    subs = []
-    for mask in range(1, 1 << len(evens)):
-        hit = [evens[j] for j in range(len(evens)) if mask >> j & 1]
+    def unit(*idx: int, c: int = 1) -> Element:
+        # c at each generator in idx, 0 elsewhere
+        return tuple(c if i in idx else 0 for i in range(rank))
+
+    masks = sorted(sum(1 << i for i, w in enumerate(row) if w)
+                   for row in k3sq_glue_characters(d))
+    out: list[Fqm] = []
+    for mask in masks:
+        hit = [i for i in range(rank) if mask >> i & 1]
         gens = [unit(i) for i in range(rank) if i not in hit]
-        gens.append(unit(hit[0], 2))
-        for i in hit[1:]:
-            e = [0] * rank
-            e[hit[0]] = 1
-            e[i] = 1
-            gens.append(tuple(e))
+        gens.append(unit(hit[0], c=2))
+        gens += [unit(hit[0], i) for i in hit[1:]]
         sub = Subgroup.generated(d, gens)
         if 2 * sub.order != d.order:
             raise RuntimeError(f"kernel of the character on {hit} has order "
                                f"{sub.order} in a module of order {d.order}"
                                ", not index 2")
-        subs.append(sub)
-    return subs
-
-
-def partner_disc_candidates(n: Lattice) -> list[Fqm]:
-    """Discriminant forms a glue partner of N in the hyperkaehler lattice
-    can carry.
-
-    Such a partner anti-embeds onto an index-2 subgroup H of D(N) whose
-    leftover coset holds a q = 3/2 class pairing integrally with H, so the
-    partner's form is (H, -q).  Returns one presentation per isomorphism
-    class of admissible H; a single entry means the invariant side alone
-    pins down the partner's glue data.
-    """
-    d = disc_map(n).fqm
-    out: list[Fqm] = []
-    for sub in _index_two_subgroups(d):
-        if not k3sq_glue_admissible(d, sub):
-            continue
         neg = negated(subgroup_presentation(sub).source)
         if any(isomorphisms(neg, seen) for seen in out):
             continue

@@ -197,6 +197,49 @@ def glue_admissible_walk(orders, q_diag, b_off, image_elements, image_gens):
     return False
 
 
+def index_two_glue_kernels(orders, q_diag, b_off):
+    """Generators of the admissible index-2 subgroups H: the kernels of the
+    nontrivial characters to Z/2 (odd-order generators must die, so each
+    lives on the even-order ones) with some x outside H, q(x) = 3/2,
+    pairing to 0 with every generator of H.  The kernels are visited in the
+    binary order of the characters' supports, bit j standing for the j-th
+    even-order generator.  b_off is a dict {(i,j): Fraction}.
+
+    The form runs on integers scaled by the lcm n of all denominators, and
+    the level set q = 3/2 is found once by walking the whole group."""
+    rank = len(orders)
+    n = math.lcm(1, *[v.denominator for v in q_diag],
+                 *[v.denominator for v in b_off.values()])
+    bm = [[int((q_diag[i] if i == j else
+                b_off.get((min(i, j), max(i, j)), Fraction(0))) * n)
+           for j in range(rank)] for i in range(rank)]
+    level = []  # (x, pairing row of x) over the x with q(x) = 3/2
+    for x in itertools.product(*[range(d) for d in orders]):
+        q = sum(x[i] * x[j] * bm[i][j] for i in range(rank)
+                for j in range(rank))
+        if 2 * (q % (2 * n)) == 3 * n:
+            level.append((x, [sum(x[i] * bm[i][j] for i in range(rank))
+                              for j in range(rank)]))
+    evens = [i for i, o in enumerate(orders) if o % 2 == 0]
+
+    def unit(i, c=1):
+        return tuple(c if k == i else 0 for k in range(rank))
+
+    kernels = []
+    for mask in range(1, 1 << len(evens)):
+        hit = [evens[j] for j in range(len(evens)) if mask >> j & 1]
+        gens = [unit(i) for i in range(rank) if i not in hit]
+        gens.append(unit(hit[0], 2))
+        gens += [tuple(int(k in (hit[0], i)) for k in range(rank))
+                 for i in hit[1:]]
+        if any(sum(x[i] for i in hit) % 2 and
+               not any(sum(g[j] * w[j] for j in range(rank)) % n
+                       for g in gens)
+               for x, w in level):
+            kernels.append(gens)
+    return kernels
+
+
 def subgroup_closure(orders, gens):
     """All elements generated by gens inside prod Z/orders."""
     zero = tuple(0 for _ in orders)

@@ -14,8 +14,8 @@ from k3lat.cli import Dataset, DatasetError, InputError, builtin_dataset, \
     emit_dataset, format_table, load_dataset, main, parse_dataset, \
     parse_table, run_table
 from k3lat.fixtures import DATASET_TEXT
-from k3lat.fqm import Fqm, anti_embeddings, hom_image, identity_hom, \
-    isomorphisms
+from k3lat.fqm import Fqm, anti_embeddings, glue_images, hom_image, \
+    identity_hom, isomorphisms, k3sq_glue_admissible
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import Lattice, disc_map, leech_lattice
 
@@ -370,35 +370,53 @@ class TestMain:
         assert capsys.readouterr().out == via_group
 
     def test_glue_check_decides_each_image_once(self, capsys, monkeypatch):
-        decided = []
-        real = cli.k3sq_glue_admissible
+        calls = []
+        real = cli.k3sq_glue_images
 
-        def counting(d_n, image):
-            decided.append(frozenset(image.elements()))
-            return real(d_n, image)
+        def logged(a, d_n, every=False):
+            found = real(a, d_n, every=every)
+            calls.append((every, [frozenset(image.elements())
+                                  for image, _ in found]))
+            return found
 
-        monkeypatch.setattr(cli, "k3sq_glue_admissible", counting)
-        group = builtin_dataset().group("L2(11)")
+        monkeypatch.setattr(cli, "k3sq_glue_images", logged)
         inline_disc = Fqm((11, 11), (Fraction(16, 11), Fraction(20, 11)),
                           ((Fraction(0),), ()))
-        routes = [
-            (["glue-check", "--group", "L2(11)"], group.disc, group.grams[0]),
-            (["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22", "--disc",
-              "11,11", "--q", "16/11,20/11"], inline_disc,
-             Lattice([[2, 1, 0], [1, 6, 0], [0, 0, 22]])),
-        ]
+        routes = [(["glue-check", "--group", g.name, "--index", str(i)],
+                   g.disc, n)
+                  for g in builtin_dataset().groups if g.disc is not None
+                  for i, n in enumerate(g.grams)]
+        routes.append((["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22",
+                        "--disc", "11,11", "--q", "16/11,20/11"], inline_disc,
+                       Lattice([[2, 1, 0], [1, 6, 0], [0, 0, 22]])))
+        assert len(routes) == 17
         for argv, m_disc, n in routes:
-            decided.clear()
+            calls.clear()
             assert main(argv) == 0
             out = capsys.readouterr().out.splitlines()
             d_n = disc_map(n).fqm
             embeddings = anti_embeddings(m_disc, d_n)
-            per_embedding = sum(real(d_n, hom_image(e)) for e in embeddings)
-            assert out[:2] == [f"anti-embeddings: {len(embeddings)}",
-                               f"admissible: {per_embedding}"]
-            images = {frozenset(hom_image(e).elements()) for e in embeddings}
-            assert sorted(decided, key=sorted) == sorted(images, key=sorted)
-            assert len(images) < len(embeddings) == 24
+            per_embedding = sum(k3sq_glue_admissible(d_n, hom_image(e))
+                                for e in embeddings)
+            assert per_embedding > 0
+            assert out == [f"anti-embeddings: {len(embeddings)}",
+                           f"admissible: {per_embedding}",
+                           "verdict: admissible"]
+            listed = [frozenset(image.elements())
+                      for image, _ in glue_images(embeddings)
+                      if k3sq_glue_admissible(d_n, image)]
+            assert calls == [(True, listed)]
+
+    @pytest.mark.parametrize("form", [
+        ["--disc", "11,x", "--q", "16/11,20/11"],
+        ["--disc", "11,11", "--q", "16/11,1/0"],
+        ["--disc", "11,11", "--q", "16/11,20/11", "--b", "0,1"],
+    ], ids=["disc", "q", "b"])
+    def test_glue_check_malformed_inline_form(self, capsys, form):
+        assert main(["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22",
+                     *form]) == 1
+        err = capsys.readouterr().err
+        assert "disc form" in err and "internal invariant" not in err
 
     def test_glue_check_without_data(self, capsys):
         assert main(["glue-check", "--group", "2:A6"]) == 1

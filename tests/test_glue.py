@@ -8,13 +8,16 @@ from k3lat import exact, lattice
 from k3lat.enumeration import all_automorphisms
 from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       hom_image, hom_preimage, identity_hom, negation_hom)
-from k3lat.glue import (GlueMap, LiftResult, check_extendable,
+                       hom_image, hom_preimage, identity_hom, isomorphisms,
+                       negated, negation_hom, subgroup_presentation)
+from k3lat.glue import (LiftResult, check_extendable,
                         divisibility_in_glued, glue_pairs, lift_order_search,
-                        overlattice, overlattice_pairs, realized_actions)
+                        overlattice, overlattice_pairs,
+                        partner_disc_candidates, realized_actions)
 from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
                            e8, induced_map, rescale, span_of_square)
-from oracles import laplace_det, rand_definite_even_gram, rand_even_gram, rand_int_matrix
+from oracles import (index_two_glue_kernels, laplace_det,
+                     rand_definite_even_gram, rand_even_gram, rand_int_matrix)
 
 
 def a2_glue():
@@ -41,51 +44,17 @@ def random_primitive_split(rng, l):
     return None, None
 
 
-class TestGlueMap:
-    def test_valid_map(self):
-        n, m, gams = a2_glue()
-        assert len(gams) == 2
-        gm = GlueMap(gams[0], n, disc_map(m).fqm, m)
-        assert gm.image().order == 3
-
-    def test_source_mismatch(self):
-        n, m, gams = a2_glue()
-        with pytest.raises(ValueError):
-            GlueMap(gams[0], n, disc_map(span_of_square(-2)).fqm, None)
-
-    def test_target_mismatch(self):
-        n, m, gams = a2_glue()
-        with pytest.raises(ValueError):
-            GlueMap(gams[0], span_of_square(2), disc_map(m).fqm, None)
-
-    def test_must_negate_form(self):
-        d2 = disc_map(span_of_square(2)).fqm
-        with pytest.raises(ValueError):
-            GlueMap(identity_hom(d2), span_of_square(2), d2, None)
-
-    def test_must_be_injective(self):
-        d2 = disc_map(span_of_square(2)).fqm
-        killed = Fqm((2,), (Fraction(0),), ((),))
-        with pytest.raises(ValueError):
-            GlueMap(FqmHom(killed, d2, ((0,),)), span_of_square(2), killed, None)
-
-    def test_gram_must_present_module(self):
-        n, m, gams = a2_glue()
-        with pytest.raises(ValueError):
-            GlueMap(gams[0], n, disc_map(m).fqm, span_of_square(-4))
-
-
 class TestOverlattice:
     def test_trivial_glue_is_direct_sum(self):
         n, m = a2(), e8()
         triv = FqmHom(TRIVIAL, disc_map(n).fqm, ())
-        l = overlattice(n, m, GlueMap(triv, n, TRIVIAL, m))
+        l = overlattice(n, m, triv)
         assert l.gram == direct_sum(n, m).gram
 
     def test_a2_pair_gives_even_unimodular(self):
         n, m, gams = a2_glue()
         for gam in gams:
-            l = overlattice(n, m, GlueMap(gam, n, disc_map(m).fqm, m))
+            l = overlattice(n, m, gam)
             assert abs(l.det) == 1
             assert l.signature == (2, 2)
             assert l.is_even
@@ -94,22 +63,37 @@ class TestOverlattice:
     def test_rank_one_glue_gives_hyperbolic_plane(self):
         n, m = span_of_square(2), span_of_square(-2)
         gam = FqmHom(disc_map(m).fqm, disc_map(n).fqm, ((1,),))
-        l = overlattice(n, m, GlueMap(gam, n, disc_map(m).fqm, m))
+        l = overlattice(n, m, gam)
         assert l.gram == ((0, -1), (-1, -2))
         assert (l.det, l.signature, l.is_even) == (-1, (1, 1), True)
         # explicit change of basis onto the standard hyperbolic plane
         assert exact.conjugate_rows([[1, 0], [1, -1]], [list(r) for r in l.gram]) \
             == [[0, 1], [1, 0]]
 
-    def test_accepts_raw_hom(self):
-        n, m, gams = a2_glue()
-        viamap = overlattice(n, m, GlueMap(gams[0], n, disc_map(m).fqm, m))
-        assert overlattice(n, m, gams[0]).gram == viamap.gram
-
     def test_source_must_be_full_disc(self):
         n, m, gams = a2_glue()
         with pytest.raises(ValueError):
             overlattice(n, span_of_square(-6), gams[0])
+
+    @pytest.mark.parametrize("case", [
+        "wrong-source", "wrong-target", "not-form-negating", "not-injective"])
+    def test_rejects_what_is_not_a_glue_map(self, case):
+        n, m, gams = a2_glue()
+        two = span_of_square(2)
+        d2 = disc_map(two).fqm
+        killed = Fqm((2,), (Fraction(0),), ((),))
+        # a form-negating map out of a nondegenerate D(M) is injective, so
+        # the non-injective map is caught by its source
+        n, m, gam, why = {
+            "wrong-source": (n, span_of_square(-2), gams[0], "source"),
+            "wrong-target": (two, m, gams[0], "target"),
+            "not-form-negating": (two, two, identity_hom(d2),
+                                  "form-negating"),
+            "not-injective": (two, two, FqmHom(killed, d2, ((0,),)),
+                              "source"),
+        }[case]
+        with pytest.raises(ValueError, match=why):
+            overlattice(n, m, gam)
 
     def test_odd_square_rejected(self):
         # lift (1/2, 1/2) in <2> + <-6> has square -1
@@ -278,8 +262,7 @@ class TestCheckExtendable:
         n = Lattice(((4, 0), (0, 4)))
         m_disc = disc_map(span_of_square(-4)).fqm
         gam = FqmHom(m_disc, disc_map(n).fqm, ((1, 0),))
-        gm = GlueMap(gam, n, m_disc, span_of_square(-4))
-        ok, wit = check_extendable(induced_map(n, ((0, 1), (1, 0))), gm)
+        ok, wit = check_extendable(induced_map(n, ((0, 1), (1, 0))), gam)
         assert (ok, wit) == (False, None)
 
     def test_fbar_must_act_on_the_glue_target(self):
@@ -364,6 +347,42 @@ class TestPreimageTable:
                 extendable_by_preimage_scan(n, f, gam)
             outcomes.add(ok)
         assert outcomes == {True, False}
+
+
+def partner_forms_by_index_two_walk(n):
+    """partner_disc_candidates the old way: every admissible index-2
+    subgroup of D(N), in the order of its character, presented, negated and
+    kept once per isomorphism class."""
+    d = disc_map(n).fqm
+    b_off = {(i, j): d.b_off[i][j - i - 1]
+             for i in range(d.rank) for j in range(i + 1, d.rank)}
+    out = []
+    for gens in index_two_glue_kernels(d.orders, d.q_diag, b_off):
+        sub = Subgroup.generated(d, gens)
+        neg = negated(subgroup_presentation(sub).source)
+        if not any(isomorphisms(neg, seen) for seen in out):
+            out.append(neg)
+    return out
+
+
+class TestPartnerDiscCandidates:
+    # equal lists: the same forms, presented alike, in the same order
+
+    def test_builtin_grams_match_index_two_walk(self):
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                assert partner_disc_candidates(n) == \
+                    partner_forms_by_index_two_walk(n), g.name
+
+    def test_random_grams_match_index_two_walk(self):
+        rng = random.Random(8080)
+        found = 0
+        for _ in range(200):
+            n = Lattice(rand_definite_even_gram(rng, 3, spread=3))
+            got = partner_disc_candidates(n)
+            assert got == partner_forms_by_index_two_walk(n), n.gram
+            found += bool(got)
+        assert found > 100  # most of them have an admissible image
 
 
 class TestLiftOrderSearch:
