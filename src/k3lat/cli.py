@@ -40,12 +40,13 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Optional, Sequence
 
 from .classify import ClassificationRow, CoinvariantData, classify, \
     good_isometries
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, FqmHom, anti_embeddings, k3sq_glue_images
+from .fqm import Fqm, FqmHom, anti_embeddings, k3sq_glue_characters
 # perfbench/workloads.py calls these through cli
 from .fqm import hom_image, k3sq_glue_admissible  # noqa: F401
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
@@ -625,8 +626,15 @@ def _inline_disc(args) -> Fqm:
 
 # ---------------------------------------------------------------- commands
 
+def _resolve_disc(args) -> Fqm:
+    lat = _resolve_lattice(args)
+    if not lat.is_even:
+        raise InputError("discriminant form requires an even gram")
+    return disc_map(lat).fqm
+
+
 def _cmd_disc(args) -> int:
-    d = disc_map(_resolve_lattice(args)).fqm
+    d = _resolve_disc(args)
     print("orders:", " ".join(str(o) for o in d.orders) or "trivial")
     if d.orders:
         print("q:", " ".join(str(v) for v in d.q_diag))
@@ -681,16 +689,18 @@ def _cmd_glue_check(args) -> int:
             raise InputError(f"group {entry.name!r} ships without "
                              "coinvariant discriminant data")
         m_disc = entry.disc
-        n = _resolve_lattice(args)
     else:
         if args.disc is None:
             raise InputError("pass --group or an inline --disc/--q form")
         m_disc = _inline_disc(args)
-        n = _resolve_lattice(args)
-    d_n = disc_map(n).fqm
-    admissible = sum(len(gams) for _, gams in
-                     k3sq_glue_images(m_disc, d_n, every=True))
-    print("anti-embeddings:", len(anti_embeddings(m_disc, d_n)))
+    d_n = _resolve_disc(args)
+    embeddings = anti_embeddings(m_disc, d_n)
+    # gamma is admissible iff its image, of index 2, is some c^perp
+    rows = k3sq_glue_characters(d_n) if 2 * m_disc.order == d_n.order else []
+    admissible = sum(any(all(sum(map(mul, y, w)) % d_n.orders[-1] == 0
+                             for y in gamma.images) for w in rows)
+                     for gamma in embeddings)
+    print("anti-embeddings:", len(embeddings))
     print("admissible:", admissible)
     print("verdict:", "admissible" if admissible else "no admissible glue")
     return 0

@@ -21,8 +21,6 @@ from .lattice import Lattice, divisibility
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
-_ELEMENT_STORE_LIMIT = 10 ** 6
-
 
 @dataclass(frozen=True)
 class Isometry:
@@ -287,9 +285,9 @@ def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
             by_norm[norm] = _fp_vectors(gram_red, norm)
     candidates = [by_norm[gram_red[i][i]] for i in range(lat.rank)]
     autos = _image_backtrack(gram_red, gram_red, candidates, first_only=False)
-    if len(autos) > _ELEMENT_STORE_LIMIT:
+    if len(autos) > exact._ELEMENT_STORE_LIMIT:
         raise ValueError("automorphism group exceeds the element-store limit "
-                         f"of {_ELEMENT_STORE_LIMIT} elements")
+                         f"of {exact._ELEMENT_STORE_LIMIT} elements")
     return sorted(_conjugate_back(q, u, u_inv) for q in autos)
 
 
@@ -311,7 +309,7 @@ def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
         if q in closed:
             continue
         gens.append(q)
-        closed = exact.matrix_closure(gens, lat.rank, _ELEMENT_STORE_LIMIT)
+        closed = exact.matrix_closure(gens, lat.rank)
     return [Isometry(q, exact.multiplicative_order([list(r) for r in q]))
             for q in gens], order
 
@@ -331,16 +329,13 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     g2 = l2.gram if sign > 0 else tuple(tuple(-x for x in row) for row in l2.gram)
     g1_red, _, u1_inv = _reduced_basis(g1)
     g2_red, u2, _ = _reduced_basis(g2)
-    # fingerprint: counts of short vectors must agree
+    # fingerprint: counts of short vectors agree; L2's are the candidates
     max_norm = max(max(g1_red[i][i] for i in range(l1.rank)), 2)
-    for k in range(1, max_norm + 1):
-        if len(_fp_vectors(g1_red, k)) != len(_fp_vectors(g2_red, k)):
-            return None
     by_norm: dict[int, list[Vector]] = {}
-    for i in range(l1.rank):
-        norm = g1_red[i][i]
-        if norm not in by_norm:
-            by_norm[norm] = _fp_vectors(g2_red, norm)
+    for k in range(1, max_norm + 1):
+        by_norm[k] = _fp_vectors(g2_red, k)
+        if len(_fp_vectors(g1_red, k)) != len(by_norm[k]):
+            return None
     candidates = [by_norm[g1_red[i][i]] for i in range(l1.rank)]
     hits = _image_backtrack(g2_red, g1_red, candidates, first_only=True)
     if not hits:

@@ -9,6 +9,10 @@ The kernels are fraction-free: signature, determinant and adjugate run on
 integers by Bareiss elimination, and rational_inverse clears denominators
 once and makes at most one Fraction per entry at the end.  Discriminant data
 built on them (lattice.disc_map) is integer numerators over one denominator.
+
+Two search bounds are constants here, and the ValueError raised on tripping
+one names it: a group closure holds at most 10**6 elements (the element
+store), and multiplicative_order looks no further than order 10_000.
 """
 
 from __future__ import annotations
@@ -316,39 +320,44 @@ def char_poly(a: Matrix) -> list[int]:
     return coeffs
 
 
-def multiplicative_order(q: Matrix, bound: int = 10_000) -> int:
+_ELEMENT_STORE_LIMIT = 10 ** 6  # elements of a group held in memory
+_ORDER_BOUND = 10_000  # largest order multiplicative_order looks for
+
+
+def multiplicative_order(q: Matrix) -> int:
     """Smallest k > 0 with q^k = identity."""
-    n = len(q)
-    ident = identity(n)
+    ident = identity(len(q))
     p = copy_matrix(q)
-    for k in range(1, bound + 1):
+    for k in range(1, _ORDER_BOUND + 1):
         if p == ident:
             return k
         p = mat_mul(p, q)
-    raise ValueError(f"order exceeds {bound}")
+    raise ValueError("order exceeds the multiplicative_order bound of "
+                     f"{_ORDER_BOUND}")
 
 
-def matrix_closure(gens, n: int, limit: int = 10 ** 6) -> set:
-    """All products of the given integer matrices (as tuple-of-tuple rows).
-
-    The generators must generate a finite group; raises once the element
-    store exceeds the limit.
-    """
-    ident = tuple(tuple(row) for row in identity(n))
+def closure(gens, ident, mul) -> set:
+    """The finite group generated by gens, breadth first from ident, with
+    mul(x, g) = x * g; raises once the element store exceeds its limit."""
     seen = {ident}
     frontier = [ident]
-    gl = [[list(row) for row in g] for g in gens]
     while frontier:
         nxt = []
         for f in frontier:
-            fl = [list(row) for row in f]
-            for g in gl:
-                h = tuple(tuple(row) for row in mat_mul(fl, g))
+            for g in gens:
+                h = mul(f, g)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
-        if len(seen) > limit:
+        if len(seen) > _ELEMENT_STORE_LIMIT:
             raise ValueError("group closure exceeds the element-store limit "
-                             f"of {limit} elements")
+                             f"of {_ELEMENT_STORE_LIMIT} elements")
     return seen
+
+
+def matrix_closure(gens, n: int) -> set:
+    """All products of the given n x n integer matrices (as tuple-of-tuple
+    rows); the generators must generate a finite group."""
+    return closure(list(gens), tuple(map(tuple, identity(n))),
+                   lambda f, g: tuple(map(tuple, mat_mul(f, g))))

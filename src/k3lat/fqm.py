@@ -11,6 +11,9 @@ largest order), e*q takes values mod 2e and e*b values mod e, derived once
 per module on first use.  q and b still return Fractions, and the searches
 (anti-embeddings, isomorphisms, the glue criterion, subgroup closure) make
 none.
+
+The form searches refuse modules of order above _SEARCH_BOUND = 10**6 with
+an error naming that bound; closures in O(m) run under exact's element store.
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Optional
+
+from . import exact
 
 Element = tuple[int, ...]
 
@@ -317,12 +322,12 @@ def hom_preimage(f: FqmHom, y: Iterable[int]) -> Element:
 _SEARCH_BOUND = 10 ** 6
 
 
-def _check_bound(bound: int, *modules: Fqm) -> None:
-    if any(m.order > bound for m in modules):
-        raise ValueError(f"module order exceeds search bound {bound}")
+def _check_bound(*modules: Fqm) -> None:
+    if any(m.order > _SEARCH_BOUND for m in modules):
+        raise ValueError(f"module order exceeds search bound {_SEARCH_BOUND}")
 
 
-def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int,
+def _form_embeddings(a: Fqm, b: Fqm, sign: int,
                      inside: Optional[tuple[int, ...]] = None
                      ) -> Iterator[FqmHom]:
     """Injective homs A -> B multiplying the form by sign, in the
@@ -336,7 +341,7 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int,
     kernel inside the radical of A's pairing, so injectivity is checked per
     map only when A is degenerate.
     """
-    _check_bound(bound, a, b)
+    _check_bound(a, b)
     ea, qa, ba = a._ints
     e = b._ints[0]
 
@@ -374,17 +379,15 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int, bound: int,
     return extend([], [])
 
 
-def anti_embeddings(a: Fqm, b: Fqm,
-                    bound: int = _SEARCH_BOUND) -> list[FqmHom]:
+def anti_embeddings(a: Fqm, b: Fqm) -> list[FqmHom]:
     """All injective homs A -> B negating q (and hence the pairing)."""
-    return list(_form_embeddings(a, b, -1, bound))
+    return list(_form_embeddings(a, b, -1))
 
 
-def isomorphisms(a: Fqm, b: Fqm,
-                 bound: int = _SEARCH_BOUND) -> list[FqmHom]:
+def isomorphisms(a: Fqm, b: Fqm) -> list[FqmHom]:
     if a.order != b.order:
         return []
-    return list(_form_embeddings(a, b, 1, bound))
+    return list(_form_embeddings(a, b, 1))
 
 
 def k3sq_glue_characters(d_n: Fqm) -> list[tuple[int, ...]]:
@@ -418,10 +421,10 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
     """
     if 2 * a.order != d_n.order:
         return []
-    _check_bound(_SEARCH_BOUND, a, d_n)
+    _check_bound(a, d_n)
     found = []
     for row in k3sq_glue_characters(d_n):
-        gams = _form_embeddings(a, d_n, -1, _SEARCH_BOUND, row)
+        gams = _form_embeddings(a, d_n, -1, row)
         gams = list(gams) if every else list(itertools.islice(gams, 1))
         if gams:
             found.append((hom_image(gams[0]), gams))
@@ -431,10 +434,9 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
     return found
 
 
-def orthogonal_group(m: Fqm,
-                     bound: int = _SEARCH_BOUND) -> tuple[list[FqmHom], int]:
+def orthogonal_group(m: Fqm) -> tuple[list[FqmHom], int]:
     """Generators of the form-preserving automorphism group, plus its order."""
-    autos = list(_form_embeddings(m, m, 1, bound))
+    autos = list(_form_embeddings(m, m, 1))
     ident = identity_hom(m).images
     gens: list[FqmHom] = []
     generated = {ident}
@@ -448,26 +450,8 @@ def orthogonal_group(m: Fqm,
 
 def hom_closure_images(m: Fqm, gens: Iterable[FqmHom]) -> set[tuple[Element, ...]]:
     """Image-tuples of the subgroup of O(m) generated by the given maps."""
-    glist = [g.images for g in gens]
-    ident = identity_hom(m).images
-
-    def compose_images(f, g):
-        # (f o g) on generators: push each image of g through f
-        hom_f = FqmHom(m, m, f)
-        return tuple(hom_f(im) for im in g)
-
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in glist:
-                h = compose_images(g, f)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return seen
+    return exact.closure(list(gens), identity_hom(m).images,
+                         lambda f, g: tuple(map(g, f)))  # g o f
 
 
 def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
@@ -501,8 +485,6 @@ def subgroup_presentation(sub: Subgroup) -> FqmHom:
     module (with the restricted form), its images are the chosen generators
     inside the ambient module.
     """
-    from . import exact
-
     amb = sub.ambient
     gens = [g for g in sub.generators if any(g)]
     if not gens:

@@ -59,6 +59,8 @@ def minus10_solutions(h_sq: int, l_bound: Optional[int] = None):
     k -> -k only flip the sign of x), and h.x is recorded >= 0.
     """
     _check_degree(h_sq)
+    if l_bound is not None and l_bound < 0:
+        raise ValueError("l_bound must be a nonnegative integer")
     if h_sq == 2:
         if l_bound is None:
             raise ValueError(

@@ -9,12 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from k3lat import cli
+from k3lat import cli, fqm
 from k3lat.cli import Dataset, DatasetError, InputError, builtin_dataset, \
     emit_dataset, format_table, load_dataset, main, parse_dataset, \
     parse_table, run_table
 from k3lat.fixtures import DATASET_TEXT
-from k3lat.fqm import Fqm, anti_embeddings, glue_images, hom_image, \
+from k3lat.fqm import Fqm, anti_embeddings, hom_image, \
     identity_hom, isomorphisms, k3sq_glue_admissible
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import Lattice, disc_map, leech_lattice
@@ -321,6 +321,18 @@ class TestMain:
         assert main(["disc", "--lattice", "Leech"]) == 0
         assert "orders: trivial" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["disc", "--gram", "1 0; 0 1"],
+        ["glue-check", "--gram", "1 0 0; 0 2 0; 0 0 2", "--disc", "2",
+         "--q", "1/2"],
+        ["disc", "--lattice", "Odd"],
+    ], ids=["disc", "glue-check", "dataset-lattice"])
+    def test_odd_gram_is_bad_input(self, capsys, tmp_path, argv):
+        path = tmp_path / "odd.txt"
+        path.write_text("format 1\n\nlattice Odd\ngram 2\n1 0\n0 1\nend\n")
+        assert main(argv + ["--dataset", str(path)]) == 1
+        assert "requires an even gram" in capsys.readouterr().err
+
     def test_exactly_one_gram_source(self, capsys):
         assert main(["disc"]) == 1
         assert "exactly one" in capsys.readouterr().err
@@ -370,16 +382,14 @@ class TestMain:
         assert capsys.readouterr().out == via_group
 
     def test_glue_check_decides_each_image_once(self, capsys, monkeypatch):
-        calls = []
-        real = cli.k3sq_glue_images
+        searches = []
+        real = fqm._form_embeddings
 
-        def logged(a, d_n, every=False):
-            found = real(a, d_n, every=every)
-            calls.append((every, [frozenset(image.elements())
-                                  for image, _ in found]))
-            return found
+        def logged(a, b, sign, inside=None):
+            searches.append((a, b, sign, inside))
+            return real(a, b, sign, inside)
 
-        monkeypatch.setattr(cli, "k3sq_glue_images", logged)
+        monkeypatch.setattr(fqm, "_form_embeddings", logged)
         inline_disc = Fqm((11, 11), (Fraction(16, 11), Fraction(20, 11)),
                           ((Fraction(0),), ()))
         routes = [(["glue-check", "--group", g.name, "--index", str(i)],
@@ -391,10 +401,12 @@ class TestMain:
                        Lattice([[2, 1, 0], [1, 6, 0], [0, 0, 22]])))
         assert len(routes) == 17
         for argv, m_disc, n in routes:
-            calls.clear()
+            searches.clear()
             assert main(argv) == 0
             out = capsys.readouterr().out.splitlines()
             d_n = disc_map(n).fqm
+            # one anti-embedding search per route
+            assert searches == [(m_disc, d_n, -1, None)]
             embeddings = anti_embeddings(m_disc, d_n)
             per_embedding = sum(k3sq_glue_admissible(d_n, hom_image(e))
                                 for e in embeddings)
@@ -402,10 +414,6 @@ class TestMain:
             assert out == [f"anti-embeddings: {len(embeddings)}",
                            f"admissible: {per_embedding}",
                            "verdict: admissible"]
-            listed = [frozenset(image.elements())
-                      for image, _ in glue_images(embeddings)
-                      if k3sq_glue_admissible(d_n, image)]
-            assert calls == [(True, listed)]
 
     @pytest.mark.parametrize("form", [
         ["--disc", "11,x", "--q", "16/11,20/11"],
@@ -458,6 +466,11 @@ class TestMain:
         assert main(["hilb2", "--h2", "2"]) == 1
         assert "l_bound" in capsys.readouterr().err
         assert main(["hilb2", "--h2", "2", "--l-bound", "10"]) == 0
+
+    def test_hilb2_negative_bound_is_bad_input(self, capsys):
+        assert main(["hilb2", "--h2", "2", "--l-bound", "-1",
+                     "--no-lines"]) == 1
+        assert "l_bound" in capsys.readouterr().err
 
     def test_table_from_file(self, capsys, tmp_path):
         path = tmp_path / "small.txt"

@@ -122,7 +122,7 @@ class TestAutomorphismGroup:
             assert len(autos) == len(brute_isometries(gram, gram))
 
     def test_element_store_limit(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_ELEMENT_STORE_LIMIT", 10)
+        monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 10)
         with pytest.raises(ValueError, match="element-store limit of 10 "):
             all_automorphisms(Lattice(((6, 0, 0), (0, 6, 0), (0, 0, 6))))
 

@@ -306,14 +306,16 @@ class TestAntiEmbeddings:
         got = anti_embeddings(a, b)
         assert sorted(f.images for f in got) == sorted(expected)
 
-    def test_bound_enforced(self):
+    def test_bound_enforced(self, monkeypatch):
+        monkeypatch.setattr(fqm, "_SEARCH_BOUND", 2)
         with pytest.raises(ValueError):
-            anti_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)), bound=2)
+            anti_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)))
 
-    def test_bound_raises_before_the_search_starts(self):
+    def test_bound_raises_before_the_search_starts(self, monkeypatch):
         # the search itself is lazy; the bound must not wait for next()
+        monkeypatch.setattr(fqm, "_SEARCH_BOUND", 2)
         with pytest.raises(ValueError, match="search bound 2"):
-            fqm._form_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)), -1, 2)
+            fqm._form_embeddings(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)), -1)
 
     @pytest.mark.parametrize("source", [
         cyclic(2, 0),

@@ -38,6 +38,11 @@ class TestMinus10:
         with pytest.raises(ValueError, match="l_bound"):
             minus10_obstruction_grams(2)
 
+    @pytest.mark.parametrize("h_sq", [2, 4])
+    def test_negative_bound_rejected(self, h_sq):
+        with pytest.raises(ValueError, match="l_bound must be a nonnegative"):
+            minus10_solutions(h_sq, l_bound=-1)
+
     def test_degree_two_truncated_scan(self):
         grams = minus10_obstruction_grams(2, l_bound=50)
         assert len(grams) == 51
