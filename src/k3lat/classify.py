@@ -30,8 +30,9 @@ GOOD_TRACES = {2: -1, 3: 0, 4: 1, 6: 2}
 def good_isometries(n: Lattice) -> list[Isometry]:
     """All f in O(N) with a single fixed line and primitive-root rotation
     part, i.e. (order, trace) in {(2,-1), (3,0), (4,1), (6,2)}."""
-    if n.rank != 3 or not n.is_positive_definite:
-        raise ValueError("good isometries live on rank-3 positive definite lattices")
+    if n.rank != 3 or not n.is_even or not n.is_positive_definite:
+        raise ValueError("good isometries live on even rank-3 positive "
+                         "definite lattices")
     out = []
     for q in all_automorphisms(n):
         order = exact.multiplicative_order([list(r) for r in q])
@@ -138,32 +139,37 @@ def gauss_reduced(t_gram: IntMatrix) -> tuple[int, int, int]:
 
 
 def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
-             group_name: str) -> list[ClassificationRow]:
+             group_name: str, mode: str = "permissive"
+             ) -> list[ClassificationRow]:
     """One row per (h^2, div, m, GL2(Z) class of T, invariant Gram), sorted.
 
     Loops over the admissible glue images of D(N), each c^perp for an
     order-2 class c with q(c) = 3/2, found once per distinct D(N); an image
     alone fixes condition 1, div and the k3 flag.  Permissive mode searches
-    one gamma onto each image; exact mode (obar given) takes all of them
-    and keeps a row once any passes condition 2.  Per invariant lattice,
-    the map each good isometry induces on D(N) is built once, and its fixed
-    line and complement once it yields a row.  A merged row prints its
-    smallest T, flags "excluded" only if every gluing does (else
-    "unknown"), and has lift_improved True if any gluing has.
+    one gamma onto each image and ignores obar; exact mode needs obar,
+    takes every gamma and keeps a row once any passes condition 2.  Per
+    invariant lattice, the map each good isometry induces on D(N) is built
+    once, and its fixed line and complement once it yields a row.  A
+    merged row prints its smallest T, flags "excluded" only if every
+    gluing does (else "unknown"), and has lift_improved True if any gluing
+    has.
     """
-    mode = "exact" if m_data.obar is not None else "permissive"
-    realized = (None if m_data.obar is None
-                else realized_actions(m_data.disc, m_data.obar))
+    if mode not in ("permissive", "exact"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" and m_data.obar is None:
+        raise ValueError("exact mode needs obar generators")
+    realized = (realized_actions(m_data.disc, m_data.obar)
+                if mode == "exact" else None)
     images_of: dict[Fqm, list[tuple[Subgroup, list[FqmHom]]]] = {}
     merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
-        goods = good_isometries(n)  # raises unless rank-3 positive definite
+        goods = good_isometries(n)  # raises unless rank 3, even, definite
         if not goods:
             continue
         d_n = disc_map(n).fqm
         if d_n not in images_of:
             images_of[d_n] = k3sq_glue_images(m_data.disc, d_n,
-                                              every=realized is not None)
+                                              every=mode == "exact")
             for image, _ in images_of[d_n]:
                 if not k3sq_glue_admissible(d_n, image):
                     raise RuntimeError(

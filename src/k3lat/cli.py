@@ -19,6 +19,9 @@ Fields inside a group block:
     coinv_isometry <n>      an isometry of that Gram, row convention
     g_gen <n>               a generator of the acting group on it (repeatable)
 
+The coinvariant (M-side) fields ``obar``, ``coinv_gram``, ``coinv_isometry``
+and ``g_gen`` need a ``disc`` line in the same block.
+
 Rationals are written ``p/q`` (plain ``p`` when integral); never floats.
 Blank lines and ``#`` comments are skipped on input and never emitted, so
 ``emit_dataset(parse_dataset(text)) == text`` holds for canonical text.
@@ -76,20 +79,11 @@ class GroupEntry:
     name: str
     order: int
     grams: tuple[Lattice, ...]
-    disc: Optional[Fqm] = None
-    obar: Optional[tuple[FqmHom, ...]] = None
-    coinv: Optional[Lattice] = None
-    coinv_isometries: Optional[tuple[IntMatrix, ...]] = None
-    g_gens: tuple[IntMatrix, ...] = ()
+    coinv: Optional[CoinvariantData] = None
 
-    def coinvariant_data(self, mode: str = "permissive") -> CoinvariantData:
-        if self.disc is None:
-            raise ValueError(f"group {self.name!r} carries no coinvariant "
-                             "discriminant data")
-        return CoinvariantData(disc=self.disc, gram=self.coinv,
-                               obar=self.obar if mode == "exact" else None,
-                               isometries=self.coinv_isometries,
-                               g_gens=self.g_gens)
+    @property
+    def disc(self) -> Optional[Fqm]:
+        return None if self.coinv is None else self.coinv.disc
 
 
 @dataclass(frozen=True)
@@ -210,15 +204,13 @@ def _parse_group_block(cur: _Cursor, start: int,
     order = None
     grams: list[Lattice] = []
     disc_orders = None
-    disc_line = start
     q_vals = None
-    q_line = start
     b_entries: list[tuple[int, int, Fraction, int]] = []
     obar_rows: list[tuple[int, list[str]]] = []
     coinv = None
-    coinv_line = start
     iso_rows: list[tuple[int, IntMatrix]] = []
     gen_rows: list[tuple[int, IntMatrix]] = []
+    line_of: dict[str, int] = {}  # field -> its last line
     while True:
         item = cur.next()
         if item is None:
@@ -227,6 +219,7 @@ def _parse_group_block(cur: _Cursor, start: int,
         key = toks[0]
         if key == "end":
             break
+        line_of[key] = line
         if key == "order":
             if len(toks) != 2:
                 _fail(line, "order wants a single integer")
@@ -247,10 +240,8 @@ def _parse_group_block(cur: _Cursor, start: int,
             if len(toks) < 2:
                 _fail(line, "disc wants at least one generator order")
             disc_orders = tuple(_int(t, line, "disc") for t in toks[1:])
-            disc_line = line
         elif key == "q":
             q_vals = tuple(_rational(t, line, "q") for t in toks[1:])
-            q_line = line
         elif key == "b":
             if len(toks) != 4:
                 _fail(line, "b wants 'b <i> <j> <value>'")
@@ -262,7 +253,6 @@ def _parse_group_block(cur: _Cursor, start: int,
         elif key == "coinv_gram":
             gline, rows = _read_square(cur, line, toks, "coinv_gram")
             coinv = _square_lattice(rows, gline, "coinv_gram")
-            coinv_line = gline
             if not coinv.is_even:
                 _fail(gline, "coinv_gram evenness: diagonal must be even")
             if not coinv.is_negative_definite:
@@ -282,64 +272,62 @@ def _parse_group_block(cur: _Cursor, start: int,
     if not grams:
         _fail(start, f"group {name!r}: at least one gram is required")
 
-    disc = None
-    if disc_orders is not None:
-        if q_vals is None:
-            _fail(disc_line, "disc without a q line")
-        if len(q_vals) != len(disc_orders):
-            _fail(q_line, "q: want one value per disc generator")
-        r = len(disc_orders)
-        b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
-        for i, j, val, bline in b_entries:
-            if not 0 <= i < j < r:
-                _fail(bline, "b: indices must satisfy 0 <= i < j < rank")
-            b_off[i][j - i - 1] = val
-        try:
-            disc = Fqm(disc_orders, q_vals, tuple(tuple(r_) for r_ in b_off))
-        except ValueError as exc:
-            _fail(disc_line, f"disc form: {exc}")
-    elif q_vals is not None or b_entries:
-        _fail(q_line if q_vals is not None else b_entries[0][3],
-              "q/b lines without a disc line")
-
-    obar = None
-    if obar_rows:
-        if disc is None:
-            _fail(obar_rows[0][0], "obar requires a disc form")
-        homs = []
-        for oline, imgs in obar_rows:
-            if len(imgs) != disc.rank:
-                _fail(oline, "obar: one image per disc generator")
-            images = []
-            for tok in imgs:
-                coords = tuple(_int(c, oline, "obar") for c in tok.split(","))
-                if len(coords) != disc.rank:
-                    _fail(oline, "obar: images are coordinate tuples in the "
-                                 "disc group")
-                images.append(coords)
-            try:
-                hom = FqmHom(disc, disc, tuple(images))
-            except ValueError as exc:
-                _fail(oline, f"obar: {exc}")
-            if not hom.preserves_form():
-                _fail(oline, "obar: generator images must preserve the form")
-            homs.append(hom)
-        obar = tuple(homs)
-
-    if coinv is not None and disc is not None \
-            and disc_map(coinv).fqm != disc:
-        _fail(coinv_line, "disc/gram consistency: coinv_gram does not "
-                          "present the declared disc form")
     for gline, rows in iso_rows + gen_rows:
         if coinv is None:
             _fail(gline, "coinv_isometry/g_gen require a coinv_gram")
         if not coinv.is_isometry(rows):
             _fail(gline, "matrix does not preserve coinv_gram")
 
-    return GroupEntry(name=name, order=order, grams=tuple(grams), disc=disc,
-                      obar=obar, coinv=coinv,
-                      coinv_isometries=tuple(r for _, r in iso_rows) or None,
-                      g_gens=tuple(r for _, r in gen_rows))
+    if disc_orders is None:  # every other M-side field hangs off disc
+        orphans = [k for k in ("q", "b", "obar", "coinv_gram",
+                               "coinv_isometry", "g_gen") if k in line_of]
+        if orphans:
+            key = min(orphans, key=line_of.get)
+            _fail(line_of[key], f"{key} without a disc line")
+        return GroupEntry(name=name, order=order, grams=tuple(grams))
+    if q_vals is None:
+        _fail(line_of["disc"], "disc without a q line")
+    if len(q_vals) != len(disc_orders):
+        _fail(line_of["q"], "q: want one value per disc generator")
+    r = len(disc_orders)
+    b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
+    for i, j, val, bline in b_entries:
+        if not 0 <= i < j < r:
+            _fail(bline, "b: indices must satisfy 0 <= i < j < rank")
+        b_off[i][j - i - 1] = val
+    try:
+        disc = Fqm(disc_orders, q_vals, tuple(tuple(r_) for r_ in b_off))
+    except ValueError as exc:
+        _fail(line_of["disc"], f"disc form: {exc}")
+
+    obar = []
+    for oline, imgs in obar_rows:
+        if len(imgs) != disc.rank:
+            _fail(oline, "obar: one image per disc generator")
+        images = []
+        for tok in imgs:
+            coords = tuple(_int(c, oline, "obar") for c in tok.split(","))
+            if len(coords) != disc.rank:
+                _fail(oline, "obar: images are coordinate tuples in the "
+                             "disc group")
+            images.append(coords)
+        try:
+            hom = FqmHom(disc, disc, tuple(images))
+        except ValueError as exc:
+            _fail(oline, f"obar: {exc}")
+        if not hom.preserves_form():
+            _fail(oline, "obar: generator images must preserve the form")
+        obar.append(hom)
+
+    try:
+        m_data = CoinvariantData(
+            disc=disc, gram=coinv, obar=tuple(obar) or None,
+            isometries=tuple(r for _, r in iso_rows) or None,
+            g_gens=tuple(r for _, r in gen_rows))
+    except ValueError as exc:
+        _fail(line_of["coinv_gram"], f"disc/gram consistency: {exc}")
+    return GroupEntry(name=name, order=order, grams=tuple(grams),
+                      coinv=m_data)
 
 
 def parse_dataset(text: str) -> Dataset:
@@ -399,22 +387,23 @@ def emit_dataset(dataset: Dataset) -> str:
         lines = [f"group {g.name}", f"order {g.order}"]
         for lat in g.grams:
             _emit_square(lines, "gram", lat.gram)
-        if g.disc is not None:
-            lines.append("disc " + " ".join(str(d) for d in g.disc.orders))
-            lines.append("q " + " ".join(str(v) for v in g.disc.q_diag))
-            for i, row in enumerate(g.disc.b_off):
+        m = g.coinv
+        if m is not None:
+            lines.append("disc " + " ".join(str(d) for d in m.disc.orders))
+            lines.append("q " + " ".join(str(v) for v in m.disc.q_diag))
+            for i, row in enumerate(m.disc.b_off):
                 for k, val in enumerate(row):
                     if val:
                         lines.append(f"b {i} {i + 1 + k} {val}")
-        for hom in g.obar or ():
-            lines.append("obar " + " ".join(
-                ",".join(str(c) for c in img) for img in hom.images))
-        if g.coinv is not None:
-            _emit_square(lines, "coinv_gram", g.coinv.gram)
-        for mat in g.coinv_isometries or ():
-            _emit_square(lines, "coinv_isometry", mat)
-        for mat in g.g_gens:
-            _emit_square(lines, "g_gen", mat)
+            for hom in m.obar or ():
+                lines.append("obar " + " ".join(
+                    ",".join(str(c) for c in img) for img in hom.images))
+            if m.gram is not None:
+                _emit_square(lines, "coinv_gram", m.gram.gram)
+            for mat in m.isometries or ():
+                _emit_square(lines, "coinv_isometry", mat)
+            for mat in m.g_gens:
+                _emit_square(lines, "g_gen", mat)
         lines.append("end")
         blocks.append("\n".join(lines))
     if not blocks:
@@ -439,18 +428,17 @@ def run_table(dataset: Dataset, mode: str = "permissive"
     warnings: list[str] = []
     rows: list[ClassificationRow] = []
     for g in dataset.groups:
-        if g.disc is None:
+        if g.coinv is None:
             warnings.append(f"{g.name}: no coinvariant discriminant data, "
                             "skipped")
             continue
-        data = g.coinvariant_data(mode)
-        if mode == "exact" and data.obar is None:
+        group_mode = mode
+        if mode == "exact" and g.coinv.obar is None:
             warnings.append(f"{g.name}: exact mode needs obar generators, "
                             "ran permissive")
+            group_mode = "permissive"
         try:
-            rows += classify(list(g.grams), data, g.name)
-        except (InputError, DatasetError):
-            raise
+            rows += classify(list(g.grams), g.coinv, g.name, group_mode)
         except Exception as exc:
             raise RuntimeError(f"{g.name}: {exc}") from exc
     return rows, warnings
@@ -613,6 +601,9 @@ def _inline_disc(args) -> Fqm:
         r = len(orders)
         b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
         for triple in args.b or ():
+            if triple.count(",") != 2:
+                raise InputError("disc form: --b wants i,j,value "
+                                 f"triples, got {triple!r}")
             i_txt, j_txt, val = triple.split(",")
             i, j = int(i_txt), int(j_txt)
             if not 0 <= i < j < r:
@@ -742,11 +733,6 @@ def _cmd_hilb2(args) -> int:
 
 def _cmd_table(args) -> int:
     dataset = _resolve_dataset(args)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise InputError("--jobs must be at least 1")
-        print("k3lat: warning: --jobs is deprecated and ignored",
-              file=sys.stderr)
     rows, warnings = run_table(dataset, mode=args.mode)
     sys.stdout.write(format_table(rows, args.format))
     for w in warnings:
@@ -812,15 +798,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("permissive", "exact"),
                    default="permissive")
     p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    p.add_argument("--jobs", type=int,
-                   help="deprecated and ignored; the table runs in one "
-                        "process")
     p.set_defaults(handler=_cmd_table)
 
     return parser
 
 
+def _gram_label(args) -> str:
+    """"<source>: " for the Gram of a Gram-taking command, else ""."""
+    for source in ("gram", "gram_file", "lattice", "group"):
+        value = getattr(args, source, None)
+        if value is not None and hasattr(args, "index"):
+            index = f" gram {args.index}" if source == "group" else ""
+            return f"{source.replace('_', ' ')} {value!r}{index}: "
+    return ""  # table and classify name the group themselves
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = None
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
@@ -828,7 +822,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"k3lat: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        print(f"k3lat: internal invariant violation: {exc}", file=sys.stderr)
+        print(f"k3lat: internal invariant violation: {_gram_label(args)}"
+              f"{exc}", file=sys.stderr)
         return 2
 
 

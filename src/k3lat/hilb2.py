@@ -130,7 +130,7 @@ def minus2_wall_scan(h_sq: int) -> WallScan:
                 gram_seen = ((x_sq, m), (m, h_sq))
     terminal = None
     if gram_seen is not None:
-        z = minus_two_class(gram_seen, pairing=None)
+        z = minus_two_class(gram_seen)
         if z is None:
             raise RuntimeError(f"-2 wall scan with h^2 = {h_sq}: the block "
                                f"{gram_seen} has det < 0 but no -2 vector")
@@ -186,11 +186,8 @@ def vector_with(gram: IntMatrix, norm: int, pairing: int):
     return (a0 + d * s, b0 - e * s)
 
 
-def minus_two_class(gram: IntMatrix, pairing: Optional[int]):
-    """A norm -2 vector, of the given pairing with h if one is requested,
-    else the one of smallest nonnegative pairing."""
-    if pairing is not None:
-        return vector_with(gram, -2, pairing)
+def minus_two_class(gram: IntMatrix):
+    """A norm -2 vector of smallest nonnegative pairing with h, or None."""
     for p in range(0, 2 * gram[1][1] + 1):
         z = vector_with(gram, -2, p)
         if z is not None:

@@ -85,8 +85,7 @@ def test_criterion_4_pinned_classification_rows():
               "L2(11)": (22, 2, 2, ((2, 1), (1, 6)))}
     for name, want in pinned.items():
         entry = ds.group(name)
-        rows = classify(list(entry.grams), entry.coinvariant_data(),
-                        entry.name)
+        rows = classify(list(entry.grams), entry.coinv, entry.name)
         assert rows
         assert all(r.mode == "permissive" for r in rows)
         keys = {(r.h_sq, r.h_div, r.m, r.t_gram) for r in rows}

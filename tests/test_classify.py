@@ -67,6 +67,10 @@ class TestGoodIsometries:
         with pytest.raises(ValueError):
             good_isometries(Lattice(((-6, 0, 0), (0, -6, 0), (0, 0, -6))))
 
+    def test_requires_an_even_gram(self):
+        with pytest.raises(ValueError, match="even rank-3"):
+            good_isometries(Lattice(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
+
     def test_char_poly_and_orders(self):
         for n in (DIAG6, Lattice(A6_GRAM), Lattice(L2_11_GRAM)):
             for g in good_isometries(n):
@@ -183,11 +187,32 @@ class TestClassify:
         exact_rows = classify(
             [n], CoinvariantData(disc=md_disc,
                                  obar=(identity_hom(md_disc),
-                                       negation_hom(md_disc))), "L2(11)")
+                                       negation_hom(md_disc))), "L2(11)",
+            "exact")
         assert all(r.mode == "exact" for r in exact_rows)
         permissive_keys = {(r.h_sq, r.h_div, r.m, r.t_gram) for r in permissive}
         assert {(r.h_sq, r.h_div, r.m, r.t_gram)
                 for r in exact_rows} <= permissive_keys
+
+    def test_exact_mode_needs_obar(self):
+        n = Lattice(L2_11_GRAM)
+        md = CoinvariantData(disc=coinv_disc(n, ((1, 0), (0, 2))))
+        with pytest.raises(ValueError, match="exact mode needs obar"):
+            classify([n], md, "L2(11)", "exact")
+
+    def test_unknown_mode_is_rejected(self):
+        n = Lattice(L2_11_GRAM)
+        md = CoinvariantData(disc=coinv_disc(n, ((1, 0), (0, 2))))
+        with pytest.raises(ValueError, match="unknown mode"):
+            classify([n], md, "L2(11)", "fast")
+
+    def test_permissive_mode_ignores_obar(self):
+        g = builtin_dataset().group("M10")
+        with_obar = replace(g.coinv,
+                            obar=tuple(orthogonal_group(g.disc)[0]))
+        rows = classify(list(g.grams), with_obar, g.name, "permissive")
+        assert rows == classify(list(g.grams), g.coinv, g.name)
+        assert all(r.mode == "permissive" for r in rows)
 
     def test_basis_change_invariance(self):
         rng = random.Random(99)
@@ -212,7 +237,8 @@ class TestClassify:
         mds = [CoinvariantData(disc=g.disc),
                CoinvariantData(disc=g.disc,
                                obar=tuple(orthogonal_group(g.disc)[0]))]
-        base = [classify(list(g.grams), md, g.name) for md in mds]
+        base = [classify(list(g.grams), md, g.name, mode)
+                for md, mode in zip(mds, ("permissive", "exact"))]
         real = classify_module.k3sq_glue_images
         seen = []
 
@@ -222,7 +248,8 @@ class TestClassify:
             return [(image, gams[::-1]) for image, gams in images[::-1]]
         monkeypatch.setattr(classify_module, "k3sq_glue_images",
                             reversed_images)
-        flipped = [classify(list(g.grams), md, g.name) for md in mds]
+        flipped = [classify(list(g.grams), md, g.name, mode)
+                   for md, mode in zip(mds, ("permissive", "exact"))]
         assert flipped == base
         # several images per D(N), and several gammas per image when exact
         assert all(len(lens) > 1 for _, lens in seen)
@@ -245,12 +272,11 @@ def reference_extendable(n, f, gam, realized):
     return realized is None or witness in realized, witness
 
 
-def reference_classify(lattices, m_data, group_name):
+def reference_classify(lattices, m_data, group_name, mode="permissive"):
     """classify as a plain per-(image, f, gamma) loop with every decision
     made afresh: the merged rows and the list of (ok, witness images)."""
-    mode = "permissive" if m_data.obar is None else "exact"
-    realized = (None if m_data.obar is None
-                else hom_closure_images(m_data.disc, m_data.obar))
+    realized = (hom_closure_images(m_data.disc, m_data.obar)
+                if mode == "exact" else None)
     decisions, groups = [], {}
     for n in lattices:
         goods = good_isometries(n)
@@ -307,9 +333,9 @@ class TestHoistedLoop:
                 obar = tuple(orthogonal_group(g.disc)[0])
             md = CoinvariantData(disc=g.disc, obar=obar)
             log.clear()
-            rows = classify(list(g.grams), md, g.name)
+            rows = classify(list(g.grams), md, g.name, mode)
             want_rows, want_decisions = reference_classify(
-                list(g.grams), md, g.name)
+                list(g.grams), md, g.name, mode)
             assert rows == want_rows, g.name
             assert log == want_decisions, g.name
             assert all(r.mode == mode for r in rows)
@@ -334,7 +360,7 @@ class TestHoistedLoop:
         monkeypatch.setattr(FqmHom, "preimage_table", table)
         for g in builtin_dataset().groups:
             if g.disc is not None:
-                classify(list(g.grams), g.coinvariant_data(), g.name)
+                classify(list(g.grams), g.coinv, g.name)
         per_name = Counter()
         for (name, *_), count in calls.items():
             assert count == 1, name  # once per (N, f)
@@ -368,7 +394,7 @@ class TestHoistedLoop:
         for g in builtin_dataset().groups:
             if g.disc is not None:
                 start = len(built)
-                classify(list(g.grams), g.coinvariant_data(), g.name)
+                classify(list(g.grams), g.coinv, g.name)
                 # every map built is a gamma out of this group's D(M)
                 assert all(src == g.disc for src in built[start:]), g.name
         assert len(decided) == len(built) == 19

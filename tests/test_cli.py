@@ -139,7 +139,7 @@ class TestParseEmit:
                 "obar 1,0 0,1\nobar 10,0 0,10\nend\n")
         ds = parse_dataset(text)
         assert emit_dataset(ds) == text
-        assert len(ds.group("X").obar) == 2
+        assert len(ds.group("X").coinv.obar) == 2
         swapped = text.replace("obar 1,0 0,1", "obar 0,1 1,0")
         with pytest.raises(DatasetError, match="preserve the form"):
             parse_dataset(swapped)
@@ -149,7 +149,7 @@ class TestParseEmit:
                 "disc 2\nq 3/2\ncoinv_gram 1\n-2\nend\n")
         ds = parse_dataset(text)
         assert emit_dataset(ds) == text
-        assert ds.group("Y").coinv.gram == ((-2,),)
+        assert ds.group("Y").coinv.gram.gram == ((-2,),)
         with pytest.raises(DatasetError, match="disc/gram consistency"):
             parse_dataset(text.replace("q 3/2", "q 1/2"))
 
@@ -165,7 +165,7 @@ class TestParseEmit:
                 "coinv_isometry 1\n-1\ng_gen 1\n1\nend\n")
         ds = parse_dataset(base)
         assert emit_dataset(ds) == base
-        assert ds.group("Y").coinv_isometries == (((-1,),),)
+        assert ds.group("Y").coinv.isometries == (((-1,),),)
         with pytest.raises(DatasetError, match="does not preserve"):
             parse_dataset(base.replace("coinv_isometry 1\n-1",
                                        "coinv_isometry 1\n2"))
@@ -174,6 +174,18 @@ class TestParseEmit:
         text = ("format 1\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
                 "g_gen 1\n1\nend\n")
         with pytest.raises(DatasetError, match="require a coinv_gram"):
+            parse_dataset(text)
+
+    @pytest.mark.parametrize("field, lines", [
+        ("coinv_gram", "coinv_gram 1\n-2\n"),
+        ("coinv_isometry", "coinv_isometry 1\n-1\ncoinv_gram 1\n-2\n"),
+        ("g_gen", "g_gen 1\n1\ncoinv_gram 1\n-2\n"),
+    ], ids=["coinv_gram", "coinv_isometry", "g_gen"])
+    def test_m_side_fields_require_disc(self, field, lines):
+        text = ("format 1\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
+                + lines + "end\n")
+        with pytest.raises(DatasetError,
+                           match=f"line 8: {field} without a disc line"):
             parse_dataset(text)
 
     def test_load_dataset_from_file(self, tmp_path):
@@ -275,7 +287,8 @@ class TestTableRuns:
 
     def test_permissive_mode_ignores_obar(self):
         g = builtin_dataset().group("M10")
-        with_obar = replace(g, obar=(identity_hom(g.disc),))
+        with_obar = replace(g, coinv=replace(
+            g.coinv, obar=(identity_hom(g.disc),)))
         rows, warnings = run_table(Dataset((with_obar,), ()),
                                    mode="permissive")
         assert warnings == []
@@ -303,12 +316,6 @@ class TestTableRuns:
         for fmt in ("csv", "markdown"):
             text = format_table(rows, fmt)
             assert parse_table(text, fmt) == row_tuples(rows)
-
-    def test_parallel_run_matches_serial(self, capsys):
-        assert main(["table"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["table", "--jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
 
 
 class TestMain:
@@ -369,6 +376,12 @@ class TestMain:
     def test_good_isos_wants_rank_three(self, capsys):
         assert main(["good-isos", "--gram", "2 0; 0 2"]) == 1
 
+    def test_good_isos_wants_an_even_gram(self, capsys):
+        assert main(["good-isos", "--gram", "1 0 0; 0 1 0; 0 0 1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "live on even rank-3" in captured.err
+
     def test_glue_check_group_route(self, capsys):
         assert main(["glue-check", "--group", "L2(11)"]) == 0
         out = capsys.readouterr().out
@@ -425,6 +438,12 @@ class TestMain:
                      *form]) == 1
         err = capsys.readouterr().err
         assert "disc form" in err and "internal invariant" not in err
+
+    def test_glue_check_short_b_names_the_triple_format(self, capsys):
+        assert main(["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22",
+                     "--disc", "11,11", "--q", "16/11,20/11", "--b", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "k3lat: disc form: --b wants i,j,value triples, got '0'\n")
 
     def test_glue_check_without_data(self, capsys):
         assert main(["glue-check", "--group", "2:A6"]) == 1
@@ -502,20 +521,11 @@ class TestMain:
     def test_table_missing_file(self, capsys):
         assert main(["table", "--dataset", "/no/such/file"]) == 1
 
-    def test_table_bad_jobs(self, capsys):
-        assert main(["table", "--jobs", "0"]) == 1
+    def test_table_has_no_jobs_option(self, capsys):
+        assert main(["table", "--jobs", "2"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "k3lat: --jobs must be at least 1\n"
-
-    def test_table_jobs_is_deprecated_and_ignored(self, capsys):
-        assert main(["table"]) == 0
-        plain = capsys.readouterr()
-        assert main(["table", "--jobs", "2"]) == 0
-        jobs = capsys.readouterr()
-        assert jobs.out == plain.out
-        assert jobs.err == ("k3lat: warning: --jobs is deprecated and "
-                            "ignored\n" + plain.err)
+        assert "unrecognized arguments: --jobs 2" in captured.err
 
     def test_cli_import_loads_no_process_pool(self):
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -548,7 +558,7 @@ class TestMain:
 
     def test_table_failure_exits_two_naming_the_group(self, capsys,
                                                        monkeypatch):
-        def boom(grams, data, group_name):
+        def boom(grams, data, group_name, mode):
             raise RuntimeError("boom")
         monkeypatch.setattr(cli, "classify", boom)
         first = next(g.name for g in builtin_dataset().groups
@@ -558,6 +568,29 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == ("k3lat: internal invariant violation: "
                                 f"{first}: boom\n")
+
+
+    @pytest.mark.parametrize("argv, source", [
+        (["disc", "--group", "L2(11)"], "group 'L2(11)' gram 0"),
+        (["disc", "--lattice", "Leech"], "lattice 'Leech'"),
+        (["disc", "--gram", "2 1; 1 6"], "gram '2 1; 1 6'"),
+        (["glue-check", "--group", "L2(11)"], "group 'L2(11)' gram 0"),
+        (["disc", "--gram-file", "{file}"], "gram file '{file}'"),
+    ], ids=["group", "lattice", "inline", "glue-check", "file"])
+    def test_gram_failure_exits_two_naming_the_gram(self, capsys,
+                                                    monkeypatch, tmp_path,
+                                                    argv, source):
+        path = tmp_path / "n.txt"
+        path.write_text("2 1\n1 6\n")
+
+        def boom(lat):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "disc_map", boom)
+        assert main([a.format(file=path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("k3lat: internal invariant violation: "
+                                f"{source.format(file=path)}: boom\n")
 
 
 class TestFrozenTable:
