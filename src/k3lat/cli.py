@@ -196,6 +196,9 @@ def _parse_lattice_block(cur: _Cursor, start: int,
     return name, lat
 
 
+_SINGLE_FIELDS = ("order", "disc", "q", "coinv_gram")  # at most once a block
+
+
 def _parse_group_block(cur: _Cursor, start: int,
                        tokens: Sequence[str]) -> GroupEntry:
     if len(tokens) != 2:
@@ -219,6 +222,9 @@ def _parse_group_block(cur: _Cursor, start: int,
         key = toks[0]
         if key == "end":
             break
+        if key in _SINGLE_FIELDS and key in line_of:
+            _fail(line, f"repeated {key}: already given on line "
+                        f"{line_of[key]}")
         line_of[key] = line
         if key == "order":
             if len(toks) != 2:

@@ -9,8 +9,11 @@ lattices, but nothing in this module depends on a lattice.
 Internally the form runs on scaled integers: with e the exponent (the
 largest order), e*q takes values mod 2e and e*b values mod e, derived once
 per module on first use.  q and b still return Fractions, and the searches
-(anti-embeddings, isomorphisms, the glue criterion, subgroup closure) make
-none.
+(anti-embeddings, isomorphisms, the glue criterion) make none.
+
+A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
+order, membership and equality cost O(r^2) integer operations, and its
+elements are listed only when elements() is called.
 
 The form searches refuse modules of order above _SEARCH_BOUND = 10**6 with
 an error naming that bound; closures in O(m) run under exact's element store.
@@ -251,63 +254,63 @@ def negated(m: Fqm) -> Fqm:
 
 @dataclass(frozen=True)
 class Subgroup:
+    """A subgroup H of ambient, kept as the Hermite basis of its lattice.
+
+    L_H, the preimage of H in Z^r, holds diag(d_i).  basis lists its rows
+    in upper-triangular Hermite form: row i is zero before column i, has a
+    pivot p_i dividing d_i at column i, and every entry above a pivot p_j
+    lies in [0, p_j).  That form is unique, so basis depends on H alone;
+    |H| = prod d_i / prod p_i, membership is triangular division, and no
+    element of H is listed unless elements() asks for them (Cohen, GTM 138,
+    §2.4).
+    """
+
     ambient: Fqm
     generators: tuple[Element, ...]
-    _elements: frozenset[Element]
+    basis: tuple[Element, ...]
 
     @classmethod
     def generated(cls, ambient: Fqm, gens: Iterable[Iterable[int]]) -> "Subgroup":
-        """Cyclic extension: <S, g> is the union of the cosets S + k g for
-        0 <= k < o, o the least k > 0 with k g in S; the cosets are
-        disjoint, so each element is built once."""
+        """L_H is spanned by the generators and the rows d_i e_i."""
         gs = tuple(ambient.reduce(g) for g in gens)
         orders = ambient.orders
-        cols: list[list[int]] = [[0] for _ in orders]  # members, by coordinate
-        seen = {ambient.zero()}
-        for g in gs:
-            coset, new = cols, [[] for _ in orders]
-            shift = g
-            while shift not in seen:
-                coset = [[(x + c) % d for x in col] if c else col
-                         for col, c, d in zip(coset, g, orders)]
-                for acc, col in zip(new, coset):
-                    acc += col
-                shift = ambient.add(shift, g)
-            cols = [old + add for old, add in zip(cols, new)]
-            seen.update(zip(*new))
-        return cls(ambient, gs, frozenset(seen))
+        diag = [[d if i == j else 0 for j in range(len(orders))]
+                for i, d in enumerate(orders)]
+        basis = exact.hermite_row_basis([*map(list, gs), *diag])
+        return cls(ambient, gs, tuple(map(tuple, basis)))
 
     def __contains__(self, x) -> bool:
-        return self.ambient.reduce(x) in self._elements
+        v = list(self.ambient.reduce(x))
+        for i, row in enumerate(self.basis):
+            k, rest = divmod(v[i], row[i])
+            if rest:
+                return False
+            if k:
+                v[i:] = [c - k * w for c, w in zip(v[i:], row[i:])]
+        return True
 
     @property
     def order(self) -> int:
-        return len(self._elements)
+        return self.ambient.order // math.prod(
+            row[i] for i, row in enumerate(self.basis))
 
     def elements(self) -> list[Element]:
-        return sorted(self._elements)
+        """The members, sorted: sum_i k_i row_i with 0 <= k_i < d_i / p_i
+        meets each of them once."""
+        add = self.ambient.add
+        out = [self.ambient.zero()]
+        for i, (row, d) in enumerate(zip(self.basis, self.ambient.orders)):
+            nxt = []
+            for y in out:
+                for _ in range(d // row[i]):
+                    nxt.append(y)
+                    y = add(y, row)
+            out = nxt
+        return sorted(out)
 
 
 def hom_image(f: FqmHom) -> Subgroup:
     return Subgroup.generated(f.target, f.images)
-
-
-def glue_images(homs: Iterable[FqmHom]
-                ) -> list[tuple[Subgroup, list[FqmHom]]]:
-    """Injective homs from one source grouped by image, in first-seen order.
-
-    All homs have the same source order, so an image holding a hom's
-    generator images is that hom's image: one subgroup is built per image.
-    """
-    groups: list[tuple[Subgroup, list[FqmHom]]] = []
-    for f in homs:
-        for image, members in groups:
-            if all(y in image for y in f.images):
-                members.append(f)
-                break
-        else:
-            groups.append((hom_image(f), [f]))
-    return groups
 
 
 def hom_preimage(f: FqmHom, y: Iterable[int]) -> Element:
@@ -413,8 +416,8 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
                      ) -> list[tuple[Subgroup, list[FqmHom]]]:
     """The images of anti-embeddings A -> D(N) that k3sq_glue_admissible
     accepts, each with the first anti-embedding onto it (all of them when
-    every is set): glue_images(anti_embeddings(a, d_n)) so filtered, in
-    the same order, without listing the other anti-embeddings.
+    every is set), in the order in which anti_embeddings(a, d_n) first
+    meets them, without listing the other anti-embeddings.
 
     The search runs once per k3sq_glue_characters row, inside its c^perp
     only.
@@ -469,10 +472,9 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
         return False
     e = d_n._ints[0]
     rows = [d_n._pair_row(g) for g in image.generators]
-    inside = image._elements
+    # such an x is never in the image: there b(x, x) = 0, but b(x, x) is
+    # q(x) mod 1 = 1/2
     for x in d_n._three_half:
-        if x in inside:
-            continue
         if not any(sum(c * w for c, w in zip(x, row)) % e for row in rows):
             return True
     return False

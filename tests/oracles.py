@@ -257,6 +257,17 @@ def subgroup_closure(orders, gens):
     return seen
 
 
+def glue_images(homs, image_of):
+    """Injective homs from one source grouped by image, in first-seen
+    order, as (image_of(first hom), members).  Images are compared as the
+    element sets subgroup_closure walks."""
+    groups = {}
+    for f in homs:
+        key = frozenset(subgroup_closure(f.target.orders, f.images))
+        groups.setdefault(key, []).append(f)
+    return [(image_of(members[0]), members) for members in groups.values()]
+
+
 def all_anti_embeddings(src_orders, src_q, src_b, dst_orders, dst_q, dst_b):
     """Exhaustive search over generator images; returns image tuples."""
     dst_elems = list(itertools.product(*[range(d) for d in dst_orders]))

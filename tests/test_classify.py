@@ -16,13 +16,13 @@ from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
                             polarization_and_transcendental)
 from k3lat.cli import builtin_dataset
 from k3lat.enumeration import is_isometric
-from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings, glue_images,
+from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,
                        identity_hom, k3sq_glue_admissible, negation_hom,
                        orthogonal_group, subgroup_presentation)
 from k3lat.glue import divisibility_in_glued
 from k3lat.lattice import Lattice, disc_map, induced_map
-from oracles import rand_unimodular
+from oracles import glue_images, rand_unimodular
 
 A6_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 L2_11_GRAM = ((2, 1, 0), (1, 6, 0), (0, 0, 22))
@@ -281,7 +281,8 @@ def reference_classify(lattices, m_data, group_name, mode="permissive"):
     for n in lattices:
         goods = good_isometries(n)
         d_n = disc_map(n).fqm
-        for image, gams in glue_images(anti_embeddings(m_data.disc, d_n)):
+        for image, gams in glue_images(anti_embeddings(m_data.disc, d_n),
+                                        hom_image):
             if not goods or not k3sq_glue_admissible(d_n, image):
                 continue
             for f in goods:

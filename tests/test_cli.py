@@ -188,6 +188,22 @@ class TestParseEmit:
                            match=f"line 8: {field} without a disc line"):
             parse_dataset(text)
 
+    SINGLE = ("format 1\n\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
+              "disc 2\nq 3/2\ncoinv_gram 1\n-2\nend\n")
+
+    @pytest.mark.parametrize("field, once, twice, first, second", [
+        ("order", "order 2\n", "order 2\norder 3\n", 4, 5),
+        ("disc", "disc 2\n", "disc 2\ndisc 2\n", 9, 10),
+        ("q", "q 3/2\n", "q 3/2\nq 1/2\n", 10, 11),
+        ("coinv_gram", "coinv_gram 1\n-2\n", "coinv_gram 1\n-2\n" * 2, 11, 13),
+    ], ids=["order", "disc", "q", "coinv_gram"])
+    def test_single_valued_field_is_not_repeated(self, field, once, twice,
+                                                 first, second):
+        assert emit_dataset(parse_dataset(self.SINGLE)) == self.SINGLE
+        with pytest.raises(DatasetError, match=f"line {second}: repeated "
+                           f"{field}: already given on line {first}$"):
+            parse_dataset(self.SINGLE.replace(once, twice, 1))
+
     def test_load_dataset_from_file(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text(DATASET_TEXT)

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import random
 from fractions import Fraction
@@ -8,14 +9,14 @@ import pytest
 from k3lat import fqm
 from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       glue_images, hom_closure_images, hom_image, hom_preimage,
+                       hom_closure_images, hom_image, hom_preimage,
                        identity_hom, isomorphisms, k3sq_glue_admissible,
                        k3sq_glue_images, negation_hom, negated,
                        orthogonal_group, subgroup_presentation)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, fqm_b_value, fqm_q_value,
-                     glue_admissible_walk, subgroup_closure)
+                     glue_admissible_walk, glue_images, subgroup_closure)
 
 F = Fraction
 
@@ -91,6 +92,10 @@ class TestArithmetic:
             y = tuple(rng.randrange(d) for d in m.orders)
             lhs = (m.q(m.add(x, y)) - m.q(x) - m.q(y)) / 2
             assert m.b(x, y) == lhs % 1
+            # why k3sq_glue_admissible needs no membership test: b(x, x)
+            # is 1/2 when q(x) = 3/2, so such an x orthogonal to a
+            # subgroup is never in it
+            assert m.b(x, x) == m.q(x) % 1
 
     def test_element_order(self):
         m = cyclic(6, F(1, 6) * 2)
@@ -242,9 +247,16 @@ class TestSubgroup:
         m = rand_fqm(rng)
         gens = [tuple(rng.randrange(d) for d in m.orders) for _ in range(2)]
         sub = Subgroup.generated(m, gens)
-        assert set(sub.elements()) == subgroup_closure(m.orders, gens)
-        assert m.order % sub.order == 0
-        assert m.zero() in sub
+        want = subgroup_closure(m.orders, gens)
+        assert sub.elements() == sorted(want)
+        assert sub.order == len(want)
+        assert all(x in sub for x in want)
+        # unreduced coordinates name the same class
+        assert all(tuple(c - 2 * d for c, d in zip(x, m.orders)) in sub
+                   for x in want)
+        outside = [x for x in m.elements() if x not in want]
+        assert not any(x in sub
+                       for x in rng.sample(outside, min(5, len(outside))))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_zero_and_redundant_generators(self, seed):
@@ -274,6 +286,41 @@ class TestSubgroup:
         img = hom_image(f)
         assert img.order == 3
         assert (6,) in img and (1,) not in img
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_basis_depends_only_on_the_subgroup(self, seed):
+        rng = random.Random(1450 + seed)
+        m = rand_fqm(rng)
+        gens = [rand_element(rng, m) for _ in range(rng.randint(0, 3))]
+        sub = Subgroup.generated(m, gens)
+        members = sorted(subgroup_closure(m.orders, gens))
+        rng.shuffle(members)
+        again = Subgroup.generated(m, members)
+        presented = Subgroup.generated(m, subgroup_presentation(sub).images)
+        assert again.basis == presented.basis == sub.basis
+        pivots = [row[i] for i, row in enumerate(sub.basis)]
+        assert all(row[:i] == (0,) * i and d % row[i] == 0 for i, (row, d)
+                   in enumerate(zip(sub.basis, m.orders)))
+        assert all(0 <= row[j] < pivots[j] for i, row in enumerate(sub.basis)
+                   for j in range(i + 1, m.rank))
+
+    def test_large_module_is_never_enumerated(self):
+        # 10**12 elements: only the basis can answer here
+        d = 10 ** 4
+        m = Fqm((d, d, d), (F(0),) * 3, ((F(0), F(0)), (F(0),), ()))
+        sub = Subgroup.generated(m, [(2, 0, 5), (0, 4, 6)])
+        assert [f.name for f in dataclasses.fields(Subgroup)] == \
+            ["ambient", "generators", "basis"]
+        assert sub.order == (d // 2) ** 2
+        assert (4, 4, 16) in sub and (1, 0, 0) not in sub
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_is_injective_matches_oracle(self, seed):
+        rng = random.Random(1480 + seed)
+        src, tgt = rand_fqm(rng), rand_fqm(rng)
+        for f in (rand_hom(rng, src, tgt), rand_hom(rng, src, src)):
+            closed = subgroup_closure(f.target.orders, f.images)
+            assert f.is_injective() == (len(closed) == src.order)
 
 
 class TestAntiEmbeddings:
@@ -514,8 +561,9 @@ class TestFractionFreeSearch:
 
 class TestGlueImages:
     def test_groups_follow_hom_image(self):
-        # M10 has two disjoint images; on 3^2:QD16 and 3^(1+4):2.2^2 every
-        # anti-embedding has a generator image inside another image too
+        # two anti-embeddings share an image exactly when hom_image gives
+        # them the same members: checked against the subgroup_closure
+        # grouping of the oracle
         for name in ("M10", "3^2:QD16", "3^(1+4):2.2^2"):
             group = builtin_dataset().group(name)
             gams = anti_embeddings(group.disc,
@@ -525,14 +573,14 @@ class TestGlueImages:
                 want.setdefault(frozenset(hom_image(f).elements()),
                                 []).append(f)
             got = [(frozenset(image.elements()), members)
-                   for image, members in glue_images(gams)]
+                   for image, members in glue_images(gams, hom_image)]
             assert got == list(want.items())
 
 
 def admissible_images_by_listing(d_m, d_n):
     """Every anti-embedding listed, grouped by image, then filtered."""
     return [(image, gams) for image, gams
-            in glue_images(anti_embeddings(d_m, d_n))
+            in glue_images(anti_embeddings(d_m, d_n), hom_image)
             if k3sq_glue_admissible(d_n, image)]
 
 
