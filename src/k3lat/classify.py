@@ -35,8 +35,10 @@ def good_isometries(n: Lattice) -> list[Isometry]:
                          "definite lattices")
     out = []
     for q in all_automorphisms(n):
-        order = exact.multiplicative_order([list(r) for r in q])
         trace = q[0][0] + q[1][1] + q[2][2]
+        if trace not in GOOD_TRACES.values():
+            continue  # no order can pair with it
+        order = exact.multiplicative_order([list(r) for r in q])
         if GOOD_TRACES.get(order) == trace:
             out.append(Isometry(q, order))
     return out
@@ -48,7 +50,8 @@ def _matrix_of(f) -> list[list[int]]:
 
 
 def _fixed_line_and_complement(n: Lattice, matrix):
-    """(h, T basis rows, normalized T gram) for an isometry fixing a line."""
+    """(h, T basis rows, T gram) for an isometry fixing one line: h spans it,
+    first nonzero entry > 0; T = h^perp, T[0][0] <= T[1][1], T[0][1] >= 0."""
     inv, coinv = invariant_and_coinvariant(n, [matrix])
     if inv.rank != 1:
         raise ValueError("isometry must fix exactly one line")
@@ -68,13 +71,6 @@ def _fixed_line_and_complement(n: Lattice, matrix):
         gram = exact.conjugate_rows(t_rows, [list(r) for r in n.gram])
     return (tuple(h), tuple(tuple(r) for r in t_rows),
             tuple(tuple(x) for x in gram))
-
-
-def polarization_and_transcendental(n: Lattice, f) -> tuple[tuple[int, ...], Lattice]:
-    """Primitive generator of the fixed line (first nonzero entry positive)
-    and the complementary rank-2 lattice, off-diagonal normalized >= 0."""
-    h, _, gram = _fixed_line_and_complement(n, _matrix_of(f))
-    return h, Lattice(gram)
 
 
 def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],

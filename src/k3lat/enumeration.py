@@ -2,16 +2,17 @@
 
 Everything here runs on integers: bases are reduced by integral LLL, vectors
 of a given norm come from a Fincke-Pohst walk down an LDL decomposition
-scaled to integers, and automorphism / isometry searches backtrack over
-images of basis vectors with partial-Gram pruning.  Results are
-deterministic (lexicographic order) and vector lists are closed under
-negation.
+scaled to integers (one per reduced Gram), and automorphism / isometry
+searches backtrack over images of basis vectors with partial-Gram pruning,
+pairing each candidate image once.  Results are deterministic
+(lexicographic order) and vector lists are closed under negation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from . import exact
@@ -168,14 +169,15 @@ def _scaled_ldl(gram):
     return e, terms, [num * (scale // den) for num, den in weights], scale
 
 
-def _fp_vectors(gram_red, target: int) -> list[Vector]:
-    """All x (reduced coordinates, zero excluded) with x gram_red x^T = target.
+def _fp_vectors(ldl, target: int) -> list[Vector]:
+    """All x (reduced coordinates, zero excluded) with x gram_red x^T = target,
+    given ldl = _scaled_ldl(gram_red).
 
     A Fincke-Pohst walk from the last coordinate down: with the remaining
     scaled norm r, level i admits |e_i x_i + s_i| <= isqrt(r // w_i).
     """
-    n = len(gram_red)
-    e, terms, w, scale = _scaled_ldl(gram_red)
+    e, terms, w, scale = ldl
+    n = len(e)
     found: list[Vector] = []
     coords = [0] * n
 
@@ -224,18 +226,25 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
         return []
     gram = lat.gram if sign > 0 else tuple(tuple(-x for x in row) for row in lat.gram)
     gram_red, u, _ = _reduced_basis(gram)
-    out = []
-    for x in _fp_vectors(gram_red, abs(n)):
-        out.append(tuple(sum(x[k] * u[k][j] for k in range(lat.rank))
-                         for j in range(lat.rank)))
-    return sorted(out)
+    cols = list(zip(*u))
+    return sorted(tuple(sum(map(mul, x, col)) for col in cols)
+                  for x in _fp_vectors(_scaled_ldl(gram_red), abs(n)))
 
 
 def _image_backtrack(target_gram, source_gram, candidates, first_only):
     """Rows q with q * target_gram * q^T = source_gram, images drawn from
-    candidates[i] (vectors with the right norm), partial-Gram pruned."""
+    candidates[i] (vectors with the right norm), partial-Gram pruned.
+
+    The pairing row cand * target_gram of each candidate is computed once
+    per candidate list (levels of equal norm share one list).
+    """
     n = len(source_gram)
-    gram_rows = [list(r) for r in target_gram]
+    paired = {}
+    for cands in candidates:
+        if id(cands) not in paired:
+            paired[id(cands)] = [(c, exact.mat_vec(c, target_gram))
+                                 for c in cands]
+    levels = [paired[id(cands)] for cands in candidates]
     results = []
     rows: list[Vector] = []
 
@@ -243,19 +252,16 @@ def _image_backtrack(target_gram, source_gram, candidates, first_only):
         if i == n:
             results.append(tuple(rows))
             return first_only
-        for cand in candidates[i]:
-            cand_g = exact.mat_vec(list(cand), gram_rows)
-            ok = True
+        want = source_gram[i]
+        for cand, cand_g in levels[i]:
             for j in range(i):
-                if sum(a * b for a, b in zip(rows[j], cand_g)) != source_gram[i][j]:
-                    ok = False
+                if sum(map(mul, rows[j], cand_g)) != want[j]:
                     break
-            if not ok:
-                continue
-            rows.append(cand)
-            if walk(i + 1):
-                return True
-            rows.pop()
+            else:
+                rows.append(cand)
+                if walk(i + 1):
+                    return True
+                rows.pop()
         return False
 
     walk(0)
@@ -278,12 +284,10 @@ def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
     sign = _definite_sign(lat)
     gram = lat.gram if sign > 0 else tuple(tuple(-x for x in row) for row in lat.gram)
     gram_red, u, u_inv = _reduced_basis(gram)
-    by_norm: dict[int, list[Vector]] = {}
-    for i in range(lat.rank):
-        norm = gram_red[i][i]
-        if norm not in by_norm:
-            by_norm[norm] = _fp_vectors(gram_red, norm)
-    candidates = [by_norm[gram_red[i][i]] for i in range(lat.rank)]
+    ldl = _scaled_ldl(gram_red)
+    norms = [gram_red[i][i] for i in range(lat.rank)]
+    by_norm = {norm: _fp_vectors(ldl, norm) for norm in set(norms)}
+    candidates = [by_norm[norm] for norm in norms]
     autos = _image_backtrack(gram_red, gram_red, candidates, first_only=False)
     if len(autos) > exact._ELEMENT_STORE_LIMIT:
         raise ValueError("automorphism group exceeds the element-store limit "
@@ -295,7 +299,9 @@ def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
     """Generators of O(L) and its order, for definite L.
 
     The search enumerates every automorphism (complete backtracking over
-    images of the reduced basis), so the order is an exact count.  Groups
+    images of the reduced basis), so the order is an exact count.  Each
+    generator is the first automorphism outside the group the earlier ones
+    generate; that group is closed once, extended per generator.  Groups
     larger than the element-store limit are rejected.
     """
     if lat.rank == 0:
@@ -309,7 +315,7 @@ def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
         if q in closed:
             continue
         gens.append(q)
-        closed = exact.matrix_closure(gens, lat.rank)
+        closed = exact.matrix_closure(gens, lat.rank, closed)
     return [Isometry(q, exact.multiplicative_order([list(r) for r in q]))
             for q in gens], order
 
@@ -331,10 +337,11 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     g2_red, u2, _ = _reduced_basis(g2)
     # fingerprint: counts of short vectors agree; L2's are the candidates
     max_norm = max(max(g1_red[i][i] for i in range(l1.rank)), 2)
+    ldl1, ldl2 = _scaled_ldl(g1_red), _scaled_ldl(g2_red)
     by_norm: dict[int, list[Vector]] = {}
     for k in range(1, max_norm + 1):
-        by_norm[k] = _fp_vectors(g2_red, k)
-        if len(_fp_vectors(g1_red, k)) != len(by_norm[k]):
+        by_norm[k] = _fp_vectors(ldl2, k)
+        if len(_fp_vectors(ldl1, k)) != len(by_norm[k]):
             return None
     candidates = [by_norm[g1_red[i][i]] for i in range(l1.rank)]
     hits = _image_backtrack(g2_red, g1_red, candidates, first_only=True)

@@ -28,7 +28,7 @@ Matrix = Sequence[Sequence[int]]
 def dims(a: Matrix) -> tuple[int, int]:
     m = len(a)
     n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
+    if list(map(len, a)).count(n) != m:
         raise ValueError("ragged matrix")
     return m, n
 
@@ -42,8 +42,8 @@ def copy_matrix(a: Matrix) -> list[list[int]]:
 
 
 def transpose(a: Matrix) -> list[list[int]]:
-    m, n = dims(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
+    dims(a)
+    return [list(col) for col in zip(*a)]
 
 
 def mat_mul(a, b):
@@ -52,8 +52,8 @@ def mat_mul(a, b):
     k2, n = dims(b)
     if k != k2:
         raise ValueError(f"shape mismatch {m}x{k} @ {k2}x{n}")
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(v, a):
@@ -300,26 +300,6 @@ def adjugate(a: Matrix) -> list[list[int]]:
     return [[sign * x for x in row[n:]] for row in work]
 
 
-def char_poly(a: Matrix) -> list[int]:
-    """Coefficients [1, c1, ..., cn] of det(xI - a), by Faddeev-LeVerrier."""
-    n = len(a)
-    coeffs = [1]
-    m = None
-    for k in range(1, n + 1):
-        if k == 1:
-            m = copy_matrix(a)
-        else:
-            shifted = [[m[i][j] + (coeffs[-1] if i == j else 0) for j in range(n)]
-                       for i in range(n)]
-            m = mat_mul(a, shifted)
-        tr = sum(m[i][i] for i in range(n))
-        c, rem = divmod(-tr, k)
-        if rem:
-            raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
-        coeffs.append(c)
-    return coeffs
-
-
 _ELEMENT_STORE_LIMIT = 10 ** 6  # elements of a group held in memory
 _ORDER_BOUND = 10_000  # largest order multiplicative_order looks for
 
@@ -336,28 +316,33 @@ def multiplicative_order(q: Matrix) -> int:
                      f"{_ORDER_BOUND}")
 
 
-def closure(gens, ident, mul) -> set:
-    """The finite group generated by gens, breadth first from ident, with
-    mul(x, g) = x * g; raises once the element store exceeds its limit."""
-    seen = {ident}
-    frontier = [ident]
+def closure(gens, ident, mul, group=None) -> set:
+    """The finite group generated by gens, with mul(x, g) = x * g: breadth
+    first from ident, or, given group (closed under gens[:-1], left
+    unmodified), from group * gens[-1], every generator then acting on the
+    elements that adds.  Raises once the element store exceeds its limit."""
+    if group is None:
+        seen, frontier, step = {ident}, [ident], gens
+    else:
+        seen, frontier, step = set(group), list(group), gens[-1:]
     while frontier:
         nxt = []
         for f in frontier:
-            for g in gens:
+            for g in step:
                 h = mul(f, g)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
-        frontier = nxt
+        frontier, step = nxt, gens
         if len(seen) > _ELEMENT_STORE_LIMIT:
             raise ValueError("group closure exceeds the element-store limit "
                              f"of {_ELEMENT_STORE_LIMIT} elements")
     return seen
 
 
-def matrix_closure(gens, n: int) -> set:
+def matrix_closure(gens, n: int, group=None) -> set:
     """All products of the given n x n integer matrices (as tuple-of-tuple
-    rows); the generators must generate a finite group."""
+    rows); the generators must generate a finite group.  group, if given,
+    is the closure of all generators but the last (see closure)."""
     return closure(list(gens), tuple(map(tuple, identity(n))),
-                   lambda f, g: tuple(map(tuple, mat_mul(f, g))))
+                   lambda f, g: tuple(map(tuple, mat_mul(f, g))), group)

@@ -393,6 +393,12 @@ def isomorphisms(a: Fqm, b: Fqm) -> list[FqmHom]:
     return list(_form_embeddings(a, b, 1))
 
 
+def is_isomorphic(a: Fqm, b: Fqm) -> bool:
+    """bool(isomorphisms(a, b)), stopping at the first isomorphism."""
+    return a.order == b.order and \
+        next(_form_embeddings(a, b, 1), None) is not None
+
+
 def k3sq_glue_characters(d_n: Fqm) -> list[tuple[int, ...]]:
     """The admissible glue images of D(N), one pairing row per image.
 
@@ -447,14 +453,16 @@ def orthogonal_group(m: Fqm) -> tuple[list[FqmHom], int]:
         if f.images in generated:
             continue
         gens.append(f)
-        generated = hom_closure_images(m, gens)
+        generated = hom_closure_images(m, gens, generated)
     return gens, len(autos)
 
 
-def hom_closure_images(m: Fqm, gens: Iterable[FqmHom]) -> set[tuple[Element, ...]]:
-    """Image-tuples of the subgroup of O(m) generated by the given maps."""
+def hom_closure_images(m: Fqm, gens: Iterable[FqmHom], group=None
+                       ) -> set[tuple[Element, ...]]:
+    """Image-tuples of the subgroup of O(m) generated by the given maps;
+    group, if given, is that of all maps but the last (see exact.closure)."""
     return exact.closure(list(gens), identity_hom(m).images,
-                         lambda f, g: tuple(map(g, f)))  # g o f
+                         lambda f, g: tuple(map(g, f)), group)  # g o f
 
 
 def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:

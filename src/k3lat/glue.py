@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
-                  isomorphisms, k3sq_glue_characters, negated,
+                  is_isomorphic, k3sq_glue_characters, negated,
                   subgroup_presentation)
 from .lattice import Lattice, direct_sum, disc_map, induced_map
 
@@ -253,7 +253,7 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
                                f"{sub.order} in a module of order {d.order}"
                                ", not index 2")
         neg = negated(subgroup_presentation(sub).source)
-        if any(isomorphisms(neg, seen) for seen in out):
+        if any(is_isomorphic(neg, seen) for seen in out):
             continue
         out.append(neg)
     return out

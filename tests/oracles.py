@@ -160,6 +160,174 @@ def brute_isometries(g1, g2, bound=None):
     return found
 
 
+def matrix_product(a, b):
+    """a * b by the textbook triple loop, as a tuple of tuple rows."""
+    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(len(b)))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def char_poly(a):
+    """Coefficients [1, c1, ..., cn] of det(xI - a), by Faddeev-LeVerrier."""
+    n = len(a)
+    coeffs = [1]
+    m = [list(row) for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            m = matrix_product(a, [[m[i][j] + (coeffs[-1] if i == j else 0)
+                                    for j in range(n)] for i in range(n)])
+        c, rem = divmod(-sum(m[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("trace not divisible in Faddeev-LeVerrier step")
+        coeffs.append(c)
+    return coeffs
+
+
+def matrix_order(q):
+    """Smallest k > 0 with q^k = 1, by repeated products."""
+    ident = tuple(tuple(int(i == j) for j in range(len(q)))
+                  for i in range(len(q)))
+    p, k = tuple(map(tuple, q)), 1
+    while p != ident:
+        p, k = matrix_product(p, q), k + 1
+    return k
+
+
+def closure_from_scratch(gens, ident, mul):
+    """(every product of gens, the number of mul calls made), breadth first
+    from ident, with no element limit."""
+    seen, frontier, calls = {ident}, [ident], 0
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for g in gens:
+                h = mul(f, g)
+                calls += 1
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return seen, calls
+
+
+def greedy_generators(elements):
+    """(generators, products): in the given order, each matrix outside the
+    group the earlier ones generate, that group rebuilt from the identity
+    for every generator added; products counts the matrix products."""
+    n = len(elements[0])
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    gens, closed, products = [], {ident}, 0
+    for q in elements:
+        if q in closed:
+            continue
+        gens.append(q)
+        closed, calls = closure_from_scratch(gens, ident, matrix_product)
+        products += calls
+    return gens, products
+
+
+GOOD_ORDER_TRACE = {(2, -1), (3, 0), (4, 1), (6, 2)}
+
+
+def good_isometries_unfiltered(autos):
+    """(q, order) for each automorphism q whose order and trace pair as a
+    good isometry's do; every order is computed."""
+    out = []
+    for q in autos:
+        order = matrix_order(q)
+        if (order, sum(q[i][i] for i in range(len(q)))) in GOOD_ORDER_TRACE:
+            out.append((q, order))
+    return out
+
+
+def image_backtrack(target_gram, source_gram, candidates, first_only):
+    """Rows q with q * target_gram * q^T = source_gram, q[i] drawn from
+    candidates[i] in order, each new row's pairings summed out in full."""
+    n = len(source_gram)
+    found = []
+
+    def pair(x, y):
+        return sum(x[a] * target_gram[a][b] * y[b]
+                   for a in range(len(x)) for b in range(len(y)))
+
+    def walk(rows):
+        i = len(rows)
+        if i == n:
+            found.append(tuple(rows))
+            return first_only
+        for cand in candidates[i]:
+            if all(pair(rows[j], cand) == source_gram[i][j] for j in range(i)):
+                if walk(rows + [cand]):
+                    return True
+        return False
+
+    walk([])
+    return found
+
+
+def fixed_line_and_complement(gram, f):
+    """(h, (a, b, c)) for an isometry f of a rank-3 Gram fixing exactly one
+    line: h its primitive generator with first nonzero entry positive,
+    (a, b, c) the Gauss-reduced form (0 <= 2b <= a <= c) of the orthogonal
+    complement of h.  The line is the rational null space of f - 1, the
+    complement a Euclid kernel of h * gram; ValueError unless the fixed
+    space is a line."""
+    n = len(gram)
+    # v f = v  <=>  v (f - 1) = 0: eliminate on the columns of f - 1
+    rows = [[Fraction(f[j][i] - (i == j)) for j in range(n)] for i in range(n)]
+    pivots, r = [], 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][col] for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col]:
+                rows[i] = [x - rows[i][col] * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    if len(free) != 1:
+        raise ValueError("isometry must fix exactly one line")
+    v = [Fraction(0)] * n
+    v[free[0]] = Fraction(1)
+    for i, c in enumerate(pivots):
+        v[c] = -rows[i][free[0]]
+    den = math.lcm(*(x.denominator for x in v))
+    h = [int(x * den) for x in v]
+    g = math.gcd(*h)
+    h = [x // g for x in h]
+    if next(x for x in h if x) < 0:
+        h = [-x for x in h]
+    # Euclid on the entries of c = h * gram, the column operations kept in
+    # basis vectors cols[k] with c[k] = (h * gram) . cols[k]
+    c = [sum(h[i] * gram[i][j] for i in range(n)) for j in range(n)]
+    cols = [[int(i == j) for j in range(n)] for i in range(n)]
+    while sum(1 for x in c if x) > 1:
+        i = min((k for k in range(n) if c[k]), key=lambda k: abs(c[k]))
+        for k in range(n):
+            if k != i and c[k]:
+                q = c[k] // c[i]
+                c[k] -= q * c[i]
+                cols[k] = [x - q * y for x, y in zip(cols[k], cols[i])]
+    t1, t2 = (cols[k] for k in range(n) if not c[k])
+
+    def pair(x, y):
+        return sum(x[i] * gram[i][j] * y[j] for i in range(n) for j in range(n))
+
+    a, b, cc = pair(t1, t1), pair(t1, t2), pair(t2, t2)
+    while True:  # Lagrange-Gauss reduction
+        b = abs(b)
+        if 2 * b > a:
+            k = (b + a // 2) // a
+            b, cc = b - k * a, cc - 2 * k * b + k * k * a
+            continue
+        if a > cc:
+            a, cc = cc, a
+            continue
+        return tuple(h), (a, b, cc)
+
+
 def fqm_q_value(orders, q_diag, b_off, x):
     """q(x) in [0, 2) for generator data; b_off is a dict {(i,j): Fraction}."""
     r = len(orders)

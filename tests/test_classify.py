@@ -12,17 +12,17 @@ from k3lat import fqm as fqm_module
 from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
                             _fixed_line_and_complement, _row_key, classify,
                             gauss_reduced, good_isometries,
-                            k3_birational_flag,
-                            polarization_and_transcendental)
+                            k3_birational_flag)
 from k3lat.cli import builtin_dataset
-from k3lat.enumeration import is_isometric
+from k3lat.enumeration import all_automorphisms, is_isometric
 from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,
                        identity_hom, k3sq_glue_admissible, negation_hom,
                        orthogonal_group, subgroup_presentation)
 from k3lat.glue import divisibility_in_glued
 from k3lat.lattice import Lattice, disc_map, induced_map
-from oracles import glue_images, rand_unimodular
+from oracles import (char_poly, fixed_line_and_complement, glue_images,
+                     good_isometries_unfiltered, rand_unimodular)
 
 A6_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 L2_11_GRAM = ((2, 1, 0), (1, 6, 0), (0, 0, 22))
@@ -57,7 +57,7 @@ class TestGoodIsometries:
         match = [g for g in goods if g.matrix == A6_BLOCK]
         assert match and match[0].order == 6
         # eigenvalues 1, zeta_6, conj: char poly (x-1)(x^2 - x + 1)
-        assert exact.char_poly([list(r) for r in A6_BLOCK]) == [1, -2, 2, -1]
+        assert char_poly([list(r) for r in A6_BLOCK]) == [1, -2, 2, -1]
 
     def test_requires_rank_three(self):
         with pytest.raises(ValueError):
@@ -71,12 +71,20 @@ class TestGoodIsometries:
         with pytest.raises(ValueError, match="even rank-3"):
             good_isometries(Lattice(((1, 0, 0), (0, 1, 0), (0, 0, 1))))
 
+    def test_matches_unfiltered_reference_on_builtin_grams(self):
+        grams = [n for g in builtin_dataset().groups for n in g.grams]
+        assert len(grams) == 25
+        for n in grams:
+            got = [(f.matrix, f.order) for f in good_isometries(n)]
+            assert got == good_isometries_unfiltered(all_automorphisms(n)), \
+                n.gram
+
     def test_char_poly_and_orders(self):
         for n in (DIAG6, Lattice(A6_GRAM), Lattice(L2_11_GRAM)):
             for g in good_isometries(n):
                 tr = GOOD_TRACES[g.order]
                 m = [list(r) for r in g.matrix]
-                assert exact.char_poly(m) == [1, -tr, tr, -1]
+                assert char_poly(m) == [1, -tr, tr, -1]
                 power = [row[:] for row in m]
                 for k in range(1, g.order):
                     assert power != exact.identity(3)
@@ -84,33 +92,56 @@ class TestGoodIsometries:
                 assert power == exact.identity(3)
 
 
+def polarization(n: Lattice, f):
+    """h and the T Gram of _fixed_line_and_complement."""
+    h, _, t_gram = _fixed_line_and_complement(n, [list(r) for r in f])
+    return h, t_gram
+
+
 class TestPolarization:
     def test_block_fixture(self):
-        h, t = polarization_and_transcendental(Lattice(A6_GRAM), A6_BLOCK)
+        h, t = polarization(Lattice(A6_GRAM), A6_BLOCK)
         assert h == (0, 0, 1)
         assert Lattice(A6_GRAM).norm(h) == 6
-        assert t.gram == ((6, 3), (3, 6))
+        assert t == ((6, 3), (3, 6))
 
     def test_sign_flip(self):
-        h, t = polarization_and_transcendental(
-            DIAG6, ((1, 0, 0), (0, -1, 0), (0, 0, -1)))
+        h, t = polarization(DIAG6, ((1, 0, 0), (0, -1, 0), (0, 0, -1)))
         assert h == (1, 0, 0)
-        assert t.gram == ((6, 0), (0, 6))
+        assert t == ((6, 0), (0, 6))
 
     def test_three_cycle(self):
         f = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
-        h, t = polarization_and_transcendental(DIAG6, f)
+        h, t = polarization(DIAG6, f)
         assert h == (1, 1, 1)
         assert DIAG6.norm(h) == 18
-        assert t.gram == ((12, 6), (6, 12))
+        assert t == ((12, 6), (6, 12))
 
     def test_not_good_rejected(self):
         ident = tuple(tuple(int(i == j) for j in range(3)) for i in range(3))
         with pytest.raises(ValueError):
-            polarization_and_transcendental(DIAG6, ident)
+            polarization(DIAG6, ident)
         neg = tuple(tuple(-int(i == j) for j in range(3)) for i in range(3))
         with pytest.raises(ValueError):
-            polarization_and_transcendental(DIAG6, neg)
+            polarization(DIAG6, neg)
+        with pytest.raises(ValueError):
+            fixed_line_and_complement(DIAG6.gram, ident)
+        with pytest.raises(ValueError):
+            fixed_line_and_complement(DIAG6.gram, neg)
+
+    def test_matches_oracle_on_builtin_grams(self):
+        # h, and T up to GL2(Z), against a null space and a Euclid kernel
+        checked = 0
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                for f in good_isometries(n):
+                    h, t = polarization(n, f.matrix)
+                    want_h, want_t = fixed_line_and_complement(n.gram, f.matrix)
+                    assert h == want_h, (n.gram, f.matrix)
+                    assert gauss_reduced(t) == want_t, (n.gram, f.matrix)
+                    assert t[0][0] <= t[1][1] and t[0][1] >= 0
+                    checked += 1
+        assert checked > 100
 
 
 class TestBirationalFlag:
@@ -375,6 +406,26 @@ class TestHoistedLoop:
         assert len(tables_built) == 19
         assert sum(tables_built.values()) == 19
 
+
+    def test_good_isometries_order_only_trace_candidates(self, monkeypatch):
+        # an order is computed only for an automorphism whose trace some
+        # good isometry has: 260 of the 320 on the built-in Grams
+        ordered = []
+        real = exact.multiplicative_order
+
+        def counted(q):
+            ordered.append(tuple(map(tuple, q)))
+            return real(q)
+        monkeypatch.setattr(exact, "multiplicative_order", counted)
+        autos = 0
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                good_isometries(n)
+                autos += len(all_automorphisms(n))
+        assert autos == 320
+        assert len(ordered) == 260
+        assert all(sum(q[i][i] for i in range(3)) in GOOD_TRACES.values()
+                   for q in ordered)
 
     def test_permissive_mode_builds_one_gamma_per_image(self, monkeypatch):
         # listing every anti-embedding would build 832 maps here

@@ -7,9 +7,11 @@ from k3lat import enumeration, exact, lattice
 from k3lat.enumeration import (all_automorphisms, automorphism_group,
                                is_isometric, vectors_of_norm,
                                wall_divisor_scan)
+from k3lat.cli import builtin_dataset
 from k3lat.fqm import Subgroup
 from k3lat.lattice import Lattice, disc_map
 from oracles import (box_bound_for, box_vectors, brute_isometries,
+                     greedy_generators, image_backtrack, matrix_order,
                      rand_definite_even_gram, rand_definite_odd_gram,
                      rand_unimodular)
 
@@ -126,6 +128,78 @@ class TestAutomorphismGroup:
         with pytest.raises(ValueError, match="element-store limit of 10 "):
             all_automorphisms(Lattice(((6, 0, 0), (0, 6, 0), (0, 0, 6))))
 
+    def _lattices(self):
+        for g in builtin_dataset().groups:
+            yield from g.grams
+        rng = random.Random(29)
+        for n in range(1, 5):
+            for sign in (1, 1, -1):
+                yield Lattice(rand_definite_even_gram(rng, n, sign=sign))
+
+    def test_generators_match_greedy_reference(self):
+        # the closure is extended per generator; the greedy reference
+        # rebuilds it from the identity each time
+        for lat in self._lattices():
+            autos = all_automorphisms(lat)
+            gens, order = automorphism_group(lat)
+            assert order == len(autos)
+            want, _ = greedy_generators(autos)
+            assert [g.matrix for g in gens] == want, lat.gram
+            assert [g.order for g in gens] == [matrix_order(q) for q in want]
+
+    def test_closure_is_extended_not_rebuilt(self, monkeypatch):
+        # 2 I_5: |O| = 2^5 5! = 3840 on 6 generators; rebuilding the closure
+        # for every new generator takes 27322 products
+        products = []
+        real = exact.closure
+
+        def counted(gens, ident, mul, group=None):
+            def counted_mul(f, g):
+                products.append(1)
+                return mul(f, g)
+            return real(gens, ident, counted_mul, group)
+        monkeypatch.setattr(exact, "closure", counted)
+        lat = Lattice(tuple(tuple(2 * (i == j) for j in range(5))
+                            for i in range(5)))
+        gens, order = automorphism_group(lat)
+        assert (order, len(gens)) == (3840, 6)
+        assert len(products) == 23040
+        want, rebuilt = greedy_generators(all_automorphisms(lat))
+        assert [g.matrix for g in gens] == want
+        assert len(products) < rebuilt == 27322
+
+
+class TestImageBacktrack:
+    def _cases(self):
+        rng = random.Random(37)
+        for n in range(1, 5):
+            for _ in range(3):
+                gram = rand_definite_even_gram(rng, n)
+                u = rand_unimodular(rng, n)
+                yield gram, exact.conjugate_rows(u, gram)
+
+    def test_matches_reference(self):
+        # every norm's candidate list is shared by the levels asking for it
+        for gram, other in self._cases():
+            g1, _, _ = enumeration._reduced_basis(gram)
+            g2, _, _ = enumeration._reduced_basis(other)
+            ldl = enumeration._scaled_ldl(g2)
+            by_norm = {}
+            for i in range(len(g1)):
+                norm = g1[i][i]
+                if norm not in by_norm:
+                    by_norm[norm] = enumeration._fp_vectors(ldl, norm)
+            cands = [by_norm[g1[i][i]] for i in range(len(g1))]
+            for source in (g1, g2):
+                if any(source[i][i] != g1[i][i] for i in range(len(g1))):
+                    continue
+                for first_only in (False, True):
+                    got = enumeration._image_backtrack(g2, source, cands,
+                                                       first_only)
+                    assert got == image_backtrack(g2, source, cands,
+                                                  first_only), gram
+            assert enumeration._image_backtrack(g2, g1, cands, False)
+
 
 class TestIsIsometric:
     def test_rank_mismatch(self):
@@ -221,7 +295,8 @@ class TestReduction:
         gram = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
                                     [list(r) for r in lattice.e8().gram])
         g_red, _, _ = enumeration._reduced_basis(gram)
-        assert len(enumeration._fp_vectors(g_red, 4)) == 2160
+        assert len(enumeration._fp_vectors(enumeration._scaled_ldl(g_red), 4)) \
+            == 2160
         assert made == []
 
     def test_reduced_basis_carries_its_inverse(self):

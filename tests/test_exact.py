@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from k3lat import exact
-from oracles import (congruence_signature, fraction_inverse,
-                     invariant_factors_via_minors, laplace_det,
-                     rand_int_matrix, rand_unimodular)
+from oracles import (char_poly, closure_from_scratch, congruence_signature,
+                     fraction_inverse, invariant_factors_via_minors,
+                     laplace_det, matrix_product, rand_int_matrix,
+                     rand_unimodular)
 
 
 def rand_symmetric(rng, n, rank, spread=3):
@@ -279,11 +280,11 @@ class TestAdjugate:
 class TestCharPoly:
     def test_two_by_two(self):
         # x^2 - (a+d)x + (ad-bc)
-        assert exact.char_poly([[1, 2], [3, 4]]) == [1, -5, -2]
+        assert char_poly([[1, 2], [3, 4]]) == [1, -5, -2]
 
     def test_rotation_order(self):
         r = [[0, 1], [-1, 0]]
-        assert exact.char_poly(r) == [1, 0, 1]
+        assert char_poly(r) == [1, 0, 1]
         assert exact.multiplicative_order(r) == 4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -291,6 +292,81 @@ class TestCharPoly:
         rng = random.Random(500 + seed)
         n = rng.randint(1, 4)
         a = rand_int_matrix(rng, n, n)
-        coeffs = exact.char_poly(a)
+        coeffs = char_poly(a)
         assert coeffs[-1] == (-1) ** n * exact.bareiss_det(a)
         assert coeffs[1] == -sum(a[i][i] for i in range(n))
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_reference(self, seed):
+        rng = random.Random(2600 + seed)
+        m, k, n = (rng.randint(1, 4) for _ in range(3))
+        a, b = rand_int_matrix(rng, m, k), rand_int_matrix(rng, k, n)
+        assert exact.mat_mul(a, b) == [list(r) for r in matrix_product(a, b)]
+        assert exact.transpose(a) == [list(c) for c in zip(*a)]
+
+    def test_fraction_entries(self):
+        a = [[Fraction(1, 2), 3], [Fraction(-2, 3), 0]]
+        b = [[Fraction(2, 5)], [Fraction(1, 7)]]
+        got = exact.mat_mul(a, b)
+        assert got == [[Fraction(1, 5) + Fraction(3, 7)], [Fraction(-4, 15)]]
+        assert all(isinstance(x, Fraction) for row in got for x in row)
+
+    def test_empty_shapes(self):
+        assert exact.mat_mul([], []) == []
+        assert exact.mat_mul([[], []], []) == [[], []]  # 2x0 @ 0x0
+        assert exact.mat_mul([[1], [2]], [[]]) == [[], []]  # 2x1 @ 1x0
+        assert exact.mat_mul(((1, 2),), ((3,), (4,))) == [[11]]
+        assert exact.transpose([[], []]) == []
+        assert exact.dims([]) == (0, 0)
+        assert exact.dims([[], []]) == (2, 0)
+
+    def test_errors(self):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            exact.mat_mul([[1, 2], [3]], [[1], [1]])
+        with pytest.raises(ValueError, match="ragged matrix"):
+            exact.mat_mul([[1, 2]], [[1], [1, 2]])
+        with pytest.raises(ValueError, match="ragged matrix"):
+            exact.transpose([[1], []])
+        with pytest.raises(ValueError, match=r"shape mismatch 1x2 @ 3x1"):
+            exact.mat_mul([[1, 2]], [[1], [2], [3]])
+
+
+def rand_signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return tuple(tuple(rng.choice((1, -1)) if j == perm[i] else 0
+                       for j in range(n)) for i in range(n))
+
+
+class TestClosure:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_extension_matches_rebuild(self, seed):
+        # signed permutations generate finite groups of order up to 2^n n!
+        rng = random.Random(2700 + seed)
+        n = rng.randint(2, 4)
+        gens = [rand_signed_permutation(rng, n)
+                for _ in range(rng.randint(1, 3))]
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        group = {ident}
+        for k in range(1, len(gens) + 1):
+            before = frozenset(group)
+            group = exact.matrix_closure(gens[:k], n, group)
+            assert before <= group
+            want, _ = closure_from_scratch(gens[:k], ident, matrix_product)
+            assert group == want
+            assert exact.matrix_closure(gens[:k], n) == want
+
+    def test_given_group_is_not_modified(self):
+        rot = ((0, -1), (1, 0))
+        flip = ((1, 0), (0, -1))
+        group = exact.matrix_closure([rot], 2)
+        kept = set(group)
+        assert len(exact.matrix_closure([rot, flip], 2, group)) == 8
+        assert group == kept
+
+    def test_generator_already_in_group(self):
+        rot = ((0, -1), (1, 0))
+        group = exact.matrix_closure([rot], 2)
+        half = ((-1, 0), (0, -1))
+        assert exact.matrix_closure([rot, half], 2, group) == group

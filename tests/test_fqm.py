@@ -1,4 +1,5 @@
 import ast
+import itertools
 import dataclasses
 import pathlib
 import random
@@ -10,13 +11,15 @@ from k3lat import fqm
 from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,
-                       identity_hom, isomorphisms, k3sq_glue_admissible,
+                       identity_hom, is_isomorphic, isomorphisms,
+                       k3sq_glue_admissible,
                        k3sq_glue_images, negation_hom, negated,
                        orthogonal_group, subgroup_presentation)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
-from oracles import (all_anti_embeddings, fqm_b_value, fqm_q_value,
-                     glue_admissible_walk, glue_images, subgroup_closure)
+from oracles import (all_anti_embeddings, closure_from_scratch, fqm_b_value,
+                     fqm_q_value, glue_admissible_walk, glue_images,
+                     subgroup_closure)
 
 F = Fraction
 
@@ -405,6 +408,31 @@ class TestIsomorphisms:
     def test_form_mismatch(self):
         assert isomorphisms(cyclic(3, F(2, 3)), cyclic(3, F(4, 3))) == []
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_is_isomorphic_matches_listing(self, seed):
+        # b runs over m itself, m on random generators of all of m (so an
+        # isomorphic copy), random modules of any order, and a degenerate one
+        rng = random.Random(1700 + seed)
+        m = rand_fqm(rng)
+        gens = [rand_element(rng, m) for _ in range(m.rank + 1)]
+        sub = Subgroup.generated(m, gens)
+        others = [m, subgroup_presentation(sub).source, rand_fqm(rng),
+                  rand_fqm(rng), Fqm((2, 2), (F(0), F(1, 2)), ((F(0),), ()))]
+        for a, b in itertools.product([m, *others[1:]], others):
+            assert is_isomorphic(a, b) == bool(isomorphisms(a, b)), (a, b)
+        assert is_isomorphic(m, m)
+        if sub.order == m.order:
+            assert is_isomorphic(m, others[1])
+
+    def test_is_isomorphic_outcomes(self):
+        degenerate = Fqm((2, 2), (F(0), F(1, 2)), ((F(0),), ()))
+        assert is_isomorphic(degenerate, degenerate)
+        assert not is_isomorphic(degenerate, Fqm((2, 2), (F(1, 2), F(1, 2)),
+                                                 ((F(0),), ())))
+        assert not is_isomorphic(cyclic(2, F(1, 2)), cyclic(4, F(1, 2)))
+        assert not is_isomorphic(cyclic(3, F(2, 3)), cyclic(3, F(4, 3)))
+        assert is_isomorphic(cyclic(5, F(2, 5)), cyclic(5, F(8, 5)))
+
 
 class TestOrthogonalGroup:
     def test_order_three_module(self):
@@ -425,6 +453,21 @@ class TestOrthogonalGroup:
         m = rand_fqm(rng)
         gens, order = orthogonal_group(m)
         assert len(hom_closure_images(m, gens)) == order
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_extended_closure_matches_rebuild(self, seed):
+        rng = random.Random(1500 + seed)
+        m = rand_fqm(rng)
+        autos = isomorphisms(m, m)
+        gens = [rng.choice(autos) for _ in range(3)]
+        ident = identity_hom(m).images
+        group = {ident}
+        for k in range(1, len(gens) + 1):
+            before = frozenset(group)
+            group = hom_closure_images(m, gens[:k], group)
+            want, _ = closure_from_scratch(gens[:k], ident,
+                                           lambda f, g: tuple(map(g, f)))
+            assert before <= group == want
 
 
 class TestGlueAdmissible:

@@ -16,7 +16,8 @@ from k3lat.fqm import Fqm
 
 
 @pytest.mark.parametrize("fn", [
-    fqm.anti_embeddings, fqm.isomorphisms, fqm.orthogonal_group,
+    fqm.anti_embeddings, fqm.isomorphisms, fqm.is_isomorphic,
+    fqm.orthogonal_group,
     fqm.hom_closure_images, exact.matrix_closure, exact.multiplicative_order,
 ], ids=lambda fn: fn.__name__)
 def test_no_bound_parameter(fn):
@@ -31,11 +32,27 @@ def test_search_bound_named(monkeypatch):
                             Fqm((3,), (F(4, 3),), ((),)))
 
 
+def test_search_bound_named_by_is_isomorphic(monkeypatch):
+    monkeypatch.setattr(fqm, "_SEARCH_BOUND", 2)
+    m = Fqm((3,), (F(2, 3),), ((),))
+    with pytest.raises(ValueError, match="search bound 2"):
+        fqm.is_isomorphic(m, m)
+
+
 def test_element_store_named_by_matrix_closure(monkeypatch):
     monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 2)
     rot3 = [[0, -1], [1, -1]]
     with pytest.raises(ValueError, match="element-store limit of 2 "):
         exact.matrix_closure([rot3], 2)
+
+
+def test_element_store_named_by_an_extended_closure(monkeypatch):
+    rot4, flip = [[0, -1], [1, 0]], [[1, 0], [0, -1]]
+    group = exact.matrix_closure([rot4], 2)
+    assert len(group) == 4
+    monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 5)
+    with pytest.raises(ValueError, match="element-store limit of 5 "):
+        exact.matrix_closure([rot4, flip], 2, group)
 
 
 def test_element_store_named_by_hom_closure_images(monkeypatch):
