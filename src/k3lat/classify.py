@@ -17,8 +17,7 @@ from . import exact
 from .enumeration import Isometry, all_automorphisms
 from .fqm import Fqm, FqmHom, Subgroup, k3sq_glue_admissible, \
     k3sq_glue_images
-from .glue import (check_extendable, divisibility_in_glued, lift_order_search,
-                   realized_actions)
+from .glue import check_extendable, divisibility_in_glued, realized_actions
 from .lattice import Lattice, disc_map, induced_map, invariant_and_coinvariant
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -42,11 +41,6 @@ def good_isometries(n: Lattice) -> list[Isometry]:
         if GOOD_TRACES.get(order) == trace:
             out.append(Isometry(q, order))
     return out
-
-
-def _matrix_of(f) -> list[list[int]]:
-    m = f.matrix if hasattr(f, "matrix") else f
-    return [list(r) for r in m]
 
 
 def _fixed_line_and_complement(n: Lattice, matrix):
@@ -89,16 +83,14 @@ def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
 class CoinvariantData:
     """Discriminant-side data of the rank-20 coinvariant lattice.
 
-    Only the discriminant form is required.  The optional pieces unlock
-    exact mode (obar: generators of the image of O(M) in O(D_M)) and the
-    lift-improvement report (gram + isometries + base-group generators).
+    Only the discriminant form is required.  obar (generators of the image
+    of O(M) in O(D_M)) unlocks exact mode; gram, the lattice M itself, is
+    checked against disc.
     """
 
     disc: Fqm
     gram: Optional[Lattice] = None
     obar: Optional[tuple[FqmHom, ...]] = None
-    isometries: Optional[tuple[IntMatrix, ...]] = None
-    g_gens: tuple[IntMatrix, ...] = ()
 
     def __post_init__(self):
         if self.gram is not None and disc_map(self.gram).fqm != self.disc:
@@ -115,7 +107,6 @@ class ClassificationRow:
     k3_flag: str  # "excluded" / "unknown" / "possible" (ingested only)
     invariant_gram: IntMatrix
     mode: str  # "exact" / "permissive"
-    lift_improved: Optional[bool] = None
 
 
 def _row_key(row: ClassificationRow):
@@ -146,9 +137,8 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
     takes every gamma and keeps a row once any passes condition 2.  Per
     invariant lattice, the map each good isometry induces on D(N) is built
     once, and its fixed line and complement once it yields a row.  A
-    merged row prints its smallest T, flags "excluded" only if every
-    gluing does (else "unknown"), and has lift_improved True if any gluing
-    has.
+    merged row prints its smallest T and flags "excluded" only if every
+    gluing does (else "unknown").
     """
     if mode not in ("permissive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -174,7 +164,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         images = images_of[d_n]
         if not images:
             continue
-        fbars = [induced_map(n, _matrix_of(f)) for f in goods]
+        fbars = [induced_map(n, f.matrix) for f in goods]
         lines: dict[int, tuple] = {}  # good isometry index -> (h, T rows, T)
         for image, gams in images:
             for i, f in enumerate(goods):
@@ -186,13 +176,8 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
                 if not ok:
                     continue
                 if i not in lines:
-                    lines[i] = _fixed_line_and_complement(n, _matrix_of(f))
+                    lines[i] = _fixed_line_and_complement(n, f.matrix)
                 h, t_rows, t_gram = lines[i]
-                improved = None
-                if m_data.isometries is not None and m_data.gram is not None:
-                    improved = lift_order_search(
-                        witness, m_data.gram, m_data.g_gens,
-                        isos_m=m_data.isometries).improved
                 row = ClassificationRow(
                     group_name=group_name,
                     h_sq=n.norm(h),
@@ -201,14 +186,12 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
                     t_gram=t_gram,
                     k3_flag=k3_birational_flag(n, t_rows, image),
                     invariant_gram=n.gram,
-                    mode=mode,
-                    lift_improved=improved)
+                    mode=mode)
                 key = (row.h_sq, row.h_div, row.m, row.invariant_gram,
                        gauss_reduced(t_gram))
                 old = merged.setdefault(key, row)
                 merged[key] = replace(
                     row, t_gram=min(old.t_gram, t_gram),
                     k3_flag=row.k3_flag if row.k3_flag == old.k3_flag
-                    else "unknown",
-                    lift_improved=old.lift_improved or improved)
+                    else "unknown")
     return sorted(merged.values(), key=_row_key)

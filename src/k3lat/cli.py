@@ -16,11 +16,9 @@ Fields inside a group block:
     obar <x,..> <x,..> ...  an isometry of the disc form, one image per
                             generator as comma-joined coordinates (repeatable)
     coinv_gram <n>          Gram matrix of the coinvariant lattice itself
-    coinv_isometry <n>      an isometry of that Gram, row convention
-    g_gen <n>               a generator of the acting group on it (repeatable)
 
-The coinvariant (M-side) fields ``obar``, ``coinv_gram``, ``coinv_isometry``
-and ``g_gen`` need a ``disc`` line in the same block.
+The coinvariant (M-side) fields ``q``, ``b``, ``obar`` and ``coinv_gram``
+need a ``disc`` line in the same block.  Any other field is an error.
 
 Rationals are written ``p/q`` (plain ``p`` when integral); never floats.
 Blank lines and ``#`` comments are skipped on input and never emitted, so
@@ -211,8 +209,6 @@ def _parse_group_block(cur: _Cursor, start: int,
     b_entries: list[tuple[int, int, Fraction, int]] = []
     obar_rows: list[tuple[int, list[str]]] = []
     coinv = None
-    iso_rows: list[tuple[int, IntMatrix]] = []
-    gen_rows: list[tuple[int, IntMatrix]] = []
     line_of: dict[str, int] = {}  # field -> its last line
     while True:
         item = cur.next()
@@ -264,12 +260,6 @@ def _parse_group_block(cur: _Cursor, start: int,
             if not coinv.is_negative_definite:
                 _fail(gline, "coinv_gram: coinvariant lattices are negative "
                              "definite")
-        elif key == "coinv_isometry":
-            gline, rows = _read_square(cur, line, toks, "coinv_isometry")
-            iso_rows.append((gline, rows))
-        elif key == "g_gen":
-            gline, rows = _read_square(cur, line, toks, "g_gen")
-            gen_rows.append((gline, rows))
         else:
             _fail(line, f"unknown group field {key!r}")
 
@@ -278,15 +268,9 @@ def _parse_group_block(cur: _Cursor, start: int,
     if not grams:
         _fail(start, f"group {name!r}: at least one gram is required")
 
-    for gline, rows in iso_rows + gen_rows:
-        if coinv is None:
-            _fail(gline, "coinv_isometry/g_gen require a coinv_gram")
-        if not coinv.is_isometry(rows):
-            _fail(gline, "matrix does not preserve coinv_gram")
-
     if disc_orders is None:  # every other M-side field hangs off disc
-        orphans = [k for k in ("q", "b", "obar", "coinv_gram",
-                               "coinv_isometry", "g_gen") if k in line_of]
+        orphans = [k for k in ("q", "b", "obar", "coinv_gram")
+                   if k in line_of]
         if orphans:
             key = min(orphans, key=line_of.get)
             _fail(line_of[key], f"{key} without a disc line")
@@ -326,10 +310,8 @@ def _parse_group_block(cur: _Cursor, start: int,
         obar.append(hom)
 
     try:
-        m_data = CoinvariantData(
-            disc=disc, gram=coinv, obar=tuple(obar) or None,
-            isometries=tuple(r for _, r in iso_rows) or None,
-            g_gens=tuple(r for _, r in gen_rows))
+        m_data = CoinvariantData(disc=disc, gram=coinv,
+                                 obar=tuple(obar) or None)
     except ValueError as exc:
         _fail(line_of["coinv_gram"], f"disc/gram consistency: {exc}")
     return GroupEntry(name=name, order=order, grams=tuple(grams),
@@ -406,10 +388,6 @@ def emit_dataset(dataset: Dataset) -> str:
                     ",".join(str(c) for c in img) for img in hom.images))
             if m.gram is not None:
                 _emit_square(lines, "coinv_gram", m.gram.gram)
-            for mat in m.isometries or ():
-                _emit_square(lines, "coinv_isometry", mat)
-            for mat in m.g_gens:
-                _emit_square(lines, "g_gen", mat)
         lines.append("end")
         blocks.append("\n".join(lines))
     if not blocks:

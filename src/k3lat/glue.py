@@ -12,7 +12,6 @@ classify it takes the admissible images from fqm.k3sq_glue_characters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -21,9 +20,7 @@ from . import exact
 from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
                   is_isomorphic, k3sq_glue_characters, negated,
                   subgroup_presentation)
-from .lattice import Lattice, direct_sum, disc_map, induced_map
-
-IntMatrix = tuple[tuple[int, ...], ...]
+from .lattice import Lattice, direct_sum, disc_map
 
 
 def overlattice_pairs(n: Lattice, m: Lattice,
@@ -159,65 +156,6 @@ def check_extendable(fbar: FqmHom, gamma: FqmHom,
     if realized is None:
         return True, witness
     return witness.images in realized, witness
-
-
-@dataclass(frozen=True)
-class LiftResult:
-    matrix: IntMatrix
-    order: int
-    improved: bool  # True when the preferred (normalizing, high-order) form was found
-
-
-def lift_order_search(f_witness: FqmHom, m: Lattice,
-                      g_gens: Sequence[IntMatrix],
-                      isos_m: Optional[Sequence[IntMatrix]] = None
-                      ) -> LiftResult:
-    """An isometry of M inducing f_witness on D(M).
-
-    Preference order: a lift that normalizes the group generated by g_gens
-    and has no power g^i (1 <= i <= ord/2) inside it; otherwise any lift.
-    Raises when no lift exists.
-    """
-    if isos_m is None:
-        from .enumeration import all_automorphisms
-        pool = all_automorphisms(m)
-    else:
-        pool = sorted(tuple(tuple(int(x) for x in row) for row in q)
-                      for q in isos_m)
-    want = f_witness.images
-    matches = []
-    for q in pool:
-        if induced_map(m, [list(r) for r in q]).images == want:
-            matches.append(q)
-    if not matches:
-        raise ValueError("no isometry of M induces the witness")
-    g_closure = exact.matrix_closure(
-        [[list(r) for r in g] for g in g_gens], m.rank)
-
-    def normalizes(q) -> bool:
-        q_inv = exact.rational_inverse(q)  # integral: q is an isometry
-        for h in g_gens:
-            conj = exact.mat_mul(exact.mat_mul(q_inv, h), q)
-            if tuple(map(tuple, conj)) not in g_closure:
-                return False
-        return True
-
-    for q in matches:
-        order = exact.multiplicative_order([list(r) for r in q])
-        if not normalizes(q):
-            continue
-        powers_clear = True
-        p = [list(r) for r in q]
-        for i in range(1, order // 2 + 1):
-            if tuple(tuple(row) for row in p) in g_closure:
-                powers_clear = False
-                break
-            p = exact.mat_mul(p, [list(r) for r in q])
-        if powers_clear:
-            return LiftResult(q, order, True)
-    q = matches[0]
-    return LiftResult(q, exact.multiplicative_order([list(r) for r in q]),
-                      False)
 
 
 def partner_disc_candidates(n: Lattice) -> list[Fqm]:

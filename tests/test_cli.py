@@ -159,28 +159,18 @@ class TestParseEmit:
         with pytest.raises(DatasetError, match="negative definite"):
             parse_dataset(text)
 
-    def test_coinv_isometry_is_validated(self):
-        base = ("format 1\n\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
-                "disc 2\nq 3/2\ncoinv_gram 1\n-2\n"
-                "coinv_isometry 1\n-1\ng_gen 1\n1\nend\n")
-        ds = parse_dataset(base)
-        assert emit_dataset(ds) == base
-        assert ds.group("Y").coinv.isometries == (((-1,),),)
-        with pytest.raises(DatasetError, match="does not preserve"):
-            parse_dataset(base.replace("coinv_isometry 1\n-1",
-                                       "coinv_isometry 1\n2"))
-
-    def test_g_gen_requires_coinv_gram(self):
+    # a made-up key, and two retired keys that older datasets may carry
+    @pytest.mark.parametrize("key", ["bogus", "coinv_isometry", "g_gen"])
+    def test_unknown_group_field_is_named(self, key):
         text = ("format 1\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
-                "g_gen 1\n1\nend\n")
-        with pytest.raises(DatasetError, match="require a coinv_gram"):
+                f"disc 2\nq 3/2\n{key} 1\n1\nend\n")
+        with pytest.raises(DatasetError,
+                           match=f"line 10: unknown group field '{key}'"):
             parse_dataset(text)
 
     @pytest.mark.parametrize("field, lines", [
         ("coinv_gram", "coinv_gram 1\n-2\n"),
-        ("coinv_isometry", "coinv_isometry 1\n-1\ncoinv_gram 1\n-2\n"),
-        ("g_gen", "g_gen 1\n1\ncoinv_gram 1\n-2\n"),
-    ], ids=["coinv_gram", "coinv_isometry", "g_gen"])
+    ], ids=["coinv_gram"])
     def test_m_side_fields_require_disc(self, field, lines):
         text = ("format 1\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
                 + lines + "end\n")
@@ -533,6 +523,16 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "group,h_sq,div,m,t_gram,k3,mode\n"
         assert "rows: 0" in captured.err
+
+    def test_table_rejects_a_retired_field(self, capsys, tmp_path):
+        path = tmp_path / "old.txt"
+        path.write_text("format 1\ngroup Y\norder 2\ngram 3\n2 0 0\n0 2 0\n"
+                        "0 0 2\ndisc 2\nq 3/2\ncoinv_gram 1\n-2\n"
+                        "coinv_isometry 1\n-1\nend\n")
+        assert main(["table", "--dataset", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "line 12: unknown group field 'coinv_isometry'" in captured.err
 
     def test_table_missing_file(self, capsys):
         assert main(["table", "--dataset", "/no/such/file"]) == 1

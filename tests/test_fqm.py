@@ -751,3 +751,26 @@ def test_invariants_survive_optimization(path):
     tree = ast.parse(path.read_text())
     assert not [node.lineno for node in ast.walk(tree)
                 if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(fqm.__file__).parent.glob("*.py")),
+    ids=lambda p: f"k3lat.{p.stem}")
+def test_no_unused_imports(path):
+    # an import marked "# noqa: F401" is a deliberate re-export
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or \
+                getattr(node, "module", None) == "__future__" or \
+                any("# noqa: F401" in line
+                    for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in used:
+                unused.append((node.lineno, name))
+    assert not unused

@@ -10,8 +10,7 @@ from k3lat.cli import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_image, hom_preimage, identity_hom, isomorphisms,
                        negated, negation_hom, subgroup_presentation)
-from k3lat.glue import (LiftResult, check_extendable,
-                        divisibility_in_glued, glue_pairs, lift_order_search,
+from k3lat.glue import (check_extendable, divisibility_in_glued, glue_pairs,
                         overlattice, overlattice_pairs,
                         partner_disc_candidates, realized_actions)
 from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
@@ -383,62 +382,3 @@ class TestPartnerDiscCandidates:
             assert got == partner_forms_by_index_two_walk(n), n.gram
             found += bool(got)
         assert found > 100  # most of them have an admissible image
-
-
-class TestLiftOrderSearch:
-    def test_identity_witness(self):
-        m = a2(-1)
-        dm = disc_map(m).fqm
-        r = lift_order_search(identity_hom(dm), m, [])
-        assert induced_map(m, [list(row) for row in r.matrix]).images \
-            == identity_hom(dm).images
-        assert r.improved
-
-    def test_negation_witness(self):
-        m = a2(-1)
-        dm = disc_map(m).fqm
-        r = lift_order_search(negation_hom(dm), m, [])
-        assert induced_map(m, [list(row) for row in r.matrix]).images \
-            == negation_hom(dm).images
-        assert r.improved
-        assert r.order == exact.multiplicative_order([list(row) for row in r.matrix])
-
-    def test_respects_normalizer_preference(self):
-        m = a2(-1)
-        dm = disc_map(m).fqm
-        rot3 = ((-1, 1), (-1, 0))
-        r = lift_order_search(identity_hom(dm), m, [rot3])
-        q = [list(row) for row in r.matrix]
-        closure = exact.matrix_closure([[list(row) for row in rot3]], 2)
-        conj = exact.mat_mul(exact.mat_mul(exact.rational_inverse(q),
-                                           [list(row) for row in rot3]), q)
-        assert tuple(tuple(int(x) for x in row) for row in conj) in closure
-        # no small power of the lift may fall into <rot3>
-        power = [row[:] for row in q]
-        for _ in range(r.order // 2):
-            assert tuple(tuple(row) for row in power) not in closure
-            power = exact.mat_mul(power, q)
-        assert r.improved
-
-    def test_exhaustive_rank_two(self):
-        # O(A2(-1)) has order 12; validate against the brute-force witness sets
-        m = a2(-1)
-        dm = disc_map(m).fqm
-        autos = all_automorphisms(m)
-        assert len(autos) == 12
-        for witness in (identity_hom(dm), negation_hom(dm)):
-            qualifying = [q for q in autos
-                          if induced_map(m, [list(row) for row in q]).images
-                          == witness.images]
-            r = lift_order_search(witness, m, [], isos_m=autos)
-            assert r.matrix in qualifying
-
-    def test_no_preimage(self):
-        # O(M) only induces +-1 on Z/15, but 4 also preserves the form
-        m = Lattice(((2, 1), (1, 8)))
-        dm = disc_map(m).fqm
-        assert dm.orders == (15,)
-        stranded = FqmHom(dm, dm, ((4,),))
-        assert stranded.preserves_form()
-        with pytest.raises(ValueError, match="no isometry"):
-            lift_order_search(stranded, m, [])
