@@ -159,7 +159,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
             for image, _ in images_of[d_n]:
                 if not k3sq_glue_admissible(d_n, image):
                     raise RuntimeError(
-                        f"glue image generated by {image.generators} is "
+                        f"glue image with basis {image.basis} is "
                         "c^perp but fails k3sq_glue_admissible")
         images = images_of[d_n]
         if not images:

@@ -1,30 +1,7 @@
-"""Dataset text format and the k3lat command line.
+"""The k3lat command line.
 
-A dataset file is line oriented plain text.  It opens with a ``format 1``
-header and then carries blocks, each closed by ``end``:
-
-    lattice <name>      a named ambient lattice (one gram block)
-    group <name>        a group fixture
-
-Fields inside a group block:
-
-    order <int>             order of the symplectic group
-    gram <n>                followed by n rows of n integers (repeatable)
-    disc <o1> <o2> ...      generator orders of the coinvariant disc form
-    q <v1> <v2> ...         q values of those generators, rationals mod 2
-    b <i> <j> <v>           off-diagonal pairing, one line per nonzero value
-    obar <x,..> <x,..> ...  an isometry of the disc form, one image per
-                            generator as comma-joined coordinates (repeatable)
-    coinv_gram <n>          Gram matrix of the coinvariant lattice itself
-
-The coinvariant (M-side) fields ``q``, ``b``, ``obar`` and ``coinv_gram``
-need a ``disc`` line in the same block.  Any other field is an error.
-
-Rationals are written ``p/q`` (plain ``p`` when integral); never floats.
-Blank lines and ``#`` comments are skipped on input and never emitted, so
-``emit_dataset(parse_dataset(text)) == text`` holds for canonical text.
-
-Table schema (csv and markdown share it):
+Dataset files are read and written by k3lat.dataset.  Table schema (csv and
+markdown share it):
 
     group, h_sq, div, m, t_gram, k3, mode
 
@@ -38,17 +15,17 @@ import ast
 import csv
 import io
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .classify import ClassificationRow, CoinvariantData, classify, \
-    good_isometries
+from .classify import ClassificationRow, classify, good_isometries
+from .dataset import Dataset, DatasetError, GroupEntry, b_entries, \
+    builtin_dataset, disc_form, load_dataset
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, FqmHom, anti_embeddings, k3sq_glue_characters
-# perfbench/workloads.py calls these through cli
+from .fqm import Fqm, anti_embeddings, k3sq_glue_characters
+# perfbench reads these through cli
+from .dataset import emit_dataset, parse_dataset  # noqa: F401
 from .fqm import hom_image, k3sq_glue_admissible  # noqa: F401
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
@@ -58,341 +35,8 @@ IntMatrix = tuple[tuple[int, ...], ...]
 TABLE_COLUMNS = ("group", "h_sq", "div", "m", "t_gram", "k3", "mode")
 
 
-class DatasetError(ValueError):
-    """Malformed dataset text; the message carries a line diagnostic."""
-
-
 class InputError(Exception):
     """Bad command line input; maps to exit code 1."""
-
-
-def _plain_name(name: str) -> str:
-    # group names are matched with subscript underscores ignored, so the
-    # lookup accepts both 3^4:A6 and 3^4:A_6
-    return name.replace("_", "")
-
-
-@dataclass(frozen=True)
-class GroupEntry:
-    name: str
-    order: int
-    grams: tuple[Lattice, ...]
-    coinv: Optional[CoinvariantData] = None
-
-    @property
-    def disc(self) -> Optional[Fqm]:
-        return None if self.coinv is None else self.coinv.disc
-
-
-@dataclass(frozen=True)
-class Dataset:
-    groups: tuple[GroupEntry, ...]
-    lattices: tuple[tuple[str, Lattice], ...] = ()
-
-    def group(self, name: str) -> GroupEntry:
-        want = _plain_name(name)
-        for entry in self.groups:
-            if _plain_name(entry.name) == want:
-                return entry
-        raise KeyError(f"no group fixture named {name!r}")
-
-    def lattice(self, name: str) -> Lattice:
-        for key, lat in self.lattices:
-            if key == name:
-                return lat
-        raise KeyError(f"no lattice fixture named {name!r}")
-
-
-# ---------------------------------------------------------------- parsing
-
-def _fail(line: int, message: str):
-    raise DatasetError(f"line {line}: {message}")
-
-
-class _Cursor:
-    def __init__(self, text: str):
-        self.lines = text.split("\n")
-        self.pos = 0
-
-    def next(self) -> Optional[tuple[int, list[str]]]:
-        """Next contentful line as (1-based number, tokens)."""
-        while self.pos < len(self.lines):
-            raw = self.lines[self.pos]
-            self.pos += 1
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                return self.pos, body.split()
-        return None
-
-
-def _int(tok: str, line: int, field: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        _fail(line, f"{field}: {tok!r} is not an integer")
-
-
-def _rational(tok: str, line: int, field: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        _fail(line, f"{field}: {tok!r} is not a rational p/q")
-
-
-def _read_square(cur: _Cursor, line: int, tokens: Sequence[str],
-                 keyword: str) -> tuple[int, IntMatrix]:
-    if len(tokens) != 2:
-        _fail(line, f"{keyword} wants a single size argument")
-    n = _int(tokens[1], line, keyword)
-    if n <= 0:
-        _fail(line, f"{keyword} size must be positive")
-    rows = []
-    for _ in range(n):
-        item = cur.next()
-        if item is None:
-            _fail(line, f"{keyword} block ends before {n} rows were read")
-        rline, toks = item
-        if len(toks) != n:
-            _fail(rline, f"{keyword} row: expected {n} integers, "
-                         f"got {len(toks)}")
-        rows.append(tuple(_int(t, rline, keyword) for t in toks))
-    return line, tuple(rows)
-
-
-def _square_lattice(rows: IntMatrix, line: int, keyword: str) -> Lattice:
-    n = len(rows)
-    for i in range(n):
-        for j in range(i):
-            if rows[i][j] != rows[j][i]:
-                _fail(line, f"{keyword} symmetry: entry ({i}, {j}) "
-                            f"disagrees with ({j}, {i})")
-    try:
-        return Lattice(rows)
-    except ValueError as exc:
-        _fail(line, f"{keyword}: {exc}")
-
-
-def _parse_lattice_block(cur: _Cursor, start: int,
-                         tokens: Sequence[str]) -> tuple[str, Lattice]:
-    if len(tokens) != 2:
-        _fail(start, "lattice wants a single name token")
-    name = tokens[1]
-    lat = None
-    while True:
-        item = cur.next()
-        if item is None:
-            _fail(start, f"lattice {name!r} block is missing its 'end'")
-        line, toks = item
-        if toks[0] == "end":
-            break
-        if toks[0] != "gram" or lat is not None:
-            _fail(line, f"lattice blocks hold a single gram, got {toks[0]!r}")
-        gline, rows = _read_square(cur, line, toks, "gram")
-        lat = _square_lattice(rows, gline, "gram")
-    if lat is None:
-        _fail(start, f"lattice {name!r} has no gram")
-    return name, lat
-
-
-_SINGLE_FIELDS = ("order", "disc", "q", "coinv_gram")  # at most once a block
-
-
-def _parse_group_block(cur: _Cursor, start: int,
-                       tokens: Sequence[str]) -> GroupEntry:
-    if len(tokens) != 2:
-        _fail(start, "group wants a single name token")
-    name = tokens[1]
-    order = None
-    grams: list[Lattice] = []
-    disc_orders = None
-    q_vals = None
-    b_entries: list[tuple[int, int, Fraction, int]] = []
-    obar_rows: list[tuple[int, list[str]]] = []
-    coinv = None
-    line_of: dict[str, int] = {}  # field -> its last line
-    while True:
-        item = cur.next()
-        if item is None:
-            _fail(start, f"group {name!r} block is missing its 'end'")
-        line, toks = item
-        key = toks[0]
-        if key == "end":
-            break
-        if key in _SINGLE_FIELDS and key in line_of:
-            _fail(line, f"repeated {key}: already given on line "
-                        f"{line_of[key]}")
-        line_of[key] = line
-        if key == "order":
-            if len(toks) != 2:
-                _fail(line, "order wants a single integer")
-            order = _int(toks[1], line, "order")
-            if order <= 0:
-                _fail(line, "order must be positive")
-        elif key == "gram":
-            gline, rows = _read_square(cur, line, toks, "gram")
-            lat = _square_lattice(rows, gline, "gram")
-            if lat.rank != 3:
-                _fail(gline, "gram: invariant lattices are 3x3")
-            if not lat.is_even:
-                _fail(gline, "gram evenness: diagonal entries must be even")
-            if not lat.is_positive_definite:
-                _fail(gline, "gram: invariant lattices are positive definite")
-            grams.append(lat)
-        elif key == "disc":
-            if len(toks) < 2:
-                _fail(line, "disc wants at least one generator order")
-            disc_orders = tuple(_int(t, line, "disc") for t in toks[1:])
-        elif key == "q":
-            q_vals = tuple(_rational(t, line, "q") for t in toks[1:])
-        elif key == "b":
-            if len(toks) != 4:
-                _fail(line, "b wants 'b <i> <j> <value>'")
-            b_entries.append((_int(toks[1], line, "b"),
-                              _int(toks[2], line, "b"),
-                              _rational(toks[3], line, "b"), line))
-        elif key == "obar":
-            obar_rows.append((line, toks[1:]))
-        elif key == "coinv_gram":
-            gline, rows = _read_square(cur, line, toks, "coinv_gram")
-            coinv = _square_lattice(rows, gline, "coinv_gram")
-            if not coinv.is_even:
-                _fail(gline, "coinv_gram evenness: diagonal must be even")
-            if not coinv.is_negative_definite:
-                _fail(gline, "coinv_gram: coinvariant lattices are negative "
-                             "definite")
-        else:
-            _fail(line, f"unknown group field {key!r}")
-
-    if order is None:
-        _fail(start, f"group {name!r}: order is missing")
-    if not grams:
-        _fail(start, f"group {name!r}: at least one gram is required")
-
-    if disc_orders is None:  # every other M-side field hangs off disc
-        orphans = [k for k in ("q", "b", "obar", "coinv_gram")
-                   if k in line_of]
-        if orphans:
-            key = min(orphans, key=line_of.get)
-            _fail(line_of[key], f"{key} without a disc line")
-        return GroupEntry(name=name, order=order, grams=tuple(grams))
-    if q_vals is None:
-        _fail(line_of["disc"], "disc without a q line")
-    if len(q_vals) != len(disc_orders):
-        _fail(line_of["q"], "q: want one value per disc generator")
-    r = len(disc_orders)
-    b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
-    for i, j, val, bline in b_entries:
-        if not 0 <= i < j < r:
-            _fail(bline, "b: indices must satisfy 0 <= i < j < rank")
-        b_off[i][j - i - 1] = val
-    try:
-        disc = Fqm(disc_orders, q_vals, tuple(tuple(r_) for r_ in b_off))
-    except ValueError as exc:
-        _fail(line_of["disc"], f"disc form: {exc}")
-
-    obar = []
-    for oline, imgs in obar_rows:
-        if len(imgs) != disc.rank:
-            _fail(oline, "obar: one image per disc generator")
-        images = []
-        for tok in imgs:
-            coords = tuple(_int(c, oline, "obar") for c in tok.split(","))
-            if len(coords) != disc.rank:
-                _fail(oline, "obar: images are coordinate tuples in the "
-                             "disc group")
-            images.append(coords)
-        try:
-            hom = FqmHom(disc, disc, tuple(images))
-        except ValueError as exc:
-            _fail(oline, f"obar: {exc}")
-        if not hom.preserves_form():
-            _fail(oline, "obar: generator images must preserve the form")
-        obar.append(hom)
-
-    try:
-        m_data = CoinvariantData(disc=disc, gram=coinv,
-                                 obar=tuple(obar) or None)
-    except ValueError as exc:
-        _fail(line_of["coinv_gram"], f"disc/gram consistency: {exc}")
-    return GroupEntry(name=name, order=order, grams=tuple(grams),
-                      coinv=m_data)
-
-
-def parse_dataset(text: str) -> Dataset:
-    cur = _Cursor(text)
-    first = cur.next()
-    if first is None:
-        _fail(1, "empty dataset: expected a 'format 1' header")
-    line, toks = first
-    if toks != ["format", "1"]:
-        _fail(line, "expected a 'format 1' header")
-    groups: list[GroupEntry] = []
-    lattices: list[tuple[str, Lattice]] = []
-    seen: set[str] = set()
-    while (item := cur.next()) is not None:
-        line, toks = item
-        if toks[0] == "lattice":
-            lattices.append(_parse_lattice_block(cur, line, toks))
-        elif toks[0] == "group":
-            entry = _parse_group_block(cur, line, toks)
-            key = _plain_name(entry.name)
-            if key in seen:
-                _fail(line, f"duplicate group name {entry.name!r}")
-            seen.add(key)
-            groups.append(entry)
-        else:
-            _fail(line, f"unknown block {toks[0]!r}")
-    return Dataset(tuple(groups), tuple(lattices))
-
-
-def load_dataset(path: str) -> Dataset:
-    with open(path, encoding="utf-8") as handle:
-        return parse_dataset(handle.read())
-
-
-@cache
-def builtin_dataset() -> Dataset:
-    from .fixtures import DATASET_TEXT
-    return parse_dataset(DATASET_TEXT)
-
-
-# --------------------------------------------------------------- emitting
-
-def _emit_square(lines: list[str], keyword: str, rows: IntMatrix) -> None:
-    lines.append(f"{keyword} {len(rows)}")
-    for row in rows:
-        lines.append(" ".join(str(x) for x in row))
-
-
-def emit_dataset(dataset: Dataset) -> str:
-    blocks = []
-    for name, lat in dataset.lattices:
-        lines = [f"lattice {name}"]
-        _emit_square(lines, "gram", lat.gram)
-        lines.append("end")
-        blocks.append("\n".join(lines))
-    for g in dataset.groups:
-        lines = [f"group {g.name}", f"order {g.order}"]
-        for lat in g.grams:
-            _emit_square(lines, "gram", lat.gram)
-        m = g.coinv
-        if m is not None:
-            lines.append("disc " + " ".join(str(d) for d in m.disc.orders))
-            lines.append("q " + " ".join(str(v) for v in m.disc.q_diag))
-            for i, row in enumerate(m.disc.b_off):
-                for k, val in enumerate(row):
-                    if val:
-                        lines.append(f"b {i} {i + 1 + k} {val}")
-            for hom in m.obar or ():
-                lines.append("obar " + " ".join(
-                    ",".join(str(c) for c in img) for img in hom.images))
-            if m.gram is not None:
-                _emit_square(lines, "coinv_gram", m.gram.gram)
-        lines.append("end")
-        blocks.append("\n".join(lines))
-    if not blocks:
-        return "format 1\n"
-    return "format 1\n\n" + "\n\n".join(blocks) + "\n"
 
 
 # ------------------------------------------------------------- the table
@@ -579,22 +223,16 @@ def _group_entry(args) -> GroupEntry:
 
 def _inline_disc(args) -> Fqm:
     try:
-        orders = tuple(int(x) for x in args.disc.split(","))
-        q_vals = tuple(Fraction(x) for x in args.q.split(",")) \
-            if args.q else ()
-        r = len(orders)
-        b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
+        b_triples = []
         for triple in args.b or ():
             if triple.count(",") != 2:
                 raise InputError("disc form: --b wants i,j,value "
                                  f"triples, got {triple!r}")
-            i_txt, j_txt, val = triple.split(",")
-            i, j = int(i_txt), int(j_txt)
-            if not 0 <= i < j < r:
-                raise InputError("--b: indices must satisfy "
-                                 "0 <= i < j < rank")
-            b_off[i][j - i - 1] = Fraction(val)
-        return Fqm(orders, q_vals, tuple(tuple(row) for row in b_off))
+            i, j, val = triple.split(",")
+            b_triples.append((int(i), int(j), Fraction(val)))
+        q_vals = [Fraction(x) for x in args.q.split(",")] if args.q else []
+        return disc_form([int(x) for x in args.disc.split(",")], q_vals,
+                         b_triples)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"disc form: {exc}")
 
@@ -613,10 +251,8 @@ def _cmd_disc(args) -> int:
     print("orders:", " ".join(str(o) for o in d.orders) or "trivial")
     if d.orders:
         print("q:", " ".join(str(v) for v in d.q_diag))
-        for i, row in enumerate(d.b_off):
-            for k, val in enumerate(row):
-                if val:
-                    print(f"b {i} {i + 1 + k} {val}")
+        for line in b_entries(d):
+            print(line)
     return 0
 
 
@@ -760,12 +396,16 @@ def _build_parser() -> _Parser:
                    help="inline pairing entry 'i,j,value' (repeatable)")
     p.set_defaults(handler=_cmd_glue_check)
 
-    p = sub.add_parser("classify", help="classification rows for one group")
+    rows_opts = argparse.ArgumentParser(add_help=False)  # classify, table
+    rows_opts.add_argument("--dataset")
+    rows_opts.add_argument("--mode", choices=("permissive", "exact"),
+                           default="permissive")
+    rows_opts.add_argument("--format", choices=("csv", "markdown"),
+                           default="csv")
+
+    p = sub.add_parser("classify", parents=[rows_opts],
+                       help="classification rows for one group")
     p.add_argument("--group", required=True)
-    p.add_argument("--dataset")
-    p.add_argument("--mode", choices=("permissive", "exact"),
-                   default="permissive")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
     p.set_defaults(handler=_cmd_classify)
 
     p = sub.add_parser("hilb2",
@@ -777,11 +417,8 @@ def _build_parser() -> _Parser:
                    help="assume the surface contains no lines")
     p.set_defaults(handler=_cmd_hilb2)
 
-    p = sub.add_parser("table", help="run the full classification table")
-    p.add_argument("--dataset")
-    p.add_argument("--mode", choices=("permissive", "exact"),
-                   default="permissive")
-    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    p = sub.add_parser("table", parents=[rows_opts],
+                       help="run the full classification table")
     p.set_defaults(handler=_cmd_table)
 
     return parser

@@ -211,20 +211,20 @@ def _fp_vectors(ldl, target: int) -> list[Vector]:
     return found
 
 
-def _definite_sign(lat: Lattice) -> int:
+def _positive_form(lat: Lattice) -> tuple[int, IntMatrix]:
+    """(sign, sign * gram) with the second positive definite."""
     if lat.is_positive_definite:
-        return 1
+        return 1, lat.gram
     if lat.is_negative_definite:
-        return -1
+        return -1, tuple(tuple(-x for x in row) for row in lat.gram)
     raise ValueError("enumeration requires a definite lattice")
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     """All nonzero v with v.G.v^T = n, sorted, closed under negation."""
-    sign = _definite_sign(lat)
+    sign, gram = _positive_form(lat)
     if lat.rank == 0 or n == 0 or (n > 0) != (sign > 0):
         return []
-    gram = lat.gram if sign > 0 else tuple(tuple(-x for x in row) for row in lat.gram)
     gram_red, u, _ = _reduced_basis(gram)
     cols = list(zip(*u))
     return sorted(tuple(sum(map(mul, x, col)) for col in cols)
@@ -281,9 +281,7 @@ def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
     """Every isometry of a definite lattice, sorted (element store)."""
     if lat.rank == 0:
         return [()]
-    sign = _definite_sign(lat)
-    gram = lat.gram if sign > 0 else tuple(tuple(-x for x in row) for row in lat.gram)
-    gram_red, u, u_inv = _reduced_basis(gram)
+    gram_red, u, u_inv = _reduced_basis(_positive_form(lat)[1])
     ldl = _scaled_ldl(gram_red)
     norms = [gram_red[i][i] for i in range(lat.rank)]
     by_norm = {norm: _fp_vectors(ldl, norm) for norm in set(norms)}
@@ -328,22 +326,21 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
         return Isometry((), 1)
     if l1.det != l2.det or l1.signature != l2.signature:
         return None
-    sign = _definite_sign(l1)
-    if sign != _definite_sign(l2):
+    (sign1, g1), (sign2, g2) = _positive_form(l1), _positive_form(l2)
+    if sign1 != sign2:
         return None
-    g1 = l1.gram if sign > 0 else tuple(tuple(-x for x in row) for row in l1.gram)
-    g2 = l2.gram if sign > 0 else tuple(tuple(-x for x in row) for row in l2.gram)
     g1_red, _, u1_inv = _reduced_basis(g1)
     g2_red, u2, _ = _reduced_basis(g2)
-    # fingerprint: counts of short vectors agree; L2's are the candidates
-    max_norm = max(max(g1_red[i][i] for i in range(l1.rank)), 2)
+    # the backtrack draws images from L2's vectors of each basis norm of
+    # L1; if L1 has a different count at one of them, there is no isometry
+    norms = [g1_red[i][i] for i in range(l1.rank)]
     ldl1, ldl2 = _scaled_ldl(g1_red), _scaled_ldl(g2_red)
     by_norm: dict[int, list[Vector]] = {}
-    for k in range(1, max_norm + 1):
+    for k in sorted(set(norms)):
         by_norm[k] = _fp_vectors(ldl2, k)
         if len(_fp_vectors(ldl1, k)) != len(by_norm[k]):
             return None
-    candidates = [by_norm[g1_red[i][i]] for i in range(l1.rank)]
+    candidates = [by_norm[k] for k in norms]
     hits = _image_backtrack(g2_red, g1_red, candidates, first_only=True)
     if not hits:
         return None

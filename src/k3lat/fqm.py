@@ -259,25 +259,24 @@ class Subgroup:
     L_H, the preimage of H in Z^r, holds diag(d_i).  basis lists its rows
     in upper-triangular Hermite form: row i is zero before column i, has a
     pivot p_i dividing d_i at column i, and every entry above a pivot p_j
-    lies in [0, p_j).  That form is unique, so basis depends on H alone;
+    lies in [0, p_j).  That form is unique, so basis depends on H alone
+    and two generator lists of one H give equal Subgroups;
     |H| = prod d_i / prod p_i, membership is triangular division, and no
     element of H is listed unless elements() asks for them (Cohen, GTM 138,
     §2.4).
     """
 
     ambient: Fqm
-    generators: tuple[Element, ...]
     basis: tuple[Element, ...]
 
     @classmethod
     def generated(cls, ambient: Fqm, gens: Iterable[Iterable[int]]) -> "Subgroup":
         """L_H is spanned by the generators and the rows d_i e_i."""
-        gs = tuple(ambient.reduce(g) for g in gens)
         orders = ambient.orders
         diag = [[d if i == j else 0 for j in range(len(orders))]
                 for i, d in enumerate(orders)]
-        basis = exact.hermite_row_basis([*map(list, gs), *diag])
-        return cls(ambient, gs, tuple(map(tuple, basis)))
+        basis = exact.hermite_row_basis([*map(list, gens), *diag])
+        return cls(ambient, tuple(map(tuple, basis)))
 
     def __contains__(self, x) -> bool:
         v = list(self.ambient.reduce(x))
@@ -479,7 +478,7 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
     if 2 * image.order != d_n.order:
         return False
     e = d_n._ints[0]
-    rows = [d_n._pair_row(g) for g in image.generators]
+    rows = [d_n._pair_row(g) for g in map(d_n.reduce, image.basis)]
     # such an x is never in the image: there b(x, x) = 0, but b(x, x) is
     # q(x) mod 1 = 1/2
     for x in d_n._three_half:
@@ -496,7 +495,7 @@ def subgroup_presentation(sub: Subgroup) -> FqmHom:
     inside the ambient module.
     """
     amb = sub.ambient
-    gens = [g for g in sub.generators if any(g)]
+    gens = [g for g in map(amb.reduce, sub.basis) if any(g)]
     if not gens:
         return FqmHom(TRIVIAL, amb, ())
     k, n = len(gens), amb.rank

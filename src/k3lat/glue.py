@@ -105,7 +105,9 @@ def divisibility_in_glued(n: Lattice, v: Sequence[int],
         raise ValueError("image must live in D(N)")
     v_gram = exact.mat_vec(v, n.gram)
     g = math.gcd(*v_gram)  # divisibility of v in N
-    for gen in image.generators:
+    # a basis row and its reduction lift to dual vectors that differ by a
+    # vector of N, whose pairing with v is a multiple of g
+    for gen in image.basis:
         pairing = sum(map(mul, v_gram, dn.lift(gen)))
         if pairing % dn.den:
             raise RuntimeError(f"v = {list(v)} in N pairs to "

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from k3lat import exact
 from k3lat.classify import classify, good_isometries
-from k3lat.cli import builtin_dataset
+from k3lat.dataset import builtin_dataset
 from k3lat.enumeration import all_automorphisms, automorphism_group
 from k3lat.fqm import anti_embeddings
 from k3lat.glue import check_extendable, glue_pairs, realized_actions

@@ -62,6 +62,17 @@ def test_workloads_read_the_query_bindings():
             ("glue", "partner_disc_candidates")} <= set(used)
 
 
+@pytest.mark.parametrize("name", ["parse_dataset", "emit_dataset",
+                                  "builtin_dataset"])
+def test_cli_dataset_names_are_the_dataset_functions(name):
+    # the benchmark reaches the dataset format through cli: clear_caches
+    # must find builtin_dataset's cache there, and the tracer wraps cli's
+    # binding of the function it times
+    cli, dataset = (importlib.import_module(f"k3lat.{mod}")
+                    for mod in ("cli", "dataset"))
+    assert getattr(cli, name) is getattr(dataset, name)
+
+
 def test_every_traced_function_exists():
     traced = module_constant(PERFBENCH / "spans.py", "TRACED")
     layers = module_constant(PERFBENCH / "spans.py", "LAYERS")

@@ -13,7 +13,7 @@ from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
                             _fixed_line_and_complement, _row_key, classify,
                             gauss_reduced, good_isometries,
                             k3_birational_flag)
-from k3lat.cli import builtin_dataset
+from k3lat.dataset import builtin_dataset
 from k3lat.enumeration import all_automorphisms, is_isometric
 from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,

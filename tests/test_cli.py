@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from k3lat import cli, fqm
-from k3lat.cli import Dataset, DatasetError, InputError, builtin_dataset, \
-    emit_dataset, format_table, load_dataset, main, parse_dataset, \
-    parse_table, run_table
+from k3lat.cli import InputError, format_table, main, parse_table, run_table
+from k3lat.dataset import Dataset, DatasetError, builtin_dataset, \
+    emit_dataset, load_dataset, parse_dataset
 from k3lat.fixtures import DATASET_TEXT
 from k3lat.fqm import Fqm, anti_embeddings, hom_image, \
     identity_hom, isomorphisms, k3sq_glue_admissible
@@ -130,6 +130,12 @@ class TestParseEmit:
     def test_duplicate_group_names_collide(self):
         block = "group X\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\nend\n"
         with pytest.raises(DatasetError, match="duplicate group name"):
+            parse_dataset("format 1\n" + block + block)
+
+    def test_duplicate_lattice_names_collide(self):
+        block = "lattice A\ngram 1\n2\nend\n"
+        with pytest.raises(DatasetError,
+                           match=r"^line 6: duplicate lattice name 'A'$"):
             parse_dataset("format 1\n" + block + block)
 
     def test_obar_round_trip_and_form_check(self):

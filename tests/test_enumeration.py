@@ -7,7 +7,7 @@ from k3lat import enumeration, exact, lattice
 from k3lat.enumeration import (all_automorphisms, automorphism_group,
                                is_isometric, vectors_of_norm,
                                wall_divisor_scan)
-from k3lat.cli import builtin_dataset
+from k3lat.dataset import builtin_dataset
 from k3lat.fqm import Subgroup
 from k3lat.lattice import Lattice, disc_map
 from oracles import (box_bound_for, box_vectors, brute_isometries,
@@ -241,6 +241,17 @@ class TestIsIsometric:
     def test_negative_definite_pair(self):
         w = is_isometric(lattice.a2(-1), lattice.a2(-1))
         assert w is not None
+
+    def test_walks_only_the_norms_it_draws_images_from(self, monkeypatch):
+        walks = []
+        real = enumeration._fp_vectors
+        monkeypatch.setattr(enumeration, "_fp_vectors",
+                            lambda ldl, k: walks.append(k) or real(ldl, k))
+        l1 = Lattice(((2, 0, 0), (0, 6, 0), (0, 0, 10)))
+        l2 = Lattice(((10, 0, 0), (0, 2, 0), (0, 0, 6)))
+        assert is_isometric(l1, l2) is not None
+        # one walk per lattice at each basis norm, not at every norm <= 10
+        assert sorted(walks) == [2, 2, 6, 6, 10, 10]
 
     def test_bad_backtrack_hit_raises(self, monkeypatch):
         # a search that returns a non-isometry must not pass as a witness

@@ -6,7 +6,7 @@ import pytest
 
 from k3lat import exact, lattice
 from k3lat.enumeration import all_automorphisms
-from k3lat.cli import builtin_dataset
+from k3lat.dataset import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_image, hom_preimage, identity_hom, isomorphisms,
                        negated, negation_hom, subgroup_presentation)

@@ -5,7 +5,7 @@ import pytest
 
 from k3lat import exact, lattice
 from k3lat.classify import good_isometries
-from k3lat.cli import builtin_dataset
+from k3lat.dataset import builtin_dataset
 from k3lat.fqm import anti_embeddings, hom_image, identity_hom, negation_hom
 from k3lat.glue import divisibility_in_glued
 from oracles import (brute_isometries, dual_class, invariant_factors_via_minors,
