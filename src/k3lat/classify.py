@@ -37,7 +37,7 @@ def good_isometries(n: Lattice) -> list[Isometry]:
         trace = q[0][0] + q[1][1] + q[2][2]
         if trace not in GOOD_TRACES.values():
             continue  # no order can pair with it
-        order = exact.multiplicative_order([list(r) for r in q])
+        order = exact.multiplicative_order(q)
         if GOOD_TRACES.get(order) == trace:
             out.append(Isometry(q, order))
     return out
@@ -47,24 +47,17 @@ def _fixed_line_and_complement(n: Lattice, matrix):
     """(h, T basis rows, T gram) for an isometry fixing one line: h spans it,
     first nonzero entry > 0; T = h^perp, T[0][0] <= T[1][1], T[0][1] >= 0."""
     inv, coinv = invariant_and_coinvariant(n, [matrix])
-    if inv.rank != 1:
+    if len(inv) != 1:
         raise ValueError("isometry must fix exactly one line")
-    h = list(inv.rows[0])
-    for x in h:
-        if x:
-            if x < 0:
-                h = [-y for y in h]
-            break
-    t_rows = [list(r) for r in coinv.rows]
-    gram = exact.conjugate_rows(t_rows, [list(r) for r in n.gram])
-    if gram[0][0] > gram[1][1]:
-        t_rows.reverse()
-        gram = exact.conjugate_rows(t_rows, [list(r) for r in n.gram])
-    if gram[0][1] < 0:
-        t_rows[1] = [-x for x in t_rows[1]]
-        gram = exact.conjugate_rows(t_rows, [list(r) for r in n.gram])
-    return (tuple(h), tuple(tuple(r) for r in t_rows),
-            tuple(tuple(x) for x in gram))
+    (h,), (t1, t2) = inv, coinv
+    if next(x for x in h if x) < 0:
+        h = tuple(-x for x in h)
+    (a, b), (_, c) = exact.conjugate_rows(coinv, n.gram)
+    if a > c:  # swapping the rows swaps a and c
+        t1, t2, a, c = t2, t1, c, a
+    if b < 0:  # negating the second row negates b
+        t2, b = tuple(-x for x in t2), -b
+    return h, (t1, t2), ((a, b), (b, c))
 
 
 def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
@@ -72,7 +65,7 @@ def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
     """"excluded" when t1, t2 or t1+t2 has divisibility 2 in the glued
     lattice (a wall class survives on the transcendental side), else
     "unknown"."""
-    t1, t2 = [list(r) for r in t_basis]
+    t1, t2 = t_basis
     for v in (t1, t2, [a + b for a, b in zip(t1, t2)]):
         if divisibility_in_glued(n, v, image) == 2:
             return "excluded"

@@ -16,17 +16,17 @@ import csv
 import io
 import sys
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from .classify import ClassificationRow, classify, good_isometries
 from .dataset import Dataset, DatasetError, GroupEntry, b_entries, \
     builtin_dataset, disc_form, load_dataset
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, anti_embeddings, k3sq_glue_characters
+from .fqm import Fqm, anti_embeddings, glue_image, hom_image, \
+    k3sq_glue_characters
 # perfbench reads these through cli
 from .dataset import emit_dataset, parse_dataset  # noqa: F401
-from .fqm import hom_image, k3sq_glue_admissible  # noqa: F401
+from .fqm import k3sq_glue_admissible  # noqa: F401
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
 
@@ -308,9 +308,8 @@ def _cmd_glue_check(args) -> int:
     embeddings = anti_embeddings(m_disc, d_n)
     # gamma is admissible iff its image, of index 2, is some c^perp
     rows = k3sq_glue_characters(d_n) if 2 * m_disc.order == d_n.order else []
-    admissible = sum(any(all(sum(map(mul, y, w)) % d_n.orders[-1] == 0
-                             for y in gamma.images) for w in rows)
-                     for gamma in embeddings)
+    images = {glue_image(d_n, w) for w in rows}
+    admissible = sum(hom_image(gamma) in images for gamma in embeddings)
     print("anti-embeddings:", len(embeddings))
     print("admissible:", admissible)
     print("verdict:", "admissible" if admissible else "no admissible glue")

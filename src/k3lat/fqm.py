@@ -417,6 +417,18 @@ def k3sq_glue_characters(d_n: Fqm) -> list[tuple[int, ...]]:
                               if not any(2 * x % e for x in w)))
 
 
+def glue_image(d_n: Fqm, w: tuple[int, ...]) -> Subgroup:
+    """The admissible image c^perp of D(N) for a k3sq_glue_characters row
+    w = d_n._pair_row(c).  Each w_i is 0 or e/2, so c^perp holds the x
+    whose coefficients on the support of w sum to an even number: it is
+    generated by e_i off the support and e_i + e_s on it, s the first
+    index of the support."""
+    s = next((i for i, x in enumerate(w) if x), None)
+    return Subgroup.generated(d_n, [
+        [int(j == i) + int(j == s and x != 0) for j in range(d_n.rank)]
+        for i, x in enumerate(w)])
+
+
 def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
                      ) -> list[tuple[Subgroup, list[FqmHom]]]:
     """The images of anti-embeddings A -> D(N) that k3sq_glue_admissible
@@ -425,7 +437,7 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
     meets them, without listing the other anti-embeddings.
 
     The search runs once per k3sq_glue_characters row, inside its c^perp
-    only.
+    (glue_image) only.
     """
     if 2 * a.order != d_n.order:
         return []
@@ -435,7 +447,7 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
         gams = _form_embeddings(a, d_n, -1, row)
         gams = list(gams) if every else list(itertools.islice(gams, 1))
         if gams:
-            found.append((hom_image(gams[0]), gams))
+            found.append((glue_image(d_n, row), gams))
     # each candidate list is in elements() order, so sorting by the first
     # map's images is the order in which anti_embeddings meets the images
     found.sort(key=lambda item: item[1][0].images)

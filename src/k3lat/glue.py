@@ -6,7 +6,8 @@ overlattice of N + M.  The extension criterion decides when an isometry of N
 extends over such an overlattice; divisibility_in_glued computes div(v) of v
 in N measured inside the glued ambient lattice without constructing it.
 partner_disc_candidates lists the forms a glue partner of N can carry; like
-classify it takes the admissible images from fqm.k3sq_glue_characters.
+classify it takes the admissible images c^perp from fqm.glue_image, one per
+fqm.k3sq_glue_characters row.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import exact
-from .fqm import (Element, Fqm, FqmHom, Subgroup, hom_closure_images,
-                  is_isomorphic, k3sq_glue_characters, negated,
-                  subgroup_presentation)
+from .fqm import (Element, Fqm, FqmHom, Subgroup, glue_image,
+                  hom_closure_images, is_isomorphic, k3sq_glue_characters,
+                  negated, subgroup_presentation)
 from .lattice import Lattice, direct_sum, disc_map
 
 
@@ -164,32 +165,20 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
     """Discriminant forms a glue partner of N in the hyperkaehler lattice
     can carry.
 
-    Such a partner anti-embeds onto an admissible image H = c^perp of D(N)
-    (fqm.k3sq_glue_characters), so the partner's form is (H, -q).  Each H
-    is the kernel of an order-2 character, nonzero on the generators in its
-    support (all of even order); the kernels are visited in the binary
-    order of the supports, bit i standing for generator i.  Returns one
+    Such a partner anti-embeds onto an admissible image H = c^perp of D(N),
+    built by fqm.glue_image from a fqm.k3sq_glue_characters row, so the
+    partner's form is (H, -q).  The rows are visited in the binary order of
+    their supports, bit i standing for generator i.  Returns one
     presentation per isomorphism class of H; a single entry means the
     invariant side alone pins down the partner's glue data.
     """
     d = disc_map(n).fqm
-    rank = d.rank
-
-    def unit(*idx: int, c: int = 1) -> Element:
-        # c at each generator in idx, 0 elsewhere
-        return tuple(c if i in idx else 0 for i in range(rank))
-
-    masks = sorted(sum(1 << i for i, w in enumerate(row) if w)
-                   for row in k3sq_glue_characters(d))
     out: list[Fqm] = []
-    for mask in masks:
-        hit = [i for i in range(rank) if mask >> i & 1]
-        gens = [unit(i) for i in range(rank) if i not in hit]
-        gens.append(unit(hit[0], c=2))
-        gens += [unit(hit[0], i) for i in hit[1:]]
-        sub = Subgroup.generated(d, gens)
+    # each w_i is 0 or e/2: reversed rows compare as the support masks do
+    for w in sorted(k3sq_glue_characters(d), key=lambda w: w[::-1]):
+        sub = glue_image(d, w)
         if 2 * sub.order != d.order:
-            raise RuntimeError(f"kernel of the character on {hit} has order "
+            raise RuntimeError(f"c^perp for the character {w} has order "
                                f"{sub.order} in a module of order {d.order}"
                                ", not index 2")
         neg = negated(subgroup_presentation(sub).source)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exact
 from .fqm import Fqm, FqmHom
@@ -34,7 +34,8 @@ class Lattice:
         object.__setattr__(self, "gram", rows)
         if not exact.is_symmetric(rows):
             raise ValueError("gram matrix must be symmetric")
-        if self.rank and exact.bareiss_det([list(r) for r in rows]) == 0:
+        object.__setattr__(self, "det", exact.bareiss_det(rows))  # 1 if empty
+        if self.det == 0:
             raise ValueError("gram matrix must be nondegenerate")
 
     @property
@@ -42,14 +43,10 @@ class Lattice:
         return len(self.gram)
 
     @cached_property
-    def det(self) -> int:
-        return exact.bareiss_det([list(r) for r in self.gram])
-
-    @cached_property
     def signature(self) -> tuple[int, int]:
         if self.rank == 0:
             return (0, 0)
-        return exact.signature([list(r) for r in self.gram])
+        return exact.signature(self.gram)
 
     @property
     def is_even(self) -> bool:
@@ -83,33 +80,12 @@ def divisibility(lat: Lattice, v: Sequence[int]) -> int:
     """Positive generator of the pairing ideal v . L."""
     if not any(v):
         raise ValueError("divisibility of the zero vector")
-    return math.gcd(*exact.mat_vec(list(v), [list(r) for r in lat.gram]))
-
-
-@dataclass(frozen=True)
-class Sublattice:
-    """Saturated sublattice given by basis rows in ambient coordinates."""
-
-    ambient: Lattice
-    rows: tuple[Vec, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @cached_property
-    def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
-        g = exact.conjugate_rows([list(r) for r in self.rows],
-                                 [list(r) for r in self.ambient.gram])
-        return tuple(tuple(row) for row in g)
-
-    def as_lattice(self) -> Lattice:
-        return Lattice(self.gram_matrix)
+    return math.gcd(*exact.mat_vec(v, lat.gram))
 
 
 def saturate(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     """Basis of the smallest primitive subgroup of Z^n containing the rows."""
-    rows = [list(r) for r in rows if any(r)]
+    rows = [r for r in rows if any(r)]
     if not rows:
         return []
     s, _, v = exact.smith_normal_form(rows)
@@ -117,38 +93,31 @@ def saturate(rows: Sequence[Sequence[int]], n: int) -> list[list[int]]:
     return exact.rational_inverse(v)[:r]  # V is unimodular: integer rows
 
 
-def sublattice(ambient: Lattice, rows: Iterable[Sequence[int]]) -> Sublattice:
-    sat = saturate(list(rows), ambient.rank)
-    return Sublattice(ambient, tuple(tuple(r) for r in sat))
-
-
-def orthogonal_complement(ambient: Lattice, rows: Iterable[Sequence[int]]) -> Sublattice:
-    """Primitive basis of {v in L : v . span(rows) = 0}."""
-    rows = [list(r) for r in rows]
+def orthogonal_complement(ambient: Lattice, rows: Sequence[Sequence[int]]
+                          ) -> tuple[Vec, ...]:
+    """Primitive basis rows of {v in L : v . span(rows) = 0}."""
     if not rows:
-        return Sublattice(ambient, tuple(tuple(r) for r in exact.identity(ambient.rank)))
-    pairing_cols = exact.mat_mul([list(r) for r in ambient.gram], exact.transpose(rows))
-    basis = exact.integer_kernel(pairing_cols)
-    return Sublattice(ambient, tuple(tuple(r) for r in basis))
+        return tuple(map(tuple, exact.identity(ambient.rank)))
+    pairing_cols = exact.mat_mul(ambient.gram, exact.transpose(rows))
+    return tuple(map(tuple, exact.integer_kernel(pairing_cols)))
 
 
 def invariant_and_coinvariant(lat: Lattice, gens: Sequence[Sequence[Sequence[int]]]
-                              ) -> tuple[Sublattice, Sublattice]:
-    """Fixed sublattice of the group generated by gens, and its complement."""
+                              ) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """Primitive basis rows of the sublattice fixed by the group generated
+    by gens, and of its orthogonal complement."""
     n = lat.rank
     for q in gens:
         if not lat.is_isometry(q):
             raise ValueError("generator is not an isometry")
     if not gens:
-        inv_rows = exact.identity(n)
+        inv = exact.identity(n)
     else:
         stack = [[q[i][j] - int(i == j) for q in gens for j in range(n)]
                  for i in range(n)]
-        inv_rows = exact.integer_kernel(stack)
-    inv = Sublattice(lat, tuple(tuple(r) for r in inv_rows))
-    coinv = orthogonal_complement(lat, inv.rows) if inv.rows else \
-        Sublattice(lat, tuple(tuple(r) for r in exact.identity(n)))
-    return inv, coinv
+        inv = exact.integer_kernel(stack)
+    inv = tuple(map(tuple, inv))
+    return inv, orthogonal_complement(lat, inv)
 
 
 # -- discriminant group -----------------------------------------------------
@@ -197,7 +166,7 @@ def disc_map(lat: Lattice) -> DiscMap:
     if not lat.is_even:
         raise ValueError("discriminant form requires an even lattice")
     g = lat.gram
-    s, u, v = exact.smith_normal_form([list(r) for r in g])
+    s, u, v = exact.smith_normal_form(g)
     kept = [i for i in range(lat.rank) if s[i][i] > 1]
     orders = tuple(s[i][i] for i in kept)
     den = math.lcm(*orders)

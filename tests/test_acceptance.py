@@ -18,8 +18,8 @@ from k3lat.lattice import Lattice, disc_map, discriminant_group, \
     induced_map, k3_square_lattice
 from oracles import brute_isometries, rand_definite_even_gram, \
     rand_even_gram, rand_unimodular
-from test_glue import block_diag, glued_basis, random_primitive_split, \
-    stabilizes
+from test_glue import block_diag, glued_basis, gram_of, \
+    random_primitive_split, stabilizes
 
 
 def _matrix_order(m, cap=12):
@@ -148,12 +148,12 @@ def test_criterion_6_glue_determinant_and_anti_isometry():
         m, c = random_primitive_split(rng, l)
         if m is None:
             continue
-        n_lat, c_lat = Lattice(m.gram_matrix), Lattice(c.gram_matrix)
-        stacked = [list(r) for r in m.rows] + [list(r) for r in c.rows]
+        n_lat, c_lat = Lattice(gram_of(l, m)), Lattice(gram_of(l, c))
+        stacked = [list(r) for r in m] + [list(r) for r in c]
         index = abs(exact.bareiss_det(stacked))
         assert abs(l.det) * index * index == abs(n_lat.det * c_lat.det)
         dn, dc = disc_map(n_lat).fqm, disc_map(c_lat).fqm
-        pairs = glue_pairs(l, m.rows, c.rows)
+        pairs = glue_pairs(l, m, c)
         for a1, b1 in pairs:
             assert (dn.q(a1) + dc.q(b1)) % 2 == 0
             for a2, b2 in pairs:

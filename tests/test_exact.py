@@ -333,6 +333,32 @@ class TestMatMul:
             exact.mat_mul([[1, 2]], [[1], [2], [3]])
 
 
+def as_lists(x):
+    """The same nested data with every tuple turned into a list."""
+    return [as_lists(y) for y in x] if isinstance(x, tuple) else x
+
+
+GRAM = ((2, 1, 0), (1, -2, 1), (0, 1, 4))
+KERNEL_ARGS = {
+    "bareiss_det": (GRAM,),
+    "signature": (GRAM,),
+    "smith_normal_form": (GRAM,),
+    "multiplicative_order": (((0, 1), (-1, 1)),),
+    "mat_vec": ((1, -2, 3), GRAM),
+    "conjugate_rows": (((1, 0, 1), (0, 1, -1)), GRAM),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_ARGS)
+def test_kernels_take_tuple_rows(name):
+    # callers pass Gram tuples straight in: no kernel writes to its input
+    kernel, args = getattr(exact, name), KERNEL_ARGS[name]
+    list_args = as_lists(args)
+    frozen = [as_lists(a) for a in args]
+    assert kernel(*args) == kernel(*list_args)
+    assert as_lists(args) == list_args == frozen
+
+
 def rand_signed_permutation(rng, n):
     perm = rng.sample(range(n), n)
     return tuple(tuple(rng.choice((1, -1)) if j == perm[i] else 0

@@ -1,6 +1,8 @@
 import ast
+import collections
 import itertools
 import dataclasses
+import functools
 import pathlib
 import random
 from fractions import Fraction
@@ -10,11 +12,11 @@ import pytest
 from k3lat import fqm
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       hom_closure_images, hom_image, hom_preimage,
-                       identity_hom, is_isomorphic, isomorphisms,
-                       k3sq_glue_admissible,
-                       k3sq_glue_images, negation_hom, negated,
-                       orthogonal_group, subgroup_presentation)
+                       glue_image, hom_closure_images, hom_image,
+                       hom_preimage, identity_hom, is_isomorphic,
+                       isomorphisms, k3sq_glue_admissible,
+                       k3sq_glue_characters, k3sq_glue_images, negation_hom,
+                       negated, orthogonal_group, subgroup_presentation)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, closure_from_scratch, fqm_b_value,
@@ -717,6 +719,44 @@ class TestK3sqGlueImages:
         self.check_against_listing(cyclic(2, 0), d_n)
 
 
+class TestGlueImage:
+    def test_random_modules_match_perp_listing(self):
+        # c^perp listed element by element, on nondegenerate and
+        # degenerate modules alike
+        checked = set()
+        for seed in range(40):
+            _, d = rand_glue_pair(random.Random(1700 + seed))
+            e = d._ints[0]
+            for c in d._three_half:
+                w = d._pair_row(c)
+                if any(2 * x % e for x in w):
+                    continue  # the character of c has order above 2
+                perp = [x for x in d.elements() if d._eb(x, c) == 0]
+                assert glue_image(d, w) == Subgroup.generated(d, perp)
+                checked.add(d._nondegenerate)
+        assert checked == {True, False}
+
+    def test_builtin_images_are_glue_images(self):
+        # an admissible gamma lands in c^perp for exactly one row w
+        checked = 0
+        for g in builtin_dataset().groups:
+            if g.disc is None:
+                continue
+            for n in g.grams:
+                d_n = disc_map(n).fqm
+                e, rows = d_n._ints[0], k3sq_glue_characters(d_n)
+                for gam in anti_embeddings(g.disc, d_n):
+                    image = hom_image(gam)
+                    if not k3sq_glue_admissible(d_n, image):
+                        continue
+                    (w,) = [w for w in rows if not any(
+                        sum(a * b for a, b in zip(y, w)) % e
+                        for y in gam.images)]
+                    assert image == glue_image(d_n, w)
+                    checked += 1
+        assert checked == 832
+
+
 class TestBuiltinCounts:
     # anti-embeddings of each group's D(M) into D(N), one count per
     # invariant Gram; 832 in all
@@ -781,3 +821,54 @@ def test_no_unused_imports(path):
             if name not in used:
                 unused.append((node.lineno, name))
     assert not unused
+
+
+ROOT = pathlib.Path(fqm.__file__).resolve().parents[2]
+
+
+def referenced_names(tree):
+    """Every name a tree reads: bare names, attributes, imported names and
+    string constants (the benchmark lists traced functions by name)."""
+    out = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out[node.value] += 1
+    return out
+
+
+@functools.cache
+def references_in_repo():
+    total = collections.Counter()
+    for d in ("src", "tests", "perfbench"):
+        for f in (ROOT / d).rglob("*.py"):
+            total += referenced_names(ast.parse(f.read_text()))
+    return total
+
+
+@pytest.mark.parametrize("path", sorted(
+    pathlib.Path(fqm.__file__).parent.glob("*.py")),
+    ids=lambda p: f"k3lat.{p.stem}")
+def test_no_unreferenced_module_names(path):
+    # a module-level function, class or assignment that nothing in src,
+    # tests or perfbench reads, other than its own definition, is dead
+    everywhere = references_in_repo()
+    unreferenced = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        own = referenced_names(node)
+        unreferenced += [t.id for t in targets if isinstance(t, ast.Name)
+                         and everywhere[t.id] <= own[t.id]]
+    assert unreferenced == []

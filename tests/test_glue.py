@@ -26,18 +26,24 @@ def a2_glue():
     return n, m, gams
 
 
+def gram_of(l, rows):
+    """Gram matrix of the sublattice of l spanned by the basis rows."""
+    return exact.conjugate_rows(rows, l.gram)
+
+
 def random_primitive_split(rng, l):
-    """Random primitive sublattice and its complement, both nondegenerate."""
+    """Basis rows of a random primitive sublattice and of its complement,
+    both nondegenerate."""
     n = l.rank
     for _ in range(60):
         k = rng.randint(1, n - 1)
-        m = lattice.sublattice(l, rand_int_matrix(rng, k, n, 3))
-        if m.rank == 0 or m.rank == n:
+        m = lattice.saturate(rand_int_matrix(rng, k, n, 3), n)
+        if len(m) == 0 or len(m) == n:
             continue
-        if laplace_det([list(r) for r in m.gram_matrix]) == 0:
+        if laplace_det(gram_of(l, m)) == 0:
             continue
-        c = lattice.orthogonal_complement(l, m.rows)
-        if m.rank + c.rank != n:
+        c = lattice.orthogonal_complement(l, m)
+        if len(m) + len(c) != n:
             continue
         return m, c
     return None, None
@@ -123,15 +129,15 @@ class TestGluePairsRoundTrip:
         m, c = random_primitive_split(rng, l)
         if m is None:
             pytest.skip("no usable split found")
-        n_lat = Lattice(m.gram_matrix)
-        c_lat = Lattice(c.gram_matrix)
-        pairs = glue_pairs(l, m.rows, c.rows)
+        n_lat = Lattice(gram_of(l, m))
+        c_lat = Lattice(gram_of(l, c))
+        pairs = glue_pairs(l, m, c)
         back = overlattice_pairs(n_lat, c_lat, pairs)
         assert abs(back.det) == abs(l.det)
         assert back.signature == l.signature
         assert back.is_even == l.is_even
         # determinant identity against the sum index
-        stacked = [list(r) for r in m.rows] + [list(r) for r in c.rows]
+        stacked = [list(r) for r in m] + [list(r) for r in c]
         index = abs(exact.bareiss_det(stacked))
         assert abs(l.det) * index * index == abs(n_lat.det * c_lat.det)
 
@@ -190,12 +196,12 @@ class TestDivisibilityInGlued:
         m, c = random_primitive_split(rng, l)
         if m is None:
             pytest.skip("no usable split found")
-        n_lat = Lattice(m.gram_matrix)
-        c_lat = Lattice(c.gram_matrix)
-        pairs = glue_pairs(l, m.rows, c.rows)
+        n_lat = Lattice(gram_of(l, m))
+        c_lat = Lattice(gram_of(l, c))
+        pairs = glue_pairs(l, m, c)
         img = Subgroup.generated(disc_map(n_lat).fqm, [a for a, _ in pairs])
         e1 = tuple(int(j == 0) for j in range(n_lat.rank))
-        assert divisibility_in_glued(n_lat, e1, img) == divisibility(l, m.rows[0])
+        assert divisibility_in_glued(n_lat, e1, img) == divisibility(l, m[0])
 
 
 def glued_basis(n_lat, m_lat, pairs):

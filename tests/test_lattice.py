@@ -8,6 +8,7 @@ from k3lat.classify import good_isometries
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import anti_embeddings, hom_image, identity_hom, negation_hom
 from k3lat.glue import divisibility_in_glued
+from test_glue import gram_of, random_primitive_split
 from oracles import (brute_isometries, dual_class, invariant_factors_via_minors,
                      laplace_det, rand_definite_even_gram, rand_even_gram,
                      rand_int_matrix, rand_unimodular)
@@ -50,6 +51,15 @@ class TestConstructions:
         assert l.det == 1
         assert l.is_even
         assert l.is_positive_definite
+
+    def test_det_is_computed_once(self, monkeypatch):
+        # the nondegeneracy check in the constructor already finds det
+        calls = []
+        real = exact.bareiss_det
+        monkeypatch.setattr(exact, "bareiss_det",
+                            lambda a: calls.append(a) or real(a))
+        assert lattice.Lattice(((2, 1), (1, 2))).det == 3
+        assert len(calls) == 1
 
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
@@ -132,36 +142,36 @@ class TestComplements:
     def test_inside_hyperbolic_plane(self):
         u = lattice.hyperbolic_plane()
         c = lattice.orthogonal_complement(u, [(1, 1)])
-        assert c.rows in (((1, -1),), ((-1, 1),))
-        assert c.gram_matrix == ((-2,),)
+        assert c in (((1, -1),), ((-1, 1),))
+        assert gram_of(u, c) == [[-2]]
 
     def test_block_diagonal(self):
         l = lattice.Lattice([[6, 3, 0], [3, 6, 0], [0, 0, 6]])
         c = lattice.orthogonal_complement(l, [(0, 0, 1)])
-        assert c.gram_matrix == ((6, 3), (3, 6))
+        assert gram_of(l, c) == [[6, 3], [3, 6]]
 
     def test_full_rank_gives_empty(self):
         u = lattice.hyperbolic_plane()
         c = lattice.orthogonal_complement(u, [(1, 0), (0, 1)])
-        assert c.rows == ()
+        assert c == ()
 
 
 class TestInvariantCoinvariant:
     def test_identity(self):
         u = lattice.hyperbolic_plane()
         inv, coinv = lattice.invariant_and_coinvariant(u, [exact.identity(2)])
-        assert inv.rank == 2 and coinv.rank == 0
+        assert len(inv) == 2 and len(coinv) == 0
 
     def test_minus_identity(self):
         u = lattice.hyperbolic_plane()
         inv, coinv = lattice.invariant_and_coinvariant(u, [[[-1, 0], [0, -1]]])
-        assert inv.rank == 0 and coinv.rank == 2
+        assert len(inv) == 0 and len(coinv) == 2
 
     def test_swap(self):
         u = lattice.hyperbolic_plane()
         inv, coinv = lattice.invariant_and_coinvariant(u, [[[0, 1], [1, 0]]])
-        assert inv.gram_matrix == ((2,),)
-        assert coinv.gram_matrix == ((-2,),)
+        assert gram_of(u, inv) == [[2]]
+        assert gram_of(u, coinv) == [[-2]]
 
     def test_non_isometry_rejected(self):
         with pytest.raises(ValueError):
@@ -175,11 +185,11 @@ class TestInvariantCoinvariant:
         isos = brute_isometries(g, g)
         q = isos[rng.randrange(len(isos))]
         inv, coinv = lattice.invariant_and_coinvariant(l, [q])
-        assert inv.rank + coinv.rank == l.rank
-        for a in inv.rows:
-            for b in coinv.rows:
+        assert len(inv) + len(coinv) == l.rank
+        for a in inv:
+            for b in coinv:
                 assert l.pair(a, b) == 0
-        for rows in (inv.rows, coinv.rows):
+        for rows in (inv, coinv):
             if rows:
                 s, _, _ = exact.smith_normal_form([list(r) for r in rows])
                 assert all(s[i][i] == 1 for i in range(len(rows)))
@@ -222,23 +232,6 @@ class TestInducedMap:
         assert composed.images == fb.compose(fa).images
 
 
-def random_primitive_split(rng, l):
-    """Random primitive sublattice and its complement, both nondegenerate."""
-    n = l.rank
-    for _ in range(60):
-        k = rng.randint(1, n - 1)
-        m = lattice.sublattice(l, rand_int_matrix(rng, k, n, 3))
-        if m.rank == 0 or m.rank == n:
-            continue
-        if laplace_det([list(r) for r in m.gram_matrix]) == 0:
-            continue
-        c = lattice.orthogonal_complement(l, m.rows)
-        if m.rank + c.rank != n:
-            continue
-        return m, c
-    return None, None
-
-
 class TestGlueGroupOfSplit:
     @pytest.mark.parametrize("seed", range(30))
     def test_graph_of_anti_isometry(self, seed):
@@ -247,20 +240,20 @@ class TestGlueGroupOfSplit:
         m, c = random_primitive_split(rng, l)
         if m is None:
             pytest.skip("no usable split found")
-        stacked = [list(r) for r in m.rows] + [list(r) for r in c.rows]
+        stacked = [list(r) for r in m] + [list(r) for r in c]
         index = abs(exact.bareiss_det(stacked))
         # determinant identity |det L| * [L : M + N]^2 = |det M| |det N|
-        det_m = laplace_det([list(r) for r in m.gram_matrix])
-        det_c = laplace_det([list(r) for r in c.gram_matrix])
+        det_m = laplace_det(gram_of(l, m))
+        det_c = laplace_det(gram_of(l, c))
         assert abs(l.det) * index * index == abs(det_m * det_c)
-        dm = lattice.disc_map(m.as_lattice())
-        dc = lattice.disc_map(c.as_lattice())
+        dm = lattice.disc_map(lattice.Lattice(gram_of(l, m)))
+        dc = lattice.disc_map(lattice.Lattice(gram_of(l, c)))
         adj, det = exact.adjugate(stacked), laplace_det(stacked)
         forward, backward = {}, {}
         for i in range(l.rank):
             coords = adj[i]  # e_i in the split basis: coords / det
-            xm = dm.project(coords[:m.rank], det)
-            xc = dc.project(coords[m.rank:], det)
+            xm = dm.project(coords[:len(m)], det)
+            xc = dc.project(coords[len(m):], det)
             # glue classes form the graph of an anti-isometry
             assert forward.setdefault(xm, xc) == xc
             assert backward.setdefault(xc, xm) == xm
