@@ -251,6 +251,7 @@ def _image_backtrack(target_gram, source_gram, candidates, first_only):
     def walk(i):
         if i == n:
             results.append(tuple(rows))
+            exact.check_element_store(len(results), "isometry search")
             return first_only
         want = source_gram[i]
         for cand, cand_g in levels[i]:
@@ -287,35 +288,19 @@ def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
     by_norm = {norm: _fp_vectors(ldl, norm) for norm in set(norms)}
     candidates = [by_norm[norm] for norm in norms]
     autos = _image_backtrack(gram_red, gram_red, candidates, first_only=False)
-    if len(autos) > exact._ELEMENT_STORE_LIMIT:
-        raise ValueError("automorphism group exceeds the element-store limit "
-                         f"of {exact._ELEMENT_STORE_LIMIT} elements")
     return sorted(_conjugate_back(q, u, u_inv) for q in autos)
 
 
 def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
-    """Generators of O(L) and its order, for definite L.
-
-    The search enumerates every automorphism (complete backtracking over
-    images of the reduced basis), so the order is an exact count.  Each
-    generator is the first automorphism outside the group the earlier ones
-    generate; that group is closed once, extended per generator.  Groups
-    larger than the element-store limit are rejected.
-    """
-    if lat.rank == 0:
-        return [], 1
+    """Generators of O(L) and its order, for definite L: exact.generators,
+    which grows the group coset by coset, of all_automorphisms, whose
+    complete backtracking over images of the reduced basis makes the order
+    an exact count."""
     mapped = all_automorphisms(lat)
-    order = len(mapped)
-    ident = tuple(tuple(row) for row in exact.identity(lat.rank))
-    gens: list[IntMatrix] = []
-    closed = {ident}
-    for q in mapped:
-        if q in closed:
-            continue
-        gens.append(q)
-        closed = exact.matrix_closure(gens, lat.rank, closed)
-    return [Isometry(q, exact.multiplicative_order([list(r) for r in q]))
-            for q in gens], order
+    gens = exact.generators(mapped, _int_matrix(exact.identity(lat.rank)),
+                            lambda f, g: _int_matrix(exact.mat_mul(f, g)))
+    return [Isometry(q, exact.multiplicative_order(q)) for q in gens], \
+        len(mapped)
 
 
 def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
@@ -349,8 +334,7 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     if exact.conjugate_rows(q, l2.gram) != [list(r) for r in l1.gram]:
         raise RuntimeError("is_isometric witness Q fails Q.G2.Q^T = G1 for "
                            f"G1 = {l1.gram}, G2 = {l2.gram}")
-    order = exact.multiplicative_order([list(r) for r in q]) if l1.gram == l2.gram \
-        else None
+    order = exact.multiplicative_order(q) if l1.gram == l2.gram else None
     return Isometry(q, order)
 
 

@@ -10,8 +10,10 @@ integers by Bareiss elimination, and rational_inverse clears denominators
 once and makes at most one Fraction per entry at the end.  Discriminant data
 built on them (lattice.disc_map) is integer numerators over one denominator.
 
-Two search bounds are constants here, and the ValueError raised on tripping
-one names it: a group closure holds at most 10**6 elements (the element
+Finite groups grow only here, one coset at a time (Dimino): closure and
+generators take the identity and mul(x, y) = x * y on the elements.  Two
+search bounds are constants, and the ValueError raised on tripping one
+names it: a group held in memory has at most 10**6 elements (the element
 store), and multiplicative_order looks no further than order 10_000.
 """
 
@@ -316,33 +318,45 @@ def multiplicative_order(q: Matrix) -> int:
                      f"{_ORDER_BOUND}")
 
 
-def closure(gens, ident, mul, group=None) -> set:
-    """The finite group generated by gens, with mul(x, g) = x * g: breadth
-    first from ident, or, given group (closed under gens[:-1], left
-    unmodified), from group * gens[-1], every generator then acting on the
-    elements that adds.  Raises once the element store exceeds its limit."""
-    if group is None:
-        seen, frontier, step = {ident}, [ident], gens
-    else:
-        seen, frontier, step = set(group), list(group), gens[-1:]
-    while frontier:
-        nxt = []
-        for f in frontier:
-            for g in step:
-                h = mul(f, g)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier, step = nxt, gens
-        if len(seen) > _ELEMENT_STORE_LIMIT:
-            raise ValueError("group closure exceeds the element-store limit "
-                             f"of {_ELEMENT_STORE_LIMIT} elements")
-    return seen
+def check_element_store(size: int, what: str) -> None:
+    if size > _ELEMENT_STORE_LIMIT:
+        raise ValueError(f"{what} exceeds the element-store limit of "
+                         f"{_ELEMENT_STORE_LIMIT} elements")
 
 
-def matrix_closure(gens, n: int, group=None) -> set:
-    """All products of the given n x n integer matrices (as tuple-of-tuple
-    rows); the generators must generate a finite group.  group, if given,
-    is the closure of all generators but the last (see closure)."""
-    return closure(list(gens), tuple(map(tuple, identity(n))),
-                   lambda f, g: tuple(map(tuple, mat_mul(f, g))), group)
+def _dimino(elements, ident, mul) -> tuple[list, set]:
+    """(gens, group): in order, each of elements outside the group the
+    earlier ones generate, and the group they generate.  Each new s grows
+    H = <earlier gens> to <H, s> by right cosets H r, for r = s and each
+    r t (t in gens) in no coset yet (Dimino; Butler, LNCS 559, ch. 5)."""
+    gens, group, seen = [], [ident], {ident}
+    for s in elements:
+        if s in seen:
+            continue
+        gens.append(s)
+        rest, todo = group[1:], [s]
+        for r in todo:  # todo grows while it is walked
+            if r not in seen:
+                coset = [r] + [mul(h, r) for h in rest]
+                group += coset
+                seen.update(coset)
+                check_element_store(len(seen), "group closure")
+                todo += [mul(r, t) for t in gens]
+    return gens, seen
+
+
+def closure(gens, ident, mul) -> set:
+    """The finite group gens generate, mul(x, y) = x * y on its elements."""
+    return _dimino(gens, ident, mul)[1]
+
+
+def generators(elements, ident, mul) -> list:
+    """In order, each of elements outside the group the earlier ones make."""
+    return _dimino(elements, ident, mul)[0]
+
+
+def matrix_closure(gens, n: int) -> set:
+    """The group the n x n integer matrices gens generate, as tuple rows."""
+    return closure([tuple(map(tuple, g)) for g in gens],
+                   tuple(map(tuple, identity(n))),
+                   lambda f, g: tuple(map(tuple, mat_mul(f, g))))

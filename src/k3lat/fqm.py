@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -455,25 +456,26 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
 
 
 def orthogonal_group(m: Fqm) -> tuple[list[FqmHom], int]:
-    """Generators of the form-preserving automorphism group, plus its order."""
-    autos = list(_form_embeddings(m, m, 1))
-    ident = identity_hom(m).images
-    gens: list[FqmHom] = []
-    generated = {ident}
-    for f in autos:
-        if f.images in generated:
-            continue
-        gens.append(f)
-        generated = hom_closure_images(m, gens, generated)
-    return gens, len(autos)
+    """exact.generators of the form-preserving automorphisms, and their
+    number; stops at the first one past the element-store limit."""
+    autos = [f.images for f in itertools.islice(
+        _form_embeddings(m, m, 1), exact._ELEMENT_STORE_LIMIT + 1)]
+    exact.check_element_store(len(autos), "orthogonal group")
+    gens = exact.generators(autos, *_image_group(m))
+    return [FqmHom(m, m, g) for g in gens], len(autos)
 
 
-def hom_closure_images(m: Fqm, gens: Iterable[FqmHom], group=None
-                       ) -> set[tuple[Element, ...]]:
-    """Image-tuples of the subgroup of O(m) generated by the given maps;
-    group, if given, is that of all maps but the last (see exact.closure)."""
-    return exact.closure(list(gens), identity_hom(m).images,
-                         lambda f, g: tuple(map(g, f)), group)  # g o f
+def _image_group(m: Fqm):
+    """(identity, mul(f, g) = g o f) on image tuples of endomorphisms of m."""
+    return identity_hom(m).images, lambda f, g: tuple(
+        tuple(sum(map(operator.mul, y, col)) % d
+              for col, d in zip(zip(*g), m.orders)) for y in f)
+
+
+def hom_closure_images(m: Fqm, gens: Iterable[FqmHom]) -> set:
+    """Image tuples of the subgroup of O(m) the given maps generate, grown
+    coset by coset by exact.closure."""
+    return exact.closure([g.images for g in gens], *_image_group(m))
 
 
 def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:

@@ -39,8 +39,7 @@ def overlattice_pairs(n: Lattice, m: Lattice,
     basis = [row for row in exact.hermite_row_basis(rows) if any(row)]
     if len(basis) != total:
         raise ValueError("glue classes do not span a full-rank lattice")
-    ambient_gram = [list(r) for r in direct_sum(n, m).gram]
-    gram = exact.conjugate_rows(basis, ambient_gram)
+    gram = exact.conjugate_rows(basis, direct_sum(n, m).gram)
     out = []
     for i, row in enumerate(gram):
         if any(x % (den * den) for x in row):
@@ -79,14 +78,12 @@ def glue_pairs(ambient: Lattice, n_rows: Sequence[Sequence[int]],
     """Glue classes (in D_N x D_M) of an ambient lattice over the split
     N + M given by basis rows of two mutually orthogonal primitive
     sublattices spanning it rationally."""
-    stacked = [list(r) for r in n_rows] + [list(r) for r in m_rows]
+    stacked = list(n_rows) + list(m_rows)
     if len(stacked) != ambient.rank:
         raise ValueError("sublattices must span the ambient rationally")
     k = len(n_rows)
-    n_lat = Lattice(exact.conjugate_rows([list(r) for r in n_rows],
-                                         [list(r) for r in ambient.gram]))
-    m_lat = Lattice(exact.conjugate_rows([list(r) for r in m_rows],
-                                         [list(r) for r in ambient.gram]))
+    n_lat = Lattice(exact.conjugate_rows(n_rows, ambient.gram))
+    m_lat = Lattice(exact.conjugate_rows(m_rows, ambient.gram))
     dn, dm = disc_map(n_lat), disc_map(m_lat)
     # row i of adj / det holds the split coordinates of ambient basis vector i
     adj = exact.adjugate(stacked)

@@ -261,8 +261,3 @@ def k3_lattice() -> Lattice:
 def k3_square_lattice() -> Lattice:
     """Second cohomology of a Hilbert square of a K3: signature (3, 20), det 2."""
     return direct_sum(k3_lattice(), span_of_square(-2))
-
-
-def leech_lattice() -> Lattice:
-    from .leech import LEECH_GRAM
-    return Lattice(LEECH_GRAM)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 
@@ -209,18 +210,20 @@ def closure_from_scratch(gens, ident, mul):
     return seen, calls
 
 
-def greedy_generators(elements):
-    """(generators, products): in the given order, each matrix outside the
-    group the earlier ones generate, that group rebuilt from the identity
-    for every generator added; products counts the matrix products."""
-    n = len(elements[0])
-    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+def greedy_generators(elements, ident=None, mul=matrix_product):
+    """(generators, products): in the given order, each element outside the
+    group the earlier ones generate, that group rebuilt from ident for
+    every generator added; products counts the mul calls.  By default the
+    elements are square matrices and ident is the identity matrix."""
+    if ident is None:
+        n = len(elements[0])
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     gens, closed, products = [], {ident}, 0
     for q in elements:
         if q in closed:
             continue
         gens.append(q)
-        closed, calls = closure_from_scratch(gens, ident, matrix_product)
+        closed, calls = closure_from_scratch(gens, ident, mul)
         products += calls
     return gens, products
 
@@ -574,3 +577,68 @@ def minus2_box(h_sq, l_bound, k_bound):
                 if h_sq * x2 < m * m:
                     sols.add((t, k, l))
     return sorted(sols)
+
+
+def hermite_basis(rows):
+    """Row Hermite normal form of the integer span of rows (zero rows
+    dropped): positive pivots, zeros below them, entries above each pivot
+    in [0, pivot).  Per column, Euclid on the remaining rows leaves one
+    nonzero entry."""
+    work = [list(r) for r in rows]
+    basis = []
+    n = len(work[0]) if work else 0
+    for col in range(n):
+        live = [r for r in work if r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            piv = live[0]
+            for r in live[1:]:
+                q = r[col] // piv[col]
+                r[:] = [x - q * y for x, y in zip(r, piv)]
+            live = [r for r in live if r[col]]
+        if not live:
+            continue
+        piv = live[0]
+        work = [r for r in work if r is not piv]
+        if piv[col] < 0:
+            piv[:] = [-x for x in piv]
+        for b in basis:
+            q = b[col] // piv[col]
+            b[:] = [x - q * y for x, y in zip(b, piv)]
+        basis.append(piv)
+    return basis
+
+
+def golay_basis():
+    """Rows of a generator matrix of the extended [24,12,8] Golay code,
+    from the quadratic-residue generator polynomial of the cyclic [23,12]
+    code that gives a doubly even code of minimum weight 8."""
+    for taps in ((11, 10, 6, 5, 4, 2, 0), (11, 9, 7, 6, 5, 1, 0)):
+        basis = []
+        for shift in range(12):
+            row = [0] * 23
+            for t in taps:
+                row[t + shift] = 1  # deg g + 11 < 23: shifts never wrap
+            row.append(sum(row) % 2)
+            basis.append(row)
+        weights = [sum(sum(row[i] for row, c in zip(basis, coeffs) if c) % 2
+                       for i in range(24))
+                   for coeffs in itertools.product((0, 1), repeat=12)]
+        if not any(w % 4 for w in weights) and min(weights[1:]) == 8:
+            return basis
+    raise ValueError("neither generator polynomial gives the Golay code")
+
+
+def leech_gram():
+    """Gram of the Leech lattice from the Golay code: the integer vectors x
+    with all coordinates of one parity m, (x - m)/2 mod 2 a codeword and
+    coordinate sum 4m mod 8, paired by x.y/8, in the Hermite basis of the
+    generators 2c (c a codeword row), 4e_0 + 4e_j, 8e_0 and (-3, 1, ..., 1)."""
+    gens = [[2 * b for b in c] for c in golay_basis()]
+    gens += [[4 * (i in (0, j)) for i in range(24)] for j in range(1, 24)]
+    gens += [[8] + [0] * 23, [-3] + [1] * 23]
+    basis = hermite_basis(gens)
+    gram = [[sum(map(operator.mul, a, b)) for b in basis] for a in basis]
+    if len(basis) != 24 or any(x % 8 for row in gram for x in row):
+        raise ValueError("Golay construction is not a rank-24 lattice")
+    return tuple(tuple(x // 8 for x in row) for row in gram)

@@ -17,7 +17,8 @@ from k3lat.fixtures import DATASET_TEXT
 from k3lat.fqm import Fqm, anti_embeddings, hom_image, \
     identity_hom, isomorphisms, k3sq_glue_admissible
 from k3lat.glue import partner_disc_candidates
-from k3lat.lattice import Lattice, disc_map, leech_lattice
+from k3lat.lattice import Lattice, disc_map
+from oracles import leech_gram
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the frozen `k3lat table` output (permissive, built-in dataset); read only
@@ -236,8 +237,7 @@ class TestFixtures:
         assert a6.grams[0].gram == ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 
     def test_leech_block_matches_the_constructor(self):
-        assert builtin_dataset().lattice("Leech").gram == \
-            leech_lattice().gram
+        assert builtin_dataset().lattice("Leech").gram == leech_gram()
 
     def test_unknown_names_raise(self):
         with pytest.raises(KeyError):

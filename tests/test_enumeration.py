@@ -33,7 +33,7 @@ class TestVectorsOfNorm:
         assert set(vectors_of_norm(l, 6)) == units
 
     def test_leech_has_no_roots(self):
-        assert vectors_of_norm(lattice.leech_lattice(), 2) == []
+        assert vectors_of_norm(builtin_dataset().lattice("Leech"), 2) == []
 
     def test_negative_definite(self):
         l = lattice.a2(-1)
@@ -128,6 +128,21 @@ class TestAutomorphismGroup:
         with pytest.raises(ValueError, match="element-store limit of 10 "):
             all_automorphisms(Lattice(((6, 0, 0), (0, 6, 0), (0, 0, 6))))
 
+    def test_element_store_stops_the_listing(self, monkeypatch):
+        # 2 I_5 has 3840 automorphisms; the backtrack must raise at the
+        # eleventh, not list them all first
+        sizes = []
+        real = exact.check_element_store
+        monkeypatch.setattr(exact, "check_element_store",
+                            lambda size, what: sizes.append(size)
+                            or real(size, what))
+        monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 10)
+        lat = Lattice(tuple(tuple(2 * (i == j) for j in range(5))
+                            for i in range(5)))
+        with pytest.raises(ValueError, match="element-store limit of 10 "):
+            all_automorphisms(lat)
+        assert sizes == list(range(1, 12))
+
     def _lattices(self):
         for g in builtin_dataset().groups:
             yield from g.grams
@@ -149,21 +164,22 @@ class TestAutomorphismGroup:
 
     def test_closure_is_extended_not_rebuilt(self, monkeypatch):
         # 2 I_5: |O| = 2^5 5! = 3840 on 6 generators; rebuilding the closure
-        # for every new generator takes 27322 products
+        # for every new generator takes 27322 products, growing it coset by
+        # coset 3909
         products = []
-        real = exact.closure
+        real = exact.generators
 
-        def counted(gens, ident, mul, group=None):
+        def counted(elements, ident, mul):
             def counted_mul(f, g):
                 products.append(1)
                 return mul(f, g)
-            return real(gens, ident, counted_mul, group)
-        monkeypatch.setattr(exact, "closure", counted)
+            return real(elements, ident, counted_mul)
+        monkeypatch.setattr(exact, "generators", counted)
         lat = Lattice(tuple(tuple(2 * (i == j) for j in range(5))
                             for i in range(5)))
         gens, order = automorphism_group(lat)
         assert (order, len(gens)) == (3840, 6)
-        assert len(products) == 23040
+        assert len(products) == 3909
         want, rebuilt = greedy_generators(all_automorphisms(lat))
         assert [g.matrix for g in gens] == want
         assert len(products) < rebuilt == 27322

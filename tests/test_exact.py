@@ -5,9 +5,9 @@ import pytest
 
 from k3lat import exact
 from oracles import (char_poly, closure_from_scratch, congruence_signature,
-                     fraction_inverse, invariant_factors_via_minors,
-                     laplace_det, matrix_product, rand_int_matrix,
-                     rand_unimodular)
+                     fraction_inverse, greedy_generators,
+                     invariant_factors_via_minors, laplace_det,
+                     matrix_product, rand_int_matrix, rand_unimodular)
 
 
 def rand_symmetric(rng, n, rank, spread=3):
@@ -374,25 +374,30 @@ class TestClosure:
         gens = [rand_signed_permutation(rng, n)
                 for _ in range(rng.randint(1, 3))]
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        group = {ident}
         for k in range(1, len(gens) + 1):
-            before = frozenset(group)
-            group = exact.matrix_closure(gens[:k], n, group)
-            assert before <= group
             want, _ = closure_from_scratch(gens[:k], ident, matrix_product)
-            assert group == want
+            assert exact.closure(gens[:k], ident, matrix_product) == want
             assert exact.matrix_closure(gens[:k], n) == want
+        elements = sorted(want)
+        for listed in (gens, elements):
+            assert exact.generators(listed, ident, matrix_product) == \
+                greedy_generators(listed)[0]
 
     def test_given_group_is_not_modified(self):
         rot = ((0, -1), (1, 0))
         flip = ((1, 0), (0, -1))
-        group = exact.matrix_closure([rot], 2)
-        kept = set(group)
-        assert len(exact.matrix_closure([rot, flip], 2, group)) == 8
-        assert group == kept
+        ident = ((1, 0), (0, 1))
+        elements = sorted(exact.matrix_closure([rot, flip], 2))
+        kept = list(elements)
+        gens = exact.generators(elements, ident, matrix_product)
+        assert elements == kept
+        assert len(exact.matrix_closure(gens, 2)) == 8
 
     def test_generator_already_in_group(self):
         rot = ((0, -1), (1, 0))
-        group = exact.matrix_closure([rot], 2)
         half = ((-1, 0), (0, -1))
-        assert exact.matrix_closure([rot, half], 2, group) == group
+        ident = ((1, 0), (0, 1))
+        assert exact.matrix_closure([rot, half], 2) == \
+            exact.matrix_closure([rot], 2)
+        assert exact.generators([rot, half, rot], ident,
+                                matrix_product) == [rot]

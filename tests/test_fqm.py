@@ -21,7 +21,7 @@ from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, closure_from_scratch, fqm_b_value,
                      fqm_q_value, glue_admissible_walk, glue_images,
-                     subgroup_closure)
+                     greedy_generators, subgroup_closure)
 
 F = Fraction
 
@@ -470,13 +470,14 @@ class TestOrthogonalGroup:
         autos = isomorphisms(m, m)
         gens = [rng.choice(autos) for _ in range(3)]
         ident = identity_hom(m).images
-        group = {ident}
         for k in range(1, len(gens) + 1):
-            before = frozenset(group)
-            group = hom_closure_images(m, gens[:k], group)
             want, _ = closure_from_scratch(gens[:k], ident,
                                            lambda f, g: tuple(map(g, f)))
-            assert before <= group == want
+            assert hom_closure_images(m, gens[:k]) == want
+        # g o f on image tuples, through FqmHom.__call__
+        want, _ = greedy_generators([f.images for f in autos], ident,
+                                    lambda f, g: tuple(map(FqmHom(m, m, g), f)))
+        assert [g.images for g in orthogonal_group(m)[0]] == want
 
 
 class TestGlueAdmissible:

@@ -46,7 +46,7 @@ class TestConstructions:
         assert l.is_even
 
     def test_leech(self):
-        l = lattice.leech_lattice()
+        l = builtin_dataset().lattice("Leech")
         assert l.rank == 24
         assert l.det == 1
         assert l.is_even

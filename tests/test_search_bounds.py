@@ -13,12 +13,14 @@ import pytest
 
 from k3lat import exact, fqm
 from k3lat.fqm import Fqm
+from oracles import matrix_product
 
 
 @pytest.mark.parametrize("fn", [
     fqm.anti_embeddings, fqm.isomorphisms, fqm.is_isomorphic,
     fqm.orthogonal_group,
-    fqm.hom_closure_images, exact.matrix_closure, exact.multiplicative_order,
+    fqm.hom_closure_images, exact.closure, exact.generators,
+    exact.matrix_closure, exact.multiplicative_order,
 ], ids=lambda fn: fn.__name__)
 def test_no_bound_parameter(fn):
     params = inspect.signature(fn).parameters
@@ -47,12 +49,16 @@ def test_element_store_named_by_matrix_closure(monkeypatch):
 
 
 def test_element_store_named_by_an_extended_closure(monkeypatch):
+    # the 4-element group of rot4 fits; extending it by flip does not
     rot4, flip = [[0, -1], [1, 0]], [[1, 0], [0, -1]]
-    group = exact.matrix_closure([rot4], 2)
-    assert len(group) == 4
+    assert len(exact.matrix_closure([rot4], 2)) == 4
+    elements = sorted(exact.matrix_closure([rot4, flip], 2))
+    ident = ((1, 0), (0, 1))
     monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 5)
     with pytest.raises(ValueError, match="element-store limit of 5 "):
-        exact.matrix_closure([rot4, flip], 2, group)
+        exact.matrix_closure([rot4, flip], 2)
+    with pytest.raises(ValueError, match="element-store limit of 5 "):
+        exact.generators(elements, ident, matrix_product)
 
 
 def test_element_store_named_by_hom_closure_images(monkeypatch):
@@ -62,6 +68,13 @@ def test_element_store_named_by_hom_closure_images(monkeypatch):
     monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 2)
     with pytest.raises(ValueError, match="element-store limit of 2 "):
         fqm.hom_closure_images(m, gens)
+
+
+def test_element_store_named_by_orthogonal_group(monkeypatch):
+    m = Fqm((3, 3), (F(2, 3), F(2, 3)), ((F(0),), ()))
+    monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", 2)
+    with pytest.raises(ValueError, match="element-store limit of 2 "):
+        fqm.orthogonal_group(m)
 
 
 def test_order_bound_named(monkeypatch):
