@@ -343,8 +343,7 @@ def _cmd_hilb2(args) -> int:
     print("walls:")
     for t, k, l in report.wall_solutions:
         print(f"  t={t} k={k} l={l}")
-    if scan.terminal_gram is not None:
-        print("wall block:", _t_text(scan.terminal_gram))
+    print("wall block:", _t_text(scan.terminal_gram))
     print("line class needed:", "yes" if report.line_class_needed else "no")
     print("ample model certain:", "yes" if verdict else "no")
     return 0
@@ -411,7 +410,9 @@ def _build_parser() -> _Parser:
                        help="ample-cone obstructions for a Hilbert square")
     p.add_argument("--h2", type=int, required=True,
                    help="square of the polarization")
-    p.add_argument("--l-bound", type=int)
+    p.add_argument("--l-bound", type=int,
+                   help="cap on the -10 scan, required for --h2 2 and "
+                        "ignored above it (Hodge index ends the scan)")
     p.add_argument("--no-lines", action="store_true",
                    help="assume the surface contains no lines")
     p.set_defaults(handler=_cmd_hilb2)

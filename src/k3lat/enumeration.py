@@ -16,8 +16,7 @@ from operator import mul
 from typing import Optional
 
 from . import exact
-from .glue import divisibility_in_glued
-from .lattice import Lattice, divisibility
+from .lattice import Lattice
 
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -336,20 +335,3 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
                            f"G1 = {l1.gram}, G2 = {l2.gram}")
     order = exact.multiplicative_order(q) if l1.gram == l2.gram else None
     return Isometry(q, order)
-
-
-def wall_divisor_scan(m_lat: Lattice, glue_image=None) -> bool:
-    """True iff the lattice contains a wall divisor: a vector of square -2,
-    or of square -10 with divisibility 2 in the glued ambient lattice."""
-    if m_lat.rank and not m_lat.is_negative_definite:
-        raise ValueError("wall scan expects a negative definite lattice")
-    if vectors_of_norm(m_lat, -2):
-        return True
-    for v in vectors_of_norm(m_lat, -10):
-        if glue_image is None:
-            div = divisibility(m_lat, v)
-        else:
-            div = divisibility_in_glued(m_lat, v, glue_image)
-        if div == 2:
-            return True
-    return False

@@ -230,21 +230,10 @@ class FqmHom:
     def negates_form(self) -> bool:
         return self._form_sign_ok(-1)
 
-    def compose(self, other: "FqmHom") -> "FqmHom":
-        """self after other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition type mismatch")
-        return FqmHom(other.source, self.target,
-                      tuple(self(im) for im in other.images))
-
 
 def identity_hom(m: Fqm) -> FqmHom:
     return FqmHom(m, m, tuple(m.reduce([int(i == j) for j in range(m.rank)])
                               for i in range(m.rank)))
-
-
-def negation_hom(m: Fqm) -> FqmHom:
-    return FqmHom(m, m, tuple(m.neg(im) for im in identity_hom(m).images))
 
 
 def negated(m: Fqm) -> Fqm:

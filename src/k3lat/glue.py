@@ -4,7 +4,8 @@ Gluing: given even lattices N and M and a form-negating embedding gamma of
 D(M) into D(N), an FqmHom, the vectors x + gamma(x) span an even
 overlattice of N + M.  The extension criterion decides when an isometry of N
 extends over such an overlattice; divisibility_in_glued computes div(v) of v
-in N measured inside the glued ambient lattice without constructing it.
+in N measured inside the glued ambient lattice without constructing it, and
+wall_divisor_scan uses it to look for wall divisors in a definite lattice.
 partner_disc_candidates lists the forms a glue partner of N can carry; like
 classify it takes the admissible images c^perp from fqm.glue_image, one per
 fqm.k3sq_glue_characters row.
@@ -18,10 +19,11 @@ from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from . import exact
+from .enumeration import vectors_of_norm
 from .fqm import (Element, Fqm, FqmHom, Subgroup, glue_image,
                   hom_closure_images, is_isomorphic, k3sq_glue_characters,
                   negated, subgroup_presentation)
-from .lattice import Lattice, direct_sum, disc_map
+from .lattice import Lattice, direct_sum, disc_map, divisibility
 
 
 def overlattice_pairs(n: Lattice, m: Lattice,
@@ -87,7 +89,8 @@ def glue_pairs(ambient: Lattice, n_rows: Sequence[Sequence[int]],
     dn, dm = disc_map(n_lat), disc_map(m_lat)
     # row i of adj / det holds the split coordinates of ambient basis vector i
     adj = exact.adjugate(stacked)
-    det = exact.bareiss_det(stacked)
+    # det = (stacked adj)_00, as in exact.rational_inverse
+    det = sum(map(mul, stacked[0], (row[0] for row in adj))) if adj else 1
     return [(dn.project(row[:k], det), dm.project(row[k:], det))
             for row in adj]
 
@@ -113,6 +116,23 @@ def divisibility_in_glued(n: Lattice, v: Sequence[int],
                                f"lift of glue class {gen}, not an integer")
         g = math.gcd(g, pairing // dn.den)
     return g
+
+
+def wall_divisor_scan(m_lat: Lattice, glue_image=None) -> bool:
+    """True iff the lattice contains a wall divisor: a vector of square -2,
+    or of square -10 with divisibility 2 in the glued ambient lattice."""
+    if m_lat.rank and not m_lat.is_negative_definite:
+        raise ValueError("wall scan expects a negative definite lattice")
+    if vectors_of_norm(m_lat, -2):
+        return True
+    for v in vectors_of_norm(m_lat, -10):
+        if glue_image is None:
+            div = divisibility(m_lat, v)
+        else:
+            div = divisibility_in_glued(m_lat, v, glue_image)
+        if div == 2:
+            return True
+    return False
 
 
 def realized_actions(d_m: Fqm, obar: Iterable[FqmHom]

@@ -8,8 +8,10 @@ to h - xi.  Writing such classes as 2k*x + (2l+1)*xi resp. k*x + l*xi with
 x a primitive surface class turns both cases into two-variable Diophantine
 systems; each solution pins down the Gram matrix of <x, h>, a rank-2 block
 that would have to embed into the Picard lattice of S.  This module
-enumerates those blocks exactly.  Whether a block really embeds is geometry
-the caller supplies, e.g. "S contains no lines".
+enumerates the -10 blocks exactly; the -2 system has a closed form (proof in
+minus2_wall_scan): in every degree one wall, t = 1/2, and one block
+((-2,p),(p,h_sq)) with p = (h_sq-2)/2.  Whether a block really embeds is
+geometry the caller supplies, e.g. "S contains no lines".
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class ObstructionReport:
 class WallScan:
     solutions: tuple[WallSolution, ...]
     # Gram of <z, h> for the -2-class z the wall forces into the Picard lattice
-    terminal_gram: Optional[IntMatrix]
+    terminal_gram: IntMatrix
     # t = 0 endpoint: solutions surviving the ampleness filter (always none,
     # a -2-class orthogonal to an ample class cannot exist)
     boundary_solutions: tuple[WallSolution, ...]
@@ -52,7 +54,8 @@ def minus10_solutions(h_sq: int, l_bound: Optional[int] = None):
 
     A primitive class y = 2k*x + (2l+1)*xi of square -10 and divisibility 2
     orthogonal to h - xi forces x^2 = 2(l^2+l-1)/k^2 and h.x = -(2l+1)/k.
-    The Hodge index theorem bounds l whenever h_sq >= 4; for h_sq = 2 the
+    The Hodge index theorem bounds l whenever h_sq >= 4, so l_bound is
+    ignored there (a negative one is still rejected); for h_sq = 2 the
     inequality is vacuous and the caller must cap |l| explicitly.
 
     Witnesses are canonical: k >= 1, l >= 0 (the maps l -> -1-l and
@@ -103,41 +106,18 @@ def minus2_wall_scan(h_sq: int) -> WallScan:
     """Walls orthogonal to -2-classes crossing the open segment h to h - xi.
 
     y = k*x + l*xi orthogonal to h - t*xi with 0 < t < 1 forces
-    x^2 = 2(l^2-1)/k^2 and h.x = 2tl/k =: m.  Solutions are canonical with
-    k, l, m >= 1.  The l = 0 branch would need a -2-class orthogonal to h
-    itself, impossible since h is ample on the surface; the same filter
-    empties the t = 0 endpoint check.
+    x^2 = 2(l^2-1)/k^2 and h.x = 2tl/k =: m with k, l, m >= 1; t < 1 gives
+    mk <= 2l - 1, while Hodge index needs (mk)^2 > 2*h_sq*(l^2-1).  For
+    l >= 2 that fails, as 2*h_sq*(l^2-1) >= 4l^2-4 >= (2l-1)^2.  The one
+    wall is (k, l, m) = (1, 1, 1), t = 1/2, on the block ((0,1),(1,h_sq)),
+    whose -2-classes are +-z, z = h - ((h_sq+2)/2)*x; z.h = (h_sq-2)/2 =: p
+    is the least nonnegative pairing, and z, h span ((-2,p),(p,h_sq)).  The
+    l = 0 branch would need a -2-class orthogonal to the ample h; the same
+    filter empties the t = 0 endpoint.
     """
     _check_degree(h_sq)
-    solutions = []
-    gram_seen = None
-    for l in itertools.count(1):
-        # largest admissible m*k is 2l - 1; below that Hodge needs
-        # (mk)^2 > 2*h_sq*(l^2-1), and the bound only tightens with l
-        if (2 * l - 1) ** 2 <= 2 * h_sq * (l * l - 1):
-            break
-        for k in range(1, 2 * l):
-            if (2 * (l * l - 1)) % (k * k):
-                continue
-            x_sq = 2 * (l * l - 1) // (k * k)
-            for m in range(1, (2 * l - 1) // k + 1):
-                if h_sq * x_sq >= m * m:
-                    continue
-                t = Fraction(m * k, 2 * l)
-                if not 0 < t < 1:
-                    continue
-                solutions.append((t, k, l))
-                gram_seen = ((x_sq, m), (m, h_sq))
-    terminal = None
-    if gram_seen is not None:
-        z = minus_two_class(gram_seen)
-        if z is None:
-            raise RuntimeError(f"-2 wall scan with h^2 = {h_sq}: the block "
-                               f"{gram_seen} has det < 0 but no -2 vector")
-        terminal = _span_with_h(gram_seen, z)
-    # t = 0: h.x = 0 and Hodge force x^2 < 0, so l = 0 and k*x is a
-    # -2-class orthogonal to the ample h; nothing survives
-    return WallScan(tuple(solutions), terminal, ())
+    p = (h_sq - 2) // 2
+    return WallScan(((Fraction(1, 2), 1, 1),), ((-2, p), (p, h_sq)), ())
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -186,22 +166,6 @@ def vector_with(gram: IntMatrix, norm: int, pairing: int):
     return (a0 + d * s, b0 - e * s)
 
 
-def minus_two_class(gram: IntMatrix):
-    """A norm -2 vector of smallest nonnegative pairing with h, or None."""
-    for p in range(0, 2 * gram[1][1] + 1):
-        z = vector_with(gram, -2, p)
-        if z is not None:
-            return z
-    return None
-
-
-def _span_with_h(gram: IntMatrix, z: tuple[int, int]) -> IntMatrix:
-    (g00, g01), (_, g11) = gram
-    z_sq = g00 * z[0] * z[0] + 2 * g01 * z[0] * z[1] + g11 * z[1] * z[1]
-    z_h = g01 * z[0] + g11 * z[1]
-    return ((z_sq, abs(z_h)), (abs(z_h), g11))
-
-
 def line_witness(gram: IntMatrix):
     """A class of norm -2 meeting h in exactly one point: on a surface
     whose polarization is a hyperplane section, an effective line."""
@@ -218,16 +182,18 @@ def _excluded(gram: IntMatrix, no_lines: bool,
     return no_lines and line_witness(gram) is not None
 
 
+def _obstruction_blocks(h_sq: int, l_bound: Optional[int]) -> list[IntMatrix]:
+    """The -10 blocks in sorted order, then the -2 wall block last."""
+    grams = minus10_obstruction_grams(h_sq, l_bound)
+    return grams + [minus2_wall_scan(h_sq).terminal_gram]
+
+
 def obstruction_report(h_sq: int,
                        l_bound: Optional[int] = None) -> ObstructionReport:
-    _check_degree(h_sq)
-    grams = minus10_obstruction_grams(h_sq, l_bound)
-    scan = minus2_wall_scan(h_sq)
-    blocks = list(grams)
-    if scan.terminal_gram is not None:
-        blocks.append(scan.terminal_gram)
+    blocks = _obstruction_blocks(h_sq, l_bound)
     needs_line = any(line_witness(g) is not None for g in blocks)
-    return ObstructionReport(tuple(grams), scan.solutions, needs_line)
+    return ObstructionReport(tuple(blocks[:-1]),
+                             minus2_wall_scan(h_sq).solutions, needs_line)
 
 
 def ample_model_verdict(h_sq: int, no_lines: bool,
@@ -239,8 +205,5 @@ def ample_model_verdict(h_sq: int, no_lines: bool,
     a -2-class orthogonal to h (impossible next to an ample class), or,
     when no_lines is set, from containing a line class.
     """
-    scan = minus2_wall_scan(h_sq)
-    blocks = minus10_obstruction_grams(h_sq, l_bound)
-    if scan.solutions:
-        blocks.append(scan.terminal_gram)
-    return all(_excluded(g, no_lines, picard_excludes) for g in blocks)
+    return all(_excluded(g, no_lines, picard_excludes)
+               for g in _obstruction_blocks(h_sq, l_bound))

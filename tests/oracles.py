@@ -1,8 +1,9 @@
 """Independent reference implementations used to freeze expected test values.
 
-Nothing here may import from k3lat: these are deliberately naive second
+Nothing here may compute with k3lat: these are deliberately naive second
 routes (minor-gcd invariant factors, box enumeration, exhaustive searches)
-against which the real algorithms are checked.
+against which the real algorithms are checked.  The one k3lat name is the
+FqmHom container, which compose and negation_hom build for tests.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+
+from k3lat.fqm import FqmHom
 
 
 def laplace_det(a):
@@ -437,6 +440,20 @@ def glue_images(homs, image_of):
         key = frozenset(subgroup_closure(f.target.orders, f.images))
         groups.setdefault(key, []).append(f)
     return [(image_of(members[0]), members) for members in groups.values()]
+
+
+def compose(f, g):
+    """The FqmHom f after g."""
+    if g.target != f.source:
+        raise ValueError("composition type mismatch")
+    return FqmHom(g.source, f.target, tuple(f(im) for im in g.images))
+
+
+def negation_hom(m):
+    """x -> -x on the Fqm m."""
+    return FqmHom(m, m, tuple(
+        m.neg(m.reduce([int(i == j) for j in range(m.rank)]))
+        for i in range(m.rank)))
 
 
 def all_anti_embeddings(src_orders, src_q, src_b, dst_orders, dst_q, dst_b):

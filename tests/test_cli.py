@@ -36,6 +36,64 @@ UNPINNED = {"2^3:L2(7)", "2xL2(7)", "2:A6", "2^4:S5", "Q(3^2:2)",
             "2^4:(S3xS3)"}
 
 
+# `k3lat hilb2` stdout frozen from the wall-search implementation: all but
+# the last line, then that line's verdict without and with --no-lines
+HILB2_STDOUT = {
+    ("2", "--l-bound", "3"): ("""\
+obstruction blocks: 4
+  [[-2,1],[1,2]]
+  [[2,3],[3,2]]
+  [[10,5],[5,2]]
+  [[22,7],[7,2]]
+walls:
+  t=1/2 k=1 l=1
+wall block: [[-2,0],[0,2]]
+line class needed: yes
+""", ("no", "yes")),
+    ("4",): ("""\
+obstruction blocks: 2
+  [[-2,1],[1,4]]
+  [[2,3],[3,4]]
+walls:
+  t=1/2 k=1 l=1
+wall block: [[-2,1],[1,4]]
+line class needed: yes
+""", ("no", "yes")),
+    ("6",): ("""\
+obstruction blocks: 1
+  [[-2,1],[1,6]]
+walls:
+  t=1/2 k=1 l=1
+wall block: [[-2,2],[2,6]]
+line class needed: yes
+""", ("no", "no")),
+    ("10",): ("""\
+obstruction blocks: 1
+  [[-2,1],[1,10]]
+walls:
+  t=1/2 k=1 l=1
+wall block: [[-2,4],[4,10]]
+line class needed: yes
+""", ("no", "no")),
+    ("22",): ("""\
+obstruction blocks: 1
+  [[-2,1],[1,22]]
+walls:
+  t=1/2 k=1 l=1
+wall block: [[-2,10],[10,22]]
+line class needed: yes
+""", ("no", "no")),
+    ("196",): ("""\
+obstruction blocks: 1
+  [[-2,1],[1,196]]
+walls:
+  t=1/2 k=1 l=1
+wall block: [[-2,97],[97,196]]
+line class needed: yes
+""", ("no", "no")),
+}
+
+
 def small_dataset() -> Dataset:
     ds = builtin_dataset()
     return Dataset((ds.group("3^4:A6"), ds.group("L2(11)")), ())
@@ -492,6 +550,15 @@ class TestMain:
     def test_hilb2_no_lines_clears_degree_four(self, capsys):
         assert main(["hilb2", "--h2", "4", "--no-lines"]) == 0
         assert "ample model certain: yes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("no_lines", [False, True])
+    @pytest.mark.parametrize("args", list(HILB2_STDOUT))
+    def test_hilb2_frozen_stdout(self, capsys, args, no_lines):
+        body, verdicts = HILB2_STDOUT[args]
+        assert main(["hilb2", "--h2", *args] +
+                    ["--no-lines"] * no_lines) == 0
+        assert capsys.readouterr().out == \
+            f"{body}ample model certain: {verdicts[no_lines]}\n"
 
     def test_hilb2_degree_two_needs_a_bound(self, capsys):
         assert main(["hilb2", "--h2", "2"]) == 1

@@ -5,10 +5,10 @@ import pytest
 
 from k3lat import enumeration, exact, lattice
 from k3lat.enumeration import (all_automorphisms, automorphism_group,
-                               is_isometric, vectors_of_norm,
-                               wall_divisor_scan)
+                               is_isometric, vectors_of_norm)
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import Subgroup
+from k3lat.glue import wall_divisor_scan
 from k3lat.lattice import Lattice, disc_map
 from oracles import (box_bound_for, box_vectors, brute_isometries,
                      greedy_generators, image_backtrack, matrix_order,

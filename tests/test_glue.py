@@ -9,14 +9,15 @@ from k3lat.enumeration import all_automorphisms
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_image, hom_preimage, identity_hom, isomorphisms,
-                       negated, negation_hom, subgroup_presentation)
+                       negated, subgroup_presentation)
 from k3lat.glue import (check_extendable, divisibility_in_glued, glue_pairs,
                         overlattice, overlattice_pairs,
                         partner_disc_candidates, realized_actions)
 from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
                            e8, induced_map, rescale, span_of_square)
-from oracles import (index_two_glue_kernels, laplace_det,
-                     rand_definite_even_gram, rand_even_gram, rand_int_matrix)
+from oracles import (compose, index_two_glue_kernels, laplace_det,
+                     negation_hom, rand_definite_even_gram, rand_even_gram,
+                     rand_int_matrix)
 
 
 def a2_glue():
@@ -305,8 +306,8 @@ class TestCheckExtendable:
             for f in all_automorphisms(n_lat):
                 fbar = induced_map(n_lat, [list(r) for r in f])
                 matches = [g for g in autos_m
-                           if fbar.compose(gam).images ==
-                           gam.compose(induced_map(m_lat, [list(r) for r in g])).images]
+                           if compose(fbar, gam).images ==
+                           compose(gam, induced_map(m_lat, [list(r) for r in g])).images]
                 got, _ = check_extendable(fbar, gam, realized)
                 assert got == bool(matches)
                 if matches:

@@ -93,7 +93,7 @@ class TestMinus2WallScan:
             assert -2 * h_sq - half * half < 0
 
     def test_matches_box_oracle(self):
-        for h_sq in (2, 4, 6, 10):
+        for h_sq in (2, 4, 6, 10, 22, 46, 100, 196):
             want = {(t, abs(k), abs(l)) for t, k, l in minus2_box(h_sq, 30, 30)}
             assert set(minus2_wall_scan(h_sq).solutions) == want
 

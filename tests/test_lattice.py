@@ -6,11 +6,12 @@ import pytest
 from k3lat import exact, lattice
 from k3lat.classify import good_isometries
 from k3lat.dataset import builtin_dataset
-from k3lat.fqm import anti_embeddings, hom_image, identity_hom, negation_hom
+from k3lat.fqm import anti_embeddings, hom_image, identity_hom
 from k3lat.glue import divisibility_in_glued
 from test_glue import gram_of, random_primitive_split
-from oracles import (brute_isometries, dual_class, invariant_factors_via_minors,
-                     laplace_det, rand_definite_even_gram, rand_even_gram,
+from oracles import (brute_isometries, compose, dual_class,
+                     invariant_factors_via_minors, laplace_det, negation_hom,
+                     rand_definite_even_gram, rand_even_gram,
                      rand_int_matrix, rand_unimodular)
 
 
@@ -215,7 +216,7 @@ class TestInducedMap:
         assert f.preserves_form()
         power = f
         for _ in range(5):
-            power = f.compose(power)
+            power = compose(f, power)
         assert power.images == identity_hom(f.source).images
 
     @pytest.mark.parametrize("seed", range(10))
@@ -229,7 +230,7 @@ class TestInducedMap:
         fa, fb = lattice.induced_map(l, qa), lattice.induced_map(l, qb)
         # row vectors: v*(qa*qb) applies qa first
         composed = lattice.induced_map(l, exact.mat_mul(qa, qb))
-        assert composed.images == fb.compose(fa).images
+        assert composed.images == compose(fb, fa).images
 
 
 class TestGlueGroupOfSplit:
