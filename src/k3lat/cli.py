@@ -27,7 +27,8 @@ from .fqm import Fqm, anti_embeddings, glue_image, hom_image, \
 # perfbench reads these through cli
 from .dataset import emit_dataset, parse_dataset  # noqa: F401
 from .fqm import k3sq_glue_admissible  # noqa: F401
-from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
+from .hilb2 import ample_model_verdict  # noqa: F401
+from .hilb2 import all_excluded, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -333,8 +334,9 @@ def _cmd_hilb2(args) -> int:
     try:
         report = obstruction_report(args.h2, l_bound=args.l_bound)
         scan = minus2_wall_scan(args.h2)
-        verdict = ample_model_verdict(args.h2, no_lines=args.no_lines,
-                                      l_bound=args.l_bound)
+        # the blocks ample_model_verdict would rebuild, without a second scan
+        verdict = all_excluded(
+            report.minus10_grams + (scan.terminal_gram,), args.no_lines)
     except ValueError as exc:
         raise InputError(str(exc))
     print("obstruction blocks:", len(report.minus10_grams))

@@ -1,8 +1,9 @@
 """Short-vector enumeration and isometry search for definite lattices.
 
-Everything here runs on integers: bases are reduced by integral LLL, vectors
-of a given norm come from a Fincke-Pohst walk down an LDL decomposition
-scaled to integers (one per reduced Gram), and automorphism / isometry
+Everything here runs on integers: bases are reduced by one pass of
+integral LLL at delta = 99/100, vectors of a given norm come from a
+Fincke-Pohst walk down an LDL decomposition scaled to integers (one per
+reduced Gram) that visits one of each pair +-v, and automorphism / isometry
 searches backtrack over images of basis vectors with partial-Gram pruning,
 pairing each candidate image once.  Results are deterministic
 (lexicographic order) and vector lists are closed under negation.
@@ -59,7 +60,7 @@ def _gram_schmidt_row(h, k, d, lam) -> None:
 
 
 def _lll(gram):
-    """Integral LLL (delta = 3/4) of a positive definite integer gram.
+    """Integral LLL (delta = 99/100) of a positive definite integer gram.
 
     Returns (gram', U, U^-1) with U unimodular and gram' = U * gram * U^T,
     so the rows of U are the reduced basis written in the original
@@ -67,7 +68,7 @@ def _lll(gram):
     minors d and the scaled coefficients lam are integers, Gram-Schmidt rows
     are computed once each and updated in place on a swap.  Row k is
     size-reduced against k-1, ..., 0 before the Lovasz test
-    4 d[k+1] d[k-1] >= 3 d[k]^2 - 4 lam[k][k-1]^2.
+    100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam[k][k-1]^2.
     """
     n = len(gram)
     h = [list(row) for row in gram]
@@ -98,7 +99,7 @@ def _lll(gram):
                 lam_k[j] -= r * lam_l[j]
             lam_k[l] -= r * d[l + 1]
         lam_kk = lam_k[k - 1]
-        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam_kk ** 2:
+        if 100 * d[k + 1] * d[k - 1] >= 99 * d[k] ** 2 - 100 * lam_kk ** 2:
             k += 1
             continue
         # swap rows k-1 and k (Cohen's SWAPI)
@@ -118,27 +119,6 @@ def _lll(gram):
         d[k] = b
         k = max(k - 1, 1)
     return _int_matrix(h), _int_matrix(u), _int_matrix(u_inv)
-
-
-def _reduced_basis(gram):
-    """LLL plus a dual-side reduction pass, rows reversed.
-
-    Plain LLL leaves the trailing Gram-Schmidt norms tiny on lattices like
-    the Leech lattice, which blows up the enumeration tree; reducing the
-    dual basis and reversing the row order keeps the outer enumeration
-    levels tight.  Returns (gram', U, U^-1) with gram' = U * gram * U^T.
-    """
-    g1, u1, u1_inv = _lll(gram)
-    if len(gram) <= 1:
-        return g1, u1, u1_inv
-    # the adjugate is a positive multiple of the dual gram, and LLL is
-    # scale-invariant, so it gives the dual's transformation
-    _, u2, u2_inv = _lll(exact.adjugate(g1))
-    # dual-reduced basis W * u1 with W = (U2^-1)^T, so W^-1 = U2^T
-    u3 = exact.mat_mul(exact.transpose(u2_inv), u1)[::-1]
-    u3_inv = [row[::-1] for row in exact.mat_mul(u1_inv, exact.transpose(u2))]
-    return (_int_matrix(exact.conjugate_rows(u3, gram)), _int_matrix(u3),
-            _int_matrix(u3_inv))
 
 
 def _scaled_ldl(gram):
@@ -170,15 +150,17 @@ def _scaled_ldl(gram):
 
 def _fp_vectors(ldl, target: int) -> list[Vector]:
     """All x (reduced coordinates, zero excluded) with x gram_red x^T = target,
-    given ldl = _scaled_ldl(gram_red).
+    given ldl = _scaled_ldl(gram_red), in lexicographic order of x[::-1].
 
     A Fincke-Pohst walk from the last coordinate down: with the remaining
-    scaled norm r, level i admits |e_i x_i + s_i| <= isqrt(r // w_i).
+    scaled norm r, level i admits |e_i x_i + s_i| <= isqrt(r // w_i).  Only
+    the x whose last nonzero coordinate x_k is positive are walked (x_i = 0
+    above k, so s_k = 0), for k = 0, 1, ... in turn, which lists them in
+    order; the -x, in reverse, all come before them.
     """
     e, terms, w, scale = ldl
-    n = len(e)
     found: list[Vector] = []
-    coords = [0] * n
+    coords = [0] * len(e)
 
     def walk(i: int, remaining: int):
         s = 0
@@ -194,8 +176,7 @@ def _fp_vectors(ldl, target: int) -> list[Vector]:
                 x, off = divmod(y - s, e_i)
                 if not off:
                     coords[0] = x
-                    if any(coords):
-                        found.append(tuple(coords))
+                    found.append(tuple(coords))
             coords[0] = 0
             return
         t = math.isqrt(remaining // w_i)
@@ -205,9 +186,18 @@ def _fp_vectors(ldl, target: int) -> list[Vector]:
             walk(i - 1, remaining - w_i * y * y)
         coords[i] = 0
 
-    if n:
-        walk(n - 1, scale * target)
-    return found
+    total = scale * target
+    for k in range(len(e)):
+        e_k, w_k = e[k], w[k]
+        for x in range(1, math.isqrt(total // w_k) // e_k + 1):
+            coords[k] = x
+            remaining = total - w_k * (e_k * x) ** 2
+            if k:
+                walk(k - 1, remaining)
+            elif not remaining:
+                found.append(tuple(coords))
+        coords[k] = 0
+    return [tuple(-x for x in v) for v in reversed(found)] + found
 
 
 def _positive_form(lat: Lattice) -> tuple[int, IntMatrix]:
@@ -224,10 +214,8 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     sign, gram = _positive_form(lat)
     if lat.rank == 0 or n == 0 or (n > 0) != (sign > 0):
         return []
-    gram_red, u, _ = _reduced_basis(gram)
-    cols = list(zip(*u))
-    return sorted(tuple(sum(map(mul, x, col)) for col in cols)
-                  for x in _fp_vectors(_scaled_ldl(gram_red), abs(n)))
+    gram_red, u, _ = _lll(gram)
+    return sorted(_times(_fp_vectors(_scaled_ldl(gram_red), abs(n)), u))
 
 
 def _image_backtrack(target_gram, source_gram, candidates, first_only):
@@ -272,22 +260,26 @@ def _int_matrix(rows) -> IntMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _conjugate_back(q_red, u, u_inv):
-    """Map an isometry in reduced coordinates back to the original basis."""
-    return _int_matrix(exact.mat_mul(exact.mat_mul(u_inv, q_red), u))
+def _times(rows, m) -> list[Vector]:
+    """row * m for each row (reduced coordinates times U: original ones)."""
+    cols = list(zip(*m))
+    return [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
 
 
 def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
     """Every isometry of a definite lattice, sorted (element store)."""
     if lat.rank == 0:
         return [()]
-    gram_red, u, u_inv = _reduced_basis(_positive_form(lat)[1])
+    gram_red, u, u_inv = _lll(_positive_form(lat)[1])
     ldl = _scaled_ldl(gram_red)
     norms = [gram_red[i][i] for i in range(lat.rank)]
     by_norm = {norm: _fp_vectors(ldl, norm) for norm in set(norms)}
     candidates = [by_norm[norm] for norm in norms]
     autos = _image_backtrack(gram_red, gram_red, candidates, first_only=False)
-    return sorted(_conjugate_back(q, u, u_inv) for q in autos)
+    # q is U^-1 (q U) in the original basis, each candidate times U once
+    orig = {c: v for cands in by_norm.values()
+            for c, v in zip(cands, _times(cands, u))}
+    return sorted(tuple(_times(u_inv, [orig[c] for c in q])) for q in autos)
 
 
 def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
@@ -313,8 +305,8 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     (sign1, g1), (sign2, g2) = _positive_form(l1), _positive_form(l2)
     if sign1 != sign2:
         return None
-    g1_red, _, u1_inv = _reduced_basis(g1)
-    g2_red, u2, _ = _reduced_basis(g2)
+    g1_red, _, u1_inv = _lll(g1)
+    g2_red, u2, _ = _lll(g2)
     # the backtrack draws images from L2's vectors of each basis norm of
     # L1; if L1 has a different count at one of them, there is no isometry
     norms = [g1_red[i][i] for i in range(l1.rank)]
@@ -329,7 +321,7 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     if not hits:
         return None
     # rows of M are images in reduced L2 coordinates: M.G2'.M^T = G1'
-    q = _conjugate_back(hits[0], u2, u1_inv)
+    q = tuple(_times(u1_inv, _times(hits[0], u2)))
     if exact.conjugate_rows(q, l2.gram) != [list(r) for r in l1.gram]:
         raise RuntimeError("is_isometric witness Q fails Q.G2.Q^T = G1 for "
                            f"G1 = {l1.gram}, G2 = {l2.gram}")

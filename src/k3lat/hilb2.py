@@ -39,9 +39,6 @@ class WallScan:
     solutions: tuple[WallSolution, ...]
     # Gram of <z, h> for the -2-class z the wall forces into the Picard lattice
     terminal_gram: IntMatrix
-    # t = 0 endpoint: solutions surviving the ampleness filter (always none,
-    # a -2-class orthogonal to an ample class cannot exist)
-    boundary_solutions: tuple[WallSolution, ...]
 
 
 def _check_degree(h_sq: int) -> None:
@@ -117,7 +114,7 @@ def minus2_wall_scan(h_sq: int) -> WallScan:
     """
     _check_degree(h_sq)
     p = (h_sq - 2) // 2
-    return WallScan(((Fraction(1, 2), 1, 1),), ((-2, p), (p, h_sq)), ())
+    return WallScan(((Fraction(1, 2), 1, 1),), ((-2, p), (p, h_sq)))
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -172,16 +169,6 @@ def line_witness(gram: IntMatrix):
     return vector_with(gram, -2, 1)
 
 
-def _excluded(gram: IntMatrix, no_lines: bool,
-              picard_excludes: Optional[Callable[[IntMatrix], bool]]) -> bool:
-    if picard_excludes is not None and picard_excludes(gram):
-        return True
-    # a -2-class orthogonal to the ample h can never embed
-    if vector_with(gram, -2, 0) is not None:
-        return True
-    return no_lines and line_witness(gram) is not None
-
-
 def _obstruction_blocks(h_sq: int, l_bound: Optional[int]) -> list[IntMatrix]:
     """The -10 blocks in sorted order, then the -2 wall block last."""
     grams = minus10_obstruction_grams(h_sq, l_bound)
@@ -196,14 +183,24 @@ def obstruction_report(h_sq: int,
                              minus2_wall_scan(h_sq).solutions, needs_line)
 
 
-def ample_model_verdict(h_sq: int, no_lines: bool,
-                        picard_excludes=None,
-                        l_bound: Optional[int] = None) -> bool:
-    """True iff every obstruction block is excluded from the Picard lattice.
+def all_excluded(blocks, no_lines: bool,
+                 picard_excludes: Optional[Callable[[IntMatrix], bool]] = None
+                 ) -> bool:
+    """True iff every block is excluded from the Picard lattice.
 
     Exclusion of a block comes from the caller's predicate, from containing
     a -2-class orthogonal to h (impossible next to an ample class), or,
     when no_lines is set, from containing a line class.
     """
-    return all(_excluded(g, no_lines, picard_excludes)
-               for g in _obstruction_blocks(h_sq, l_bound))
+    return all((picard_excludes is not None and picard_excludes(g))
+               or vector_with(g, -2, 0) is not None
+               or (no_lines and line_witness(g) is not None) for g in blocks)
+
+
+def ample_model_verdict(h_sq: int, no_lines: bool,
+                        picard_excludes=None,
+                        l_bound: Optional[int] = None) -> bool:
+    """True iff every obstruction block of degree h_sq is excluded from the
+    Picard lattice (all_excluded)."""
+    return all_excluded(_obstruction_blocks(h_sq, l_bound), no_lines,
+                        picard_excludes)

@@ -170,6 +170,48 @@ def matrix_product(a, b):
                        for j in range(len(b[0]))) for i in range(len(a)))
 
 
+def conjugate_back(q_red, u, u_inv):
+    """U^-1 q U: an isometry in reduced coordinates mapped back to the
+    original basis by two products."""
+    return matrix_product(matrix_product(u_inv, q_red), u)
+
+
+def two_sign_walk(ldl, target):
+    """Every nonzero x with sum_i w_i (e_i x_i + s_i)^2 = scale * target for
+    ldl = (e, terms, w, scale), by a Fincke-Pohst walk over both signs of
+    every coordinate, in the order it meets them."""
+    e, terms, w, scale = ldl
+    n = len(e)
+    found = []
+    coords = [0] * n
+
+    def walk(i, remaining):
+        s = sum(m * coords[j] for j, m in terms[i])
+        if i == 0:
+            t2, rem = divmod(remaining, w[0])
+            t = math.isqrt(t2)
+            if rem or t * t != t2:
+                return
+            for y in ((-t, t) if t else (0,)):
+                x, off = divmod(y - s, e[0])
+                if not off:
+                    coords[0] = x
+                    if any(coords):
+                        found.append(tuple(coords))
+            coords[0] = 0
+            return
+        t = math.isqrt(remaining // w[i])
+        for x in range(-((s + t) // e[i]), (t - s) // e[i] + 1):
+            y = e[i] * x + s
+            coords[i] = x
+            walk(i - 1, remaining - w[i] * y * y)
+        coords[i] = 0
+
+    if n:
+        walk(n - 1, scale * target)
+    return found
+
+
 def char_poly(a):
     """Coefficients [1, c1, ..., cn] of det(xI - a), by Faddeev-LeVerrier."""
     n = len(a)

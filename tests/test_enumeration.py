@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,10 @@ from k3lat.fqm import Subgroup
 from k3lat.glue import wall_divisor_scan
 from k3lat.lattice import Lattice, disc_map
 from oracles import (box_bound_for, box_vectors, brute_isometries,
-                     greedy_generators, image_backtrack, matrix_order,
-                     rand_definite_even_gram, rand_definite_odd_gram,
-                     rand_unimodular)
+                     conjugate_back, greedy_generators, image_backtrack,
+                     matrix_order, rand_definite_even_gram,
+                     rand_definite_odd_gram, rand_unimodular, two_sign_walk)
+from test_acceptance import criterion_7_grams
 
 
 def norm_of(gram, v):
@@ -151,6 +153,21 @@ class TestAutomorphismGroup:
             for sign in (1, 1, -1):
                 yield Lattice(rand_definite_even_gram(rng, n, sign=sign))
 
+    def test_maps_back_like_two_products(self):
+        # q U read once per candidate, then U^-1 (q U), against the two
+        # products U^-1 q U made per automorphism
+        lattices = [*self._lattices(), *map(Lattice, criterion_7_grams())]
+        for lat in lattices:
+            sign = 1 if lat.is_positive_definite else -1
+            g_red, u, u_inv = enumeration._lll(
+                [[sign * x for x in row] for row in lat.gram])
+            ldl = enumeration._scaled_ldl(g_red)
+            cands = [enumeration._fp_vectors(ldl, g_red[i][i])
+                     for i in range(len(g_red))]
+            autos = enumeration._image_backtrack(g_red, g_red, cands, False)
+            assert all_automorphisms(lat) == sorted(
+                conjugate_back(q, u, u_inv) for q in autos), lat.gram
+
     def test_generators_match_greedy_reference(self):
         # the closure is extended per generator; the greedy reference
         # rebuilds it from the identity each time
@@ -197,8 +214,8 @@ class TestImageBacktrack:
     def test_matches_reference(self):
         # every norm's candidate list is shared by the levels asking for it
         for gram, other in self._cases():
-            g1, _, _ = enumeration._reduced_basis(gram)
-            g2, _, _ = enumeration._reduced_basis(other)
+            g1, _, _ = enumeration._lll(gram)
+            g2, _, _ = enumeration._lll(other)
             ldl = enumeration._scaled_ldl(g2)
             by_norm = {}
             for i in range(len(g1)):
@@ -307,7 +324,8 @@ class TestReduction:
             for k in range(n):
                 assert all(2 * abs(mu[k][j]) <= 1 for j in range(k))
                 if k:
-                    assert b[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * b[k - 1]
+                    assert b[k] >= (Fraction(99, 100) - mu[k][k - 1] ** 2) \
+                        * b[k - 1]
 
     def test_kernels_make_no_fraction(self, monkeypatch):
         made = []
@@ -321,16 +339,51 @@ class TestReduction:
         rng = random.Random(43)
         gram = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
                                     [list(r) for r in lattice.e8().gram])
-        g_red, _, _ = enumeration._reduced_basis(gram)
+        g_red, _, _ = enumeration._lll(gram)
         assert len(enumeration._fp_vectors(enumeration._scaled_ldl(g_red), 4)) \
             == 2160
         assert made == []
 
-    def test_reduced_basis_carries_its_inverse(self):
-        for gram in self._grams():
-            g_red, u, u_inv = enumeration._reduced_basis(gram)
-            assert exact.mat_mul(u, u_inv) == exact.identity(len(gram))
-            assert [list(r) for r in g_red] == exact.conjugate_rows(u, gram)
+
+class TestFinckePohst:
+    def _ldls(self):
+        for gram in TestReduction()._grams():
+            g_red, _, _ = enumeration._lll(gram)
+            yield enumeration._scaled_ldl(g_red), range(1, 9)
+        rng = random.Random(43)
+        e8 = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
+                                  [list(r) for r in lattice.e8().gram])
+        yield enumeration._scaled_ldl(enumeration._lll(e8)[0]), (4,)
+
+    def test_half_walk_gives_the_two_sign_list(self):
+        # walking one of +-v and adding -v returns the full walk's list,
+        # order included
+        for ldl, norms in self._ldls():
+            for norm in norms:
+                assert enumeration._fp_vectors(ldl, norm) \
+                    == two_sign_walk(ldl, norm)
+
+    @staticmethod
+    def _walk_calls(lat, norm):
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and \
+                    frame.f_code.co_qualname == "_fp_vectors.<locals>.walk":
+                calls.append(1)
+        sys.setprofile(profile)
+        try:
+            vectors_of_norm(lat, norm)
+        finally:
+            sys.setprofile(None)
+        return len(calls)
+
+    def test_walk_node_counts(self):
+        # LLL + dual pass + full walk took 55814 and 2920 calls
+        leech = builtin_dataset().lattice("Leech")
+        assert self._walk_calls(leech, 2) <= 17000
+        assert self._walk_calls(lattice.direct_sum(lattice.e8(), lattice.e8()),
+                                2) <= 1500
 
 
 class TestWallDivisorScan:

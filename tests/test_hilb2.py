@@ -82,7 +82,6 @@ class TestMinus2WallScan:
         scan = minus2_wall_scan(4)
         assert scan.solutions == ((Fraction(1, 2), 1, 1),)
         assert scan.terminal_gram == LINE_IN_QUARTIC
-        assert scan.boundary_solutions == ()
 
     def test_all_degrees_share_the_half_wall(self):
         for h_sq in range(2, 22, 2):
