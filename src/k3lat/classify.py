@@ -1,11 +1,12 @@
 """Good isometries of rank-3 lattices and assembly of classification rows.
 
 Pipeline: enumerate good isometries of each invariant lattice, read the
-admissible glue images off D(N) (each is c^perp for an order-2 class c with
-q(c) = 3/2) together with anti-embeddings of the coinvariant discriminant
-form onto them, keep the isometries extending over the glued lattice, and
-emit one row per GL2(Z) class of the transcendental lattice, carrying the
-polarization degree, its divisibility and the K3-birational flag.
+admissible glue images off D(N) (fqm.admissible_images: each is c^perp for
+an order-2 class c with q(c) = 3/2) together with anti-embeddings of the
+coinvariant discriminant form onto them (fqm.k3sq_glue_images), keep the
+isometries extending over the glued lattice, and emit one row per GL2(Z)
+class of the transcendental lattice, carrying the polarization degree, its
+divisibility and the K3-birational flag.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .enumeration import Isometry, all_automorphisms
-from .fqm import Fqm, FqmHom, Subgroup, k3sq_glue_admissible, \
-    k3sq_glue_images
+from .fqm import Fqm, FqmHom, Subgroup, k3sq_glue_images
 from .glue import check_extendable, divisibility_in_glued, realized_actions
 from .lattice import Lattice, disc_map, induced_map, invariant_and_coinvariant
 
@@ -149,11 +149,6 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         if d_n not in images_of:
             images_of[d_n] = k3sq_glue_images(m_data.disc, d_n,
                                               every=mode == "exact")
-            for image, _ in images_of[d_n]:
-                if not k3sq_glue_admissible(d_n, image):
-                    raise RuntimeError(
-                        f"glue image with basis {image.basis} is "
-                        "c^perp but fails k3sq_glue_admissible")
         images = images_of[d_n]
         if not images:
             continue

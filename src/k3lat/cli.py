@@ -22,11 +22,9 @@ from .classify import ClassificationRow, classify, good_isometries
 from .dataset import Dataset, DatasetError, GroupEntry, b_entries, \
     builtin_dataset, disc_form, load_dataset
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, anti_embeddings, glue_image, hom_image, \
-    k3sq_glue_characters
+from .fqm import Fqm, anti_embeddings, hom_image, k3sq_glue_admissible
 # perfbench reads these through cli
 from .dataset import emit_dataset, parse_dataset  # noqa: F401
-from .fqm import k3sq_glue_admissible  # noqa: F401
 from .hilb2 import ample_model_verdict  # noqa: F401
 from .hilb2 import all_excluded, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
@@ -307,10 +305,8 @@ def _cmd_glue_check(args) -> int:
         m_disc = _inline_disc(args)
     d_n = _resolve_disc(args)
     embeddings = anti_embeddings(m_disc, d_n)
-    # gamma is admissible iff its image, of index 2, is some c^perp
-    rows = k3sq_glue_characters(d_n) if 2 * m_disc.order == d_n.order else []
-    images = {glue_image(d_n, w) for w in rows}
-    admissible = sum(hom_image(gamma) in images for gamma in embeddings)
+    admissible = sum(k3sq_glue_admissible(d_n, hom_image(gamma))
+                     for gamma in embeddings)
     print("anti-embeddings:", len(embeddings))
     print("admissible:", admissible)
     print("verdict:", "admissible" if admissible else "no admissible glue")

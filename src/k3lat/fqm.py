@@ -8,8 +8,10 @@ lattices, but nothing in this module depends on a lattice.
 
 Internally the form runs on scaled integers: with e the exponent (the
 largest order), e*q takes values mod 2e and e*b values mod e, derived once
-per module on first use.  q and b still return Fractions, and the searches
-(anti-embeddings, isomorphisms, the glue criterion) make none.
+per module on first use.  q and b still return Fractions; the searches
+(anti-embeddings, isomorphisms), the form checks of FqmHom and the glue
+criterion make none.  That criterion is decided once per module:
+admissible_images caches the admissible images on it.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -95,13 +97,6 @@ class Fqm:
     def element_order(self, x: Element) -> int:
         return math.lcm(1, *[d // math.gcd(d, c) for c, d in zip(x, self.orders)])
 
-    def _b_gen(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return self.q_diag[i] % 1
-        if i > j:
-            i, j = j, i
-        return self.b_off[i][j - i - 1]
-
     @cached_property
     def _ints(self) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
         """(e, Q, B): the exponent e, Q_i = e q(g_i) in [0, 2e) and the
@@ -140,12 +135,31 @@ class Fqm:
         return sum(c * w for c, w in zip(x, self._pair_row(y))) % self._ints[0]
 
     @cached_property
-    def _three_half(self) -> list[Element]:
-        """The level set q = 3/2 in elements() order; empty for odd e."""
+    def _admissible_images(self) -> list[tuple[tuple[int, ...], Subgroup]]:
+        """admissible_images(self), built on first use."""
         e = self._ints[0]
-        if e % 2:
+        if e % 2:  # no q = 3/2 level
             return []
-        return [x for x in self.elements() if self._eq(x) == 3 * e // 2]
+        # c + r, r in the radical, has the same character: keep it once
+        rows = dict.fromkeys(self._pair_row(c) for c in self.elements()
+                             if self._eq(c) == 3 * e // 2)
+        out = []
+        for w in rows:
+            if any(2 * x % e for x in w):
+                continue  # b(2c, .) != 0: c^perp has index above 2
+            # each w_i is 0 or e/2, so x is in c^perp iff its coefficients
+            # on the support of w have even sum: e_i off the support and
+            # e_i + e_s on it, s the first index there, generate c^perp
+            s = next((i for i, x in enumerate(w) if x), None)
+            image = Subgroup.generated(self, [
+                [int(j == i) + int(j == s and x != 0)
+                 for j in range(self.rank)] for i, x in enumerate(w)])
+            if 2 * image.order != self.order:
+                raise RuntimeError(f"c^perp for the character {w} has order "
+                                   f"{image.order} in a module of order "
+                                   f"{self.order}, not index 2")
+            out.append((w, image))
+        return out
 
     @cached_property
     def _nondegenerate(self) -> bool:
@@ -214,15 +228,11 @@ class FqmHom:
         return table
 
     def _form_sign_ok(self, sign: int) -> bool:
-        src = self.source
-        for i in range(src.rank):
-            if self.target.q(self.images[i]) != (sign * src.q_diag[i]) % 2:
-                return False
-            for j in range(i + 1, src.rank):
-                want = (sign * src._b_gen(i, j)) % 1
-                if self.target.b(self.images[i], self.images[j]) != want:
-                    return False
-        return True
+        qs, bs = _scaled_form(self.source, self.target, sign)
+        t, ims = self.target, self.images
+        return all(t._eq(y) == v for y, v in zip(ims, qs)) and all(
+            t._eb(ims[i], ims[j]) == v
+            for i, row in enumerate(bs) for j, v in enumerate(row))
 
     def preserves_form(self) -> bool:
         return self._form_sign_ok(1)
@@ -319,6 +329,23 @@ def _check_bound(*modules: Fqm) -> None:
         raise ValueError(f"module order exceeds search bound {_SEARCH_BOUND}")
 
 
+def _scaled_form(a: Fqm, b: Fqm, sign: int
+                 ) -> tuple[list[Optional[int]], list[list[Optional[int]]]]:
+    """A's generator values times sign, carried into B's scale e: the
+    e q(g_i) mod 2e and, for each i, the e b(g_i, g_j) mod e with j < i.
+    A value that is not an integer there is None, as no element of B
+    carries it."""
+    ea, qa, ba = a._ints
+    e = b._ints[0]
+
+    def rescale(v: int, mod: int) -> Optional[int]:
+        num = sign * v * e
+        return None if num % ea else (num // ea) % mod
+
+    return ([rescale(v, 2 * e) for v in qa],
+            [[rescale(ba[i][j], e) for j in range(i)] for i in range(a.rank)])
+
+
 def _form_embeddings(a: Fqm, b: Fqm, sign: int,
                      inside: Optional[tuple[int, ...]] = None
                      ) -> Iterator[FqmHom]:
@@ -328,20 +355,14 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int,
     The candidates are picked here, so the bound raises at call time; the
     backtrack runs lazily.  Given a pairing row (``B._pair_row(c)``), only
     candidates y with b(y, c) = 0 are kept, i.e. the maps into c^perp.
-    A's generator values are carried into B's scale e: one that is not an
-    integer there has no partner in B.  A hom matching b up to sign has its
-    kernel inside the radical of A's pairing, so injectivity is checked per
-    map only when A is degenerate.
+    A generator value with no integer in B's scale (_scaled_form) has no
+    partner in B.  A hom matching b up to sign has its kernel inside the
+    radical of A's pairing, so injectivity is checked per map only when A
+    is degenerate.
     """
     _check_bound(a, b)
-    ea, qa, ba = a._ints
     e = b._ints[0]
-
-    def rescale(v: int, mod: int) -> Optional[int]:
-        num = sign * v * e
-        return None if num % ea else (num // ea) % mod
-
-    targets = [rescale(v, 2 * e) for v in qa]
+    targets, want = _scaled_form(a, b, sign)
     candidates: list[list[Element]] = [[] for _ in targets]
     for y in b.elements():
         if inside is not None and sum(c * w for c, w in zip(y, inside)) % e:
@@ -351,7 +372,6 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int,
             if targets[i] == v and \
                     not any(d * c % o for c, o in zip(y, b.orders)):
                 candidates[i].append(y)
-    want = [[rescale(ba[i][j], e) for j in range(i)] for i in range(a.rank)]
     check_injective = not a._nondegenerate
 
     def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
@@ -388,56 +408,53 @@ def is_isomorphic(a: Fqm, b: Fqm) -> bool:
         next(_form_embeddings(a, b, 1), None) is not None
 
 
-def k3sq_glue_characters(d_n: Fqm) -> list[tuple[int, ...]]:
-    """The admissible glue images of D(N), one pairing row per image.
+def admissible_images(d_n: Fqm) -> list[tuple[tuple[int, ...], Subgroup]]:
+    """The admissible glue images of D(N) as (w, c^perp) pairs, built once
+    per module and cached on it.
 
     An admissible image H has index 2 and a class c outside it with
-    q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = 1/2, H = c^perp and b(c, .)
-    is a character of order 2; conversely every c with q(c) = 3/2 and
-    b(2c, .) = 0 makes c^perp admissible.  Returns the rows
-    w = d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, of these
-    characters in the order their first c appears in elements(); each w_i
-    is 0 or e/2.  On a nondegenerate D(N), such as a discriminant form,
-    the c are the order-2 classes with q = 3/2.
+    q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = q(c) mod 1 = 1/2, H = c^perp
+    and b(c, .) is a character of order 2; conversely every c with
+    q(c) = 3/2 and b(2c, .) = 0 makes c^perp admissible.  w is the row
+    d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or
+    e/2; one pair per character, in the order its first c appears in
+    elements().  On a nondegenerate D(N), such as a discriminant form, the
+    c are the order-2 classes with q = 3/2.  Raises if some c^perp does
+    not have index 2.
     """
-    e = d_n._ints[0]
-    rows = (d_n._pair_row(c) for c in d_n._three_half)
-    # c + r, r in the radical, has the same character: keep it once
-    return list(dict.fromkeys(w for w in rows
-                              if not any(2 * x % e for x in w)))
+    return d_n._admissible_images
 
 
-def glue_image(d_n: Fqm, w: tuple[int, ...]) -> Subgroup:
-    """The admissible image c^perp of D(N) for a k3sq_glue_characters row
-    w = d_n._pair_row(c).  Each w_i is 0 or e/2, so c^perp holds the x
-    whose coefficients on the support of w sum to an even number: it is
-    generated by e_i off the support and e_i + e_s on it, s the first
-    index of the support."""
-    s = next((i for i, x in enumerate(w) if x), None)
-    return Subgroup.generated(d_n, [
-        [int(j == i) + int(j == s and x != 0) for j in range(d_n.rank)]
-        for i, x in enumerate(w)])
+def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
+    """Does gluing along the image leave exactly the order-2, q = 3/2 quotient?
+
+    True iff the image has index 2 and some x outside it pairs integrally
+    with the whole image and has q(x) = 3/2 mod 2, i.e. iff it is one of
+    admissible_images(d_n).  This is the uniqueness criterion for the
+    glued lattice being the rank-23 hyperkaehler one.
+    """
+    if image.ambient != d_n:
+        raise ValueError("image must be a subgroup of the given module")
+    return any(h.basis == image.basis for _, h in admissible_images(d_n))
 
 
 def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
                      ) -> list[tuple[Subgroup, list[FqmHom]]]:
-    """The images of anti-embeddings A -> D(N) that k3sq_glue_admissible
-    accepts, each with the first anti-embedding onto it (all of them when
-    every is set), in the order in which anti_embeddings(a, d_n) first
-    meets them, without listing the other anti-embeddings.
-
-    The search runs once per k3sq_glue_characters row, inside its c^perp
-    (glue_image) only.
+    """The admissible images that anti-embeddings A -> D(N) reach, each
+    with the first anti-embedding onto it (all of them when every is set),
+    in the order in which anti_embeddings(a, d_n) first meets them.  The
+    search runs once per admissible_images pair, inside its c^perp only,
+    and lists no other anti-embedding.
     """
     if 2 * a.order != d_n.order:
         return []
     _check_bound(a, d_n)
     found = []
-    for row in k3sq_glue_characters(d_n):
+    for row, image in admissible_images(d_n):
         gams = _form_embeddings(a, d_n, -1, row)
         gams = list(gams) if every else list(itertools.islice(gams, 1))
         if gams:
-            found.append((glue_image(d_n, row), gams))
+            found.append((image, gams))
     # each candidate list is in elements() order, so sorting by the first
     # map's images is the order in which anti_embeddings meets the images
     found.sort(key=lambda item: item[1][0].images)
@@ -465,29 +482,6 @@ def hom_closure_images(m: Fqm, gens: Iterable[FqmHom]) -> set:
     """Image tuples of the subgroup of O(m) the given maps generate, grown
     coset by coset by exact.closure."""
     return exact.closure([g.images for g in gens], *_image_group(m))
-
-
-def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
-    """Does gluing along the image leave exactly the order-2, q = 3/2 quotient?
-
-    True iff the image has index 2 and some x outside it pairs integrally
-    with the whole image and has q(x) = 3/2 mod 2.  This is the uniqueness
-    criterion for the glued lattice being the rank-23 hyperkaehler one.
-    Only the q = 3/2 level set is scanned, which is empty when the exponent
-    e is odd.
-    """
-    if image.ambient != d_n:
-        raise ValueError("image must be a subgroup of the given module")
-    if 2 * image.order != d_n.order:
-        return False
-    e = d_n._ints[0]
-    rows = [d_n._pair_row(g) for g in map(d_n.reduce, image.basis)]
-    # such an x is never in the image: there b(x, x) = 0, but b(x, x) is
-    # q(x) mod 1 = 1/2
-    for x in d_n._three_half:
-        if not any(sum(c * w for c, w in zip(x, row)) % e for row in rows):
-            return True
-    return False
 
 
 def subgroup_presentation(sub: Subgroup) -> FqmHom:

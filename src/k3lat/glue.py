@@ -7,8 +7,7 @@ extends over such an overlattice; divisibility_in_glued computes div(v) of v
 in N measured inside the glued ambient lattice without constructing it, and
 wall_divisor_scan uses it to look for wall divisors in a definite lattice.
 partner_disc_candidates lists the forms a glue partner of N can carry; like
-classify it takes the admissible images c^perp from fqm.glue_image, one per
-fqm.k3sq_glue_characters row.
+classify it reads the admissible images c^perp off fqm.admissible_images.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .enumeration import vectors_of_norm
-from .fqm import (Element, Fqm, FqmHom, Subgroup, glue_image,
-                  hom_closure_images, is_isomorphic, k3sq_glue_characters,
-                  negated, subgroup_presentation)
+from .fqm import (Element, Fqm, FqmHom, Subgroup, admissible_images,
+                  hom_closure_images, is_isomorphic, negated,
+                  subgroup_presentation)
 from .lattice import Lattice, direct_sum, disc_map, divisibility
 
 
@@ -183,21 +182,16 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
     can carry.
 
     Such a partner anti-embeds onto an admissible image H = c^perp of D(N),
-    built by fqm.glue_image from a fqm.k3sq_glue_characters row, so the
-    partner's form is (H, -q).  The rows are visited in the binary order of
-    their supports, bit i standing for generator i.  Returns one
-    presentation per isomorphism class of H; a single entry means the
-    invariant side alone pins down the partner's glue data.
+    one of fqm.admissible_images, so the partner's form is (H, -q).  The
+    images are visited in the binary order of the supports of their rows
+    w, bit i standing for generator i.  Returns one presentation per
+    isomorphism class of H; a single entry means the invariant side alone
+    pins down the partner's glue data.
     """
     d = disc_map(n).fqm
     out: list[Fqm] = []
     # each w_i is 0 or e/2: reversed rows compare as the support masks do
-    for w in sorted(k3sq_glue_characters(d), key=lambda w: w[::-1]):
-        sub = glue_image(d, w)
-        if 2 * sub.order != d.order:
-            raise RuntimeError(f"c^perp for the character {w} has order "
-                               f"{sub.order} in a module of order {d.order}"
-                               ", not index 2")
+    for _, sub in sorted(admissible_images(d), key=lambda p: p[0][::-1]):
         neg = negated(subgroup_presentation(sub).source)
         if any(is_isomorphic(neg, seen) for seen in out):
             continue

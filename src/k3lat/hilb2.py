@@ -7,11 +7,13 @@ h - xi, or a wall orthogonal to a -2-class crosses the open segment from h
 to h - xi.  Writing such classes as 2k*x + (2l+1)*xi resp. k*x + l*xi with
 x a primitive surface class turns both cases into two-variable Diophantine
 systems; each solution pins down the Gram matrix of <x, h>, a rank-2 block
-that would have to embed into the Picard lattice of S.  This module
-enumerates the -10 blocks exactly; the -2 system has a closed form (proof in
-minus2_wall_scan): in every degree one wall, t = 1/2, and one block
-((-2,p),(p,h_sq)) with p = (h_sq-2)/2.  Whether a block really embeds is
-geometry the caller supplies, e.g. "S contains no lines".
+that would have to embed into the Picard lattice of S.  Both systems have
+closed forms.  The -10 one (proof in minus10_solutions) has one block
+((2(l^2+l-1), 2l+1), (2l+1, h_sq)) per l >= 0 up to the Hodge index bound.
+The -2 one (proof in minus2_wall_scan) has in every degree one wall,
+t = 1/2, and one block ((-2,p),(p,h_sq)) with p = (h_sq-2)/2.  Whether a
+block really embeds is geometry the caller supplies, e.g. "S contains no
+lines".
 """
 
 from __future__ import annotations
@@ -51,9 +53,12 @@ def minus10_solutions(h_sq: int, l_bound: Optional[int] = None):
 
     A primitive class y = 2k*x + (2l+1)*xi of square -10 and divisibility 2
     orthogonal to h - xi forces x^2 = 2(l^2+l-1)/k^2 and h.x = -(2l+1)/k.
-    The Hodge index theorem bounds l whenever h_sq >= 4, so l_bound is
-    ignored there (a negative one is still rejected); for h_sq = 2 the
-    inequality is vacuous and the caller must cap |l| explicitly.
+    So k divides 2l+1 (h.x is an integer), while primitivity needs
+    gcd(k, 2l+1) = 1: k = 1, and x^2 = 2(l^2+l-1) is even.  The Hodge index theorem,
+    h_sq * x^2 < (h.x)^2, reads (2h_sq-4)(l^2+l) < 2h_sq+1: for h_sq >= 4
+    it bounds l, and l_bound is ignored there (a negative one is still
+    rejected); for h_sq = 2 it holds for every l, so the caller must cap
+    |l| explicitly.  One solution per l, ascending.
 
     Witnesses are canonical: k >= 1, l >= 0 (the maps l -> -1-l and
     k -> -k only flip the sign of x), and h.x is recorded >= 0.
@@ -71,32 +76,15 @@ def minus10_solutions(h_sq: int, l_bound: Optional[int] = None):
         l_range = itertools.takewhile(
             lambda l: (2 * h_sq - 4) * (l * l + l) < 2 * h_sq + 1,
             itertools.count(0))
-    out = []
-    for l in l_range:
-        num = 2 * (l * l + l - 1)
-        odd = 2 * l + 1
-        for k in range(1, odd + 1):
-            if odd % k or num % (k * k):
-                continue
-            if math.gcd(k, odd) != 1:  # y would not be primitive
-                continue
-            x_sq = num // (k * k)
-            if x_sq % 2:
-                raise RuntimeError(f"-10 obstruction with h^2 = {h_sq}, "
-                                   f"l = {l}, k = {k}: x^2 = {x_sq} is odd, "
-                                   "but x lies in the even K3 lattice")
-            h_x = odd // k
-            if h_sq * x_sq >= h_x * h_x:  # Hodge index, strict
-                continue
-            out.append((((x_sq, h_x), (h_x, h_sq)), k, l))
-    return out
+    return [(((2 * (l * l + l - 1), 2 * l + 1), (2 * l + 1, h_sq)), 1, l)
+            for l in l_range]
 
 
 def minus10_obstruction_grams(h_sq: int,
                               l_bound: Optional[int] = None) -> list[IntMatrix]:
-    """Rank-2 Gram blocks forced by -10-classes of divisibility 2."""
-    grams = {g for g, _, _ in minus10_solutions(h_sq, l_bound)}
-    return sorted(grams)
+    """Rank-2 Gram blocks forced by -10-classes of divisibility 2, in
+    sorted order: x^2 = 2(l^2+l-1) ascends with l."""
+    return [g for g, _, _ in minus10_solutions(h_sq, l_bound)]
 
 
 def minus2_wall_scan(h_sq: int) -> WallScan:

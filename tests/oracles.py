@@ -413,29 +413,46 @@ def glue_admissible_walk(orders, q_diag, b_off, image_elements, image_gens):
     return False
 
 
-def index_two_glue_kernels(orders, q_diag, b_off):
-    """Generators of the admissible index-2 subgroups H: the kernels of the
-    nontrivial characters to Z/2 (odd-order generators must die, so each
-    lives on the even-order ones) with some x outside H, q(x) = 3/2,
-    pairing to 0 with every generator of H.  The kernels are visited in the
-    binary order of the characters' supports, bit j standing for the j-th
-    even-order generator.  b_off is a dict {(i,j): Fraction}.
-
-    The form runs on integers scaled by the lcm n of all denominators, and
-    the level set q = 3/2 is found once by walking the whole group."""
+def three_half_level(orders, q_diag, b_off):
+    """(n, level): the form scaled by the lcm n of all denominators, and
+    the (x, pairing row of x) over the x with q(x) = 3/2, found by walking
+    the whole group.  b_off is a dict {(i,j): Fraction}."""
     rank = len(orders)
     n = math.lcm(1, *[v.denominator for v in q_diag],
                  *[v.denominator for v in b_off.values()])
     bm = [[int((q_diag[i] if i == j else
                 b_off.get((min(i, j), max(i, j)), Fraction(0))) * n)
            for j in range(rank)] for i in range(rank)]
-    level = []  # (x, pairing row of x) over the x with q(x) = 3/2
+    level = []
     for x in itertools.product(*[range(d) for d in orders]):
         q = sum(x[i] * x[j] * bm[i][j] for i in range(rank)
                 for j in range(rank))
         if 2 * (q % (2 * n)) == 3 * n:
             level.append((x, [sum(x[i] * bm[i][j] for i in range(rank))
                               for j in range(rank)]))
+    return n, level
+
+
+def glue_admissible_scan(orders, q_diag, b_off, image_gens):
+    """The image generated by image_gens has index 2 and some x of the
+    q = 3/2 level set pairs to 0 with every generator: the level set is
+    scanned against the generators."""
+    if 2 * len(subgroup_closure(orders, image_gens)) != math.prod(orders):
+        return False
+    n, level = three_half_level(orders, q_diag, b_off)
+    return any(not any(sum(map(operator.mul, g, w)) % n for g in image_gens)
+               for _, w in level)
+
+
+def index_two_glue_kernels(orders, q_diag, b_off):
+    """Generators of the admissible index-2 subgroups H: the kernels of the
+    nontrivial characters to Z/2 (odd-order generators must die, so each
+    lives on the even-order ones) with some x outside H, q(x) = 3/2,
+    pairing to 0 with every generator of H.  The kernels are visited in the
+    binary order of the characters' supports, bit j standing for the j-th
+    even-order generator.  b_off is a dict {(i,j): Fraction}."""
+    rank = len(orders)
+    n, level = three_half_level(orders, q_diag, b_off)
     evens = [i for i, o in enumerate(orders) if o % 2 == 0]
 
     def unit(i, c=1):

@@ -429,27 +429,20 @@ class TestHoistedLoop:
 
     def test_permissive_mode_builds_one_gamma_per_image(self, monkeypatch):
         # listing every anti-embedding would build 832 maps here
-        built, decided = [], []
+        built = []
         real_hom = fqm_module.FqmHom
-        real_admissible = classify_module.k3sq_glue_admissible
 
         def counted_hom(*args):
             built.append(args[0])
             return real_hom(*args)
-
-        def counted_admissible(d_n, image):
-            decided.append(frozenset(image.elements()))
-            return real_admissible(d_n, image)
         monkeypatch.setattr(fqm_module, "FqmHom", counted_hom)
-        monkeypatch.setattr(classify_module, "k3sq_glue_admissible",
-                            counted_admissible)
         for g in builtin_dataset().groups:
             if g.disc is not None:
                 start = len(built)
                 classify(list(g.grams), g.coinv, g.name)
                 # every map built is a gamma out of this group's D(M)
                 assert all(src == g.disc for src in built[start:]), g.name
-        assert len(decided) == len(built) == 19
+        assert len(built) == 19
 
 
 def _random_binary_grams(rng, count):

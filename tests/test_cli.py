@@ -1,5 +1,6 @@
 """Dataset round trips, fixture integrity, and the command line."""
 
+import collections
 import os
 import pathlib
 import subprocess
@@ -14,15 +15,20 @@ from k3lat.cli import InputError, format_table, main, parse_table, run_table
 from k3lat.dataset import Dataset, DatasetError, builtin_dataset, \
     emit_dataset, load_dataset, parse_dataset
 from k3lat.fixtures import DATASET_TEXT
-from k3lat.fqm import Fqm, anti_embeddings, hom_image, \
-    identity_hom, isomorphisms, k3sq_glue_admissible
+from k3lat.fqm import Fqm, anti_embeddings, hom_closure_images, hom_image, \
+    identity_hom, isomorphisms, k3sq_glue_admissible, orthogonal_group
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import Lattice, disc_map
-from oracles import leech_gram
+from oracles import leech_gram, negation_hom
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the frozen `k3lat table` output (permissive, built-in dataset); read only
 FROZEN_TABLE = ROOT / "perfbench" / "expected" / "table.csv"
+# the nine groups with coinvariant disc data, their obar generating all of
+# O(D_M) resp. only <-1>, and the frozen `k3lat table --mode exact` stdout
+# of each: <name>.txt and <name>.csv
+DATA = ROOT / "tests" / "data"
+EXACT_DATASETS = ("exact_orthogonal_group", "exact_minus_one")
 
 PINNED_ORDERS = {
     "L2(11)": 660, "L3(4)": 20160, "A7": 2520, "2^3:L2(7)": 1344,
@@ -694,3 +700,39 @@ class TestFrozenTable:
                               capture_output=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout == FROZEN_TABLE.read_bytes()
+
+
+class TestFrozenExactTable:
+    @pytest.mark.parametrize("name", EXACT_DATASETS)
+    def test_exact_table_matches_the_frozen_csv(self, capsys, name):
+        assert main(["table", "--mode", "exact", "--dataset",
+                     str(DATA / f"{name}.txt")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == (DATA / f"{name}.csv").read_bytes()
+        assert "warnings: 0" in captured.err
+
+    @pytest.mark.parametrize("name", EXACT_DATASETS)
+    def test_exact_table_under_python_O_matches_the_frozen_csv(self, name):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        done = subprocess.run(
+            [sys.executable, "-O", "-m", "k3lat.cli", "table", "--mode",
+             "exact", "--dataset", str(DATA / f"{name}.txt")],
+            capture_output=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        assert done.stdout == (DATA / f"{name}.csv").read_bytes()
+
+    def test_obar_is_all_of_the_orthogonal_group_or_minus_one(self):
+        full, minus = (load_dataset(str(DATA / f"{name}.txt"))
+                       for name in EXACT_DATASETS)
+        builtin = [g for g in builtin_dataset().groups if g.disc is not None]
+        assert [g.name for g in full.groups] == \
+            [g.name for g in minus.groups] == [g.name for g in builtin]
+        for g, h in zip(full.groups, minus.groups):
+            assert len(hom_closure_images(g.disc, g.coinv.obar)) == \
+                orthogonal_group(g.disc)[1]
+            assert h.coinv.obar == (negation_hom(h.disc),)
+
+    def test_minus_one_keeps_rows_for_four_groups(self):
+        rows = parse_table((DATA / "exact_minus_one.csv").read_text(), "csv")
+        counts = collections.Counter(row[0] for row in rows)
+        assert counts == {"L2(11)": 1, "L3(4)": 1, "A7": 3, "M10": 1}

@@ -2,6 +2,7 @@ import ast
 import collections
 import itertools
 import dataclasses
+import math
 import functools
 import pathlib
 import random
@@ -11,18 +12,17 @@ import pytest
 
 from k3lat import fqm
 from k3lat.dataset import builtin_dataset
-from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       glue_image, hom_closure_images, hom_image,
+from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
+                       anti_embeddings, hom_closure_images, hom_image,
                        hom_preimage, identity_hom, is_isomorphic,
-                       isomorphisms, k3sq_glue_admissible,
-                       k3sq_glue_characters, k3sq_glue_images, negated,
-                       orthogonal_group, subgroup_presentation)
+                       isomorphisms, k3sq_glue_admissible, k3sq_glue_images,
+                       negated, orthogonal_group, subgroup_presentation)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, closure_from_scratch, compose,
-                     fqm_b_value, fqm_q_value, glue_admissible_walk,
-                     glue_images, greedy_generators, negation_hom,
-                     subgroup_closure)
+                     fqm_b_value, fqm_q_value, glue_admissible_scan,
+                     glue_admissible_walk, glue_images, greedy_generators,
+                     negation_hom, subgroup_closure)
 
 F = Fraction
 
@@ -51,6 +51,11 @@ def b_dict(m):
 
 def rand_element(rng, m):
     return tuple(rng.randrange(d) for d in m.orders)
+
+
+def level_three_half(m):
+    """The x with q(x) = 3/2, in elements() order."""
+    return [x for x in m.elements() if m.q(x) == F(3, 2)]
 
 
 class TestValidation:
@@ -161,6 +166,65 @@ class TestIntegerForm:
         m.q((1,))
         assert m.__dict__["_ints"] == (4, (2,), ((2,),))
         assert m == cyclic(4, F(1, 2)) and hash(m) == hash(cyclic(4, F(1, 2)))
+
+
+def form_sign_ok_by_fractions(f, sign):
+    """Does f multiply q and b by sign on the generators?  Decided on
+    Fractions: q and b of the images against sign times the source's
+    generator values."""
+    src, dst, bd = f.source, f.target, b_dict(f.target)
+    for i, y in enumerate(f.images):
+        if fqm_q_value(dst.orders, dst.q_diag, bd, y) != \
+                (sign * src.q_diag[i]) % 2:
+            return False
+        for j in range(i + 1, src.rank):
+            want = (sign * src.b_off[i][j - i - 1]) % 1
+            if fqm_b_value(dst.orders, dst.q_diag, bd, y, f.images[j]) != want:
+                return False
+    return True
+
+
+def rand_hom(rng, a, b):
+    """Random generator images in b, each scaled into its generator's
+    order."""
+    images = []
+    for d in a.orders:
+        y = rand_element(rng, b)
+        o = b.element_order(y)
+        images.append(b.scale(o // math.gcd(o, d), y))
+    return FqmHom(a, b, tuple(images))
+
+
+class TestFormChecks:
+    def test_match_fraction_reference(self):
+        # random maps, automorphisms and anti-embeddings; some source
+        # values have no integer in the target's scale
+        outcomes, unscaled = set(), 0
+        for seed in range(60):
+            rng = random.Random(2300 + seed)
+            a, b = rand_fqm(rng), rand_fqm(rng)
+            homs = [rand_hom(rng, a, b) for _ in range(6)]
+            homs += isomorphisms(a, a)[:3] + anti_embeddings(a, negated(a))[:3]
+            for f in homs:
+                for sign, check in ((1, f.preserves_form),
+                                    (-1, f.negates_form)):
+                    want = form_sign_ok_by_fractions(f, sign)
+                    assert check() == want
+                    outcomes.add(want)
+                    qs, bs = fqm._scaled_form(f.source, f.target, sign)
+                    unscaled += None in qs + sum(bs, [])
+        assert outcomes == {True, False} and unscaled > 0
+
+    def test_value_without_integer_in_target_scale(self):
+        # q(g) = 1/4 and b(g, h) = 1/4 have no integer at scale 2
+        a = Fqm((4, 4), (F(1, 4), F(0)), ((F(1, 4),), ()))
+        b = Fqm((2, 2), (F(1, 2), F(1, 2)), ((F(0),), ()))
+        assert fqm._scaled_form(a, b, 1) == ([None, 0], [[], [None]])
+        assert fqm._scaled_form(a, b, -1) == ([None, 0], [[], [None]])
+        for images in itertools.product(b.elements(), repeat=2):
+            f = FqmHom(a, b, images)
+            assert not f.preserves_form() and not f.negates_form()
+            assert not form_sign_ok_by_fractions(f, 1)
 
 
 class TestHoms:
@@ -481,6 +545,13 @@ class TestOrthogonalGroup:
         assert [g.images for g in orthogonal_group(m)[0]] == want
 
 
+def scan_agrees(d, gens):
+    """k3sq_glue_admissible against the level-set scan of the oracle."""
+    got = k3sq_glue_admissible(d, Subgroup.generated(d, gens))
+    assert got == glue_admissible_scan(d.orders, d.q_diag, b_dict(d), gens)
+    return got
+
+
 class TestGlueAdmissible:
     def test_order_two_leftover(self):
         m = cyclic(2, F(3, 2))
@@ -524,6 +595,7 @@ class TestGlueAdmissible:
             want = glue_admissible_walk(m.orders, m.q_diag, b_dict(m),
                                         set(sub.elements()), gens)
             assert k3sq_glue_admissible(m, sub) == want
+            assert scan_agrees(m, gens) == want
             outcomes.add(want)
             odd += m.orders[-1] % 2
         assert outcomes == {True, False} and odd > 0
@@ -533,7 +605,7 @@ class TestGlueAdmissible:
         # quotient has order 4 or 8, not 2
         for m in (Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ())),
                   Fqm((2, 4), (F(3, 2), F(1, 4)), ((F(0),), ()))):
-            assert (1, 0) in m._three_half
+            assert m.q((1, 0)) == F(3, 2)
             assert not k3sq_glue_admissible(m, Subgroup.generated(m, []))
         m = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
         assert k3sq_glue_admissible(m, Subgroup.generated(m, [(0, 1)]))
@@ -541,6 +613,7 @@ class TestGlueAdmissible:
     def test_odd_exponent_has_no_three_half_level(self):
         m = Fqm((3, 9), (F(2, 3), F(2, 9)), ((F(1, 3),), ()))
         assert 3 * m._ints[0] % 2 == 1
+        assert admissible_images(m) == []
         assert not k3sq_glue_admissible(m, Subgroup.generated(m, []))
 
 
@@ -652,7 +725,7 @@ def rand_glue_pair(rng):
                     for _ in range(len(orders) - i - 1))
               for i in range(len(orders)))
     d_n = Fqm(orders, q, b)
-    classes = [c for c in d_n._three_half
+    classes = [c for c in level_three_half(d_n)
                if all(d_n.b(d_n.scale(2, c), y) == 0 for y in d_n.elements())]
     if classes and rng.randrange(2):
         c = rng.choice(classes)
@@ -729,12 +802,12 @@ class TestGlueImage:
         for seed in range(40):
             _, d = rand_glue_pair(random.Random(1700 + seed))
             e = d._ints[0]
-            for c in d._three_half:
+            for c in level_three_half(d):
                 w = d._pair_row(c)
                 if any(2 * x % e for x in w):
                     continue  # the character of c has order above 2
                 perp = [x for x in d.elements() if d._eb(x, c) == 0]
-                assert glue_image(d, w) == Subgroup.generated(d, perp)
+                assert (w, Subgroup.generated(d, perp)) in admissible_images(d)
                 checked.add(d._nondegenerate)
         assert checked == {True, False}
 
@@ -746,17 +819,74 @@ class TestGlueImage:
                 continue
             for n in g.grams:
                 d_n = disc_map(n).fqm
-                e, rows = d_n._ints[0], k3sq_glue_characters(d_n)
+                e, pairs = d_n._ints[0], admissible_images(d_n)
                 for gam in anti_embeddings(g.disc, d_n):
                     image = hom_image(gam)
-                    if not k3sq_glue_admissible(d_n, image):
+                    if not scan_agrees(d_n, gam.images):
                         continue
-                    (w,) = [w for w in rows if not any(
+                    (perp,) = [h for w, h in pairs if not any(
                         sum(a * b for a, b in zip(y, w)) % e
                         for y in gam.images)]
-                    assert image == glue_image(d_n, w)
+                    assert image == perp
                     checked += 1
         assert checked == 832
+
+
+def character_rows(d):
+    """The pairing rows of the order-2 characters b(c, .) over the c with
+    q(c) = 3/2, each once, in the order their first c appears."""
+    e = d._ints[0]
+    rows = [d._pair_row(c) for c in level_three_half(d)]
+    return list(dict.fromkeys(w for w in rows
+                              if not any(2 * x % e for x in w)))
+
+
+class TestAdmissibleImages:
+    def test_scan_oracle_on_glue_pair_modules(self):
+        # every subgroup on at most two generators, and every x^perp
+        outcomes = set()
+        for seed in range(40):
+            _, d = rand_glue_pair(random.Random(1700 + seed))
+            elems = list(d.elements())
+            gen_lists = [[x, y] for x, y in itertools.combinations(elems, 2)]
+            gen_lists += [[y for y in elems if d._eb(x, y) == 0]
+                          for x in elems]
+            for gens in gen_lists:
+                outcomes.add((d._nondegenerate, scan_agrees(d, gens)))
+        assert outcomes == {(True, True), (True, False), (False, True),
+                            (False, False)}
+
+    def test_rows_are_the_character_rows(self):
+        modules = [rand_glue_pair(random.Random(1700 + seed))[1]
+                   for seed in range(40)]
+        modules += [disc_map(n).fqm for g in builtin_dataset().groups
+                    for n in g.grams]
+        found = 0
+        for d in modules:
+            rows = [w for w, _ in admissible_images(d)]
+            assert rows == character_rows(d)
+            found += bool(rows)
+        assert found > 40
+
+    def test_built_once_and_cached_on_the_module(self):
+        d = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
+        assert "_admissible_images" not in d.__dict__
+        first = admissible_images(d)
+        assert d.__dict__["_admissible_images"] is first
+        assert admissible_images(d) is first
+        assert [w for w, _ in first] == [(0, 1), (1, 0)]
+
+    def test_index_check_raises(self, monkeypatch):
+        # c^perp always has index 2 (b(c, c) = 1/2); a constructor that
+        # built another subgroup instead must not go unnoticed
+        real = Subgroup.generated.__func__
+
+        def trivial(cls, ambient, gens):
+            return real(cls, ambient, [])
+        monkeypatch.setattr(Subgroup, "generated", classmethod(trivial))
+        with pytest.raises(RuntimeError, match="order 1 in a module of "
+                                               "order 4, not index 2"):
+            admissible_images(Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ())))
 
 
 class TestBuiltinCounts:
