@@ -10,8 +10,11 @@ Internally the form runs on scaled integers: with e the exponent (the
 largest order), e*q takes values mod 2e and e*b values mod e, derived once
 per module on first use.  q and b still return Fractions; the searches
 (anti-embeddings, isomorphisms), the form checks of FqmHom and the glue
-criterion make none.  That criterion is decided once per module:
-admissible_images caches the admissible images on it.
+criterion make none.  Every scan of a whole module is one incremental walk
+(Fqm._walk), which steps e*q by one add per element; nondegeneracy is one
+Hermite basis, not a scan.  The glue criterion is decided once per module:
+admissible_images caches the admissible images on it, and k3sq_glue_images
+scans D(N) once for all of them.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -125,6 +128,39 @@ class Fqm:
                         total += 2 * c * x[j] * row[j]
         return total % (2 * e)
 
+    def _walk(self) -> Iterator[tuple[Element, int]]:
+        """(x, e q(x) mod 2e) for x in elements(), in that order.
+
+        Stepping x by g_i adds Q_i + 2 w_i to e q(x), with w_i = e b(x, g_i),
+        and adds row i of B to w.  Along the last coordinate only w_r moves,
+        by B_rr, so each element costs one add; the |A| / d_r prefixes
+        carry the whole row w.  Nothing is kept past the walk.
+        """
+        e, qs, bm = self._ints
+        if not self.rank:
+            yield (), 0
+            return
+        two_e = 2 * e
+        # (prefix, e q(prefix), e b(prefix, g_j) for each j), in product
+        # order; the w_j are exact mod e, which is all 2 w_j needs
+        prefixes = [((), 0, (0,) * self.rank)]
+        for i, d in enumerate(self.orders[:-1]):
+            grown = []
+            for p, v, w in prefixes:
+                for k in range(d):
+                    grown.append((p + (k,), v, w))
+                    v = (v + qs[i] + 2 * w[i]) % two_e
+                    w = tuple(map(operator.add, w, bm[i]))
+            prefixes = grown
+        tails = [(k,) for k in range(self.orders[-1])]
+        q_last, b_last = qs[-1], 2 * bm[-1][-1]
+        for p, v, w in prefixes:
+            step = q_last + 2 * w[-1]
+            for tail in tails:
+                yield p + tail, v
+                v = (v + step) % two_e
+                step += b_last
+
     def _pair_row(self, y: Element) -> tuple[int, ...]:
         """w with e b(x, y) = sum_i x_i w_i mod e for every x."""
         e, _, bm = self._ints
@@ -140,9 +176,14 @@ class Fqm:
         e = self._ints[0]
         if e % 2:  # no q = 3/2 level
             return []
+        level = (c for c, v in self._walk() if v == 3 * e // 2)
+        if self._nondegenerate:
+            # b(2c, .) = 0 is 2c = 0 here, a test on coordinates, so only
+            # the c whose character is kept below pay for a pairing row
+            level = (c for c in level
+                     if not any(2 * x % d for x, d in zip(c, self.orders)))
         # c + r, r in the radical, has the same character: keep it once
-        rows = dict.fromkeys(self._pair_row(c) for c in self.elements()
-                             if self._eq(c) == 3 * e // 2)
+        rows = dict.fromkeys(map(self._pair_row, level))
         out = []
         for w in rows:
             if any(2 * x % e for x in w):
@@ -163,9 +204,21 @@ class Fqm:
 
     @cached_property
     def _nondegenerate(self) -> bool:
-        """Is the radical of b trivial?"""
-        return not any(any(x) and not any(self._pair_row(x))
-                       for x in self.elements())
+        """Is the radical of b trivial?
+
+        x -> _pair_row(x) is a homomorphism A -> (Z/e)^r with the radical
+        as kernel.  Its image is L / e Z^r for the lattice L that the rows
+        of B and e I span, of order e^r / [Z^r : L], and [Z^r : L] is the
+        product of the pivots of L's Hermite basis; so the radical is
+        trivial iff e^r = |A| prod(pivots).
+        """
+        e, _, bm = self._ints
+        r = self.rank
+        basis = exact.hermite_row_basis(
+            [*map(list, bm), *([e * (i == j) for j in range(r)]
+                               for i in range(r))])
+        return e ** r == self.order * math.prod(
+            row[i] for i, row in enumerate(basis))
 
     def q(self, x: Iterable[int]) -> Fraction:
         """q(x) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij, reduced mod 2."""
@@ -346,32 +399,43 @@ def _scaled_form(a: Fqm, b: Fqm, sign: int
             [[rescale(ba[i][j], e) for j in range(i)] for i in range(a.rank)])
 
 
+def _candidates(a: Fqm, b: Fqm, sign: int) -> list[list[Element]]:
+    """For each generator g_i of A, the y in B of order dividing d_i with
+    q(y) = sign q(g_i), in elements() order: one walk of B, which looks
+    up each value among the wanted ones before it touches y.  A generator
+    value with no integer in B's scale (_scaled_form) has no candidate.
+    Raises when a module is above the search bound."""
+    _check_bound(a, b)
+    wanted: dict[int, list[int]] = {}
+    for i, t in enumerate(_scaled_form(a, b, sign)[0]):
+        if t is not None:
+            wanted.setdefault(t, []).append(i)
+    candidates: list[list[Element]] = [[] for _ in a.orders]
+    for y, v in b._walk():
+        for i in wanted.get(v, ()):
+            d = a.orders[i]
+            if not any(d * c % o for c, o in zip(y, b.orders)):
+                candidates[i].append(y)
+    return candidates
+
+
 def _form_embeddings(a: Fqm, b: Fqm, sign: int,
-                     inside: Optional[tuple[int, ...]] = None
+                     candidates: Optional[list[list[Element]]] = None
                      ) -> Iterator[FqmHom]:
     """Injective homs A -> B multiplying the form by sign, in the
     lexicographic order of their generator images.
 
-    The candidates are picked here, so the bound raises at call time; the
-    backtrack runs lazily.  Given a pairing row (``B._pair_row(c)``), only
-    candidates y with b(y, c) = 0 are kept, i.e. the maps into c^perp.
-    A generator value with no integer in B's scale (_scaled_form) has no
-    partner in B.  A hom matching b up to sign has its kernel inside the
-    radical of A's pairing, so injectivity is checked per map only when A
-    is degenerate.
+    Without candidates they are picked here by _candidates, so the bound
+    raises at call time; the backtrack runs lazily.  Given candidates
+    (_candidates' lists, or sublists of them in the same order, such as
+    the y inside one c^perp), the maps use only those.  A hom matching b
+    up to sign has its kernel inside the radical of A's pairing, so
+    injectivity is checked per map only when A is degenerate.
     """
-    _check_bound(a, b)
+    if candidates is None:
+        candidates = _candidates(a, b, sign)
     e = b._ints[0]
-    targets, want = _scaled_form(a, b, sign)
-    candidates: list[list[Element]] = [[] for _ in targets]
-    for y in b.elements():
-        if inside is not None and sum(c * w for c, w in zip(y, inside)) % e:
-            continue
-        v = b._eq(y)
-        for i, d in enumerate(a.orders):
-            if targets[i] == v and \
-                    not any(d * c % o for c, o in zip(y, b.orders)):
-                candidates[i].append(y)
+    want = _scaled_form(a, b, sign)[1]
     check_injective = not a._nondegenerate
 
     def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
@@ -442,16 +506,24 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
                      ) -> list[tuple[Subgroup, list[FqmHom]]]:
     """The admissible images that anti-embeddings A -> D(N) reach, each
     with the first anti-embedding onto it (all of them when every is set),
-    in the order in which anti_embeddings(a, d_n) first meets them.  The
-    search runs once per admissible_images pair, inside its c^perp only,
-    and lists no other anti-embedding.
+    in the order in which anti_embeddings(a, d_n) first meets them.  D(N)
+    is scanned for candidates once; each admissible_images pair then runs
+    its own search on the candidates inside its c^perp, and no other
+    anti-embedding is listed.
     """
     if 2 * a.order != d_n.order:
         return []
     _check_bound(a, d_n)
+    pairs = admissible_images(d_n)
+    if not pairs:
+        return []
+    e = d_n._ints[0]
+    candidates = _candidates(a, d_n, -1)
     found = []
-    for row, image in admissible_images(d_n):
-        gams = _form_embeddings(a, d_n, -1, row)
+    for row, image in pairs:
+        inside = [[y for y in ys if not sum(map(operator.mul, y, row)) % e]
+                  for ys in candidates]
+        gams = _form_embeddings(a, d_n, -1, inside)
         gams = list(gams) if every else list(itertools.islice(gams, 1))
         if gams:
             found.append((image, gams))

@@ -396,6 +396,77 @@ def fqm_b_value(orders, q_diag, b_off, x, y):
     return (total / 2) % 1
 
 
+def nondegenerate_scan(orders, q_diag, b_off):
+    """No x != 0 pairs to 0 with every generator, found by walking the
+    whole group on Fractions.  b_off is a dict {(i,j): Fraction}."""
+    rank = len(orders)
+
+    def b_gen(i, j):
+        return q_diag[i] if i == j else \
+            b_off.get((min(i, j), max(i, j)), Fraction(0))
+
+    return not any(
+        any(x) and not any(sum(x[i] * b_gen(i, j) for i in range(rank)) % 1
+                           for j in range(rank))
+        for x in itertools.product(*[range(d) for d in orders]))
+
+
+def form_candidates_scan(src_orders, src_q, dst_orders, dst_q, dst_b, sign):
+    """For each source generator, the target elements of order dividing
+    its order whose q is sign times its q, in product order: every element
+    walked on Fractions.  dst_b is a dict {(i,j): Fraction}."""
+    candidates = [[] for _ in src_orders]
+    for y in itertools.product(*[range(d) for d in dst_orders]):
+        v = fqm_q_value(dst_orders, dst_q, dst_b, y)
+        for i, d in enumerate(src_orders):
+            if v == (sign * src_q[i]) % 2 and \
+                    not any(d * c % o for c, o in zip(y, dst_orders)):
+                candidates[i].append(y)
+    return candidates
+
+
+def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
+                        rows, every):
+    """The glue images as one search per admissible row: for each (w, H)
+    of rows, the candidates inside c^perp (sum x_i w_i = 0 mod the
+    exponent) are scanned afresh and the anti-embeddings into them found
+    by a lexicographic backtrack on Fractions.  Returns (H, image tuples)
+    for each H that some injective map reaches, with its first map (all
+    of them when every), sorted by that first map.  src_b and dst_b are
+    dicts {(i,j): Fraction}."""
+    if 2 * math.prod(src_orders) != math.prod(dst_orders):
+        return []
+    e = dst_orders[-1]
+
+    def src_pair(i, j):
+        return src_b.get((min(i, j), max(i, j)), Fraction(0))
+
+    def extend(chosen, cands):
+        i = len(chosen)
+        if i == len(src_orders):
+            if len(subgroup_closure(dst_orders, chosen)) == \
+                    math.prod(src_orders):
+                yield tuple(chosen)
+            return
+        for y in cands[i]:
+            if all(fqm_b_value(dst_orders, dst_q, dst_b, y, z)
+                   == (-src_pair(i, j)) % 1 for j, z in enumerate(chosen)):
+                yield from extend(chosen + [y], cands)
+
+    found = []
+    for w, image in rows:
+        inside = [[y for y in ys if not sum(map(operator.mul, y, w)) % e]
+                  for ys in form_candidates_scan(src_orders, src_q,
+                                                 dst_orders, dst_q, dst_b,
+                                                 -1)]
+        maps = extend([], inside)
+        maps = list(maps) if every else list(itertools.islice(maps, 1))
+        if maps:
+            found.append((image, maps))
+    found.sort(key=lambda item: item[1][0])
+    return found
+
+
 def glue_admissible_walk(orders, q_diag, b_off, image_elements, image_gens):
     """An image of index 2 and some x outside it with q(x) = 3/2 pairing to
     0 with every image generator, found by walking the whole group on

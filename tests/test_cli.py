@@ -474,9 +474,9 @@ class TestMain:
         searches = []
         real = fqm._form_embeddings
 
-        def logged(a, b, sign, inside=None):
-            searches.append((a, b, sign, inside))
-            return real(a, b, sign, inside)
+        def logged(a, b, sign, candidates=None):
+            searches.append((a, b, sign, candidates))
+            return real(a, b, sign, candidates)
 
         monkeypatch.setattr(fqm, "_form_embeddings", logged)
         inline_disc = Fqm((11, 11), (Fraction(16, 11), Fraction(20, 11)),

@@ -6,11 +6,14 @@ import math
 import functools
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from k3lat import classify as classify_module
 from k3lat import fqm
+from k3lat.cli import run_table
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
                        anti_embeddings, hom_closure_images, hom_image,
@@ -20,9 +23,10 @@ from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, closure_from_scratch, compose,
-                     fqm_b_value, fqm_q_value, glue_admissible_scan,
-                     glue_admissible_walk, glue_images, greedy_generators,
-                     negation_hom, subgroup_closure)
+                     form_candidates_scan, fqm_b_value, fqm_q_value,
+                     glue_admissible_scan, glue_admissible_walk, glue_images,
+                     glue_images_per_row, greedy_generators, negation_hom,
+                     nondegenerate_scan, subgroup_closure)
 
 F = Fraction
 
@@ -166,6 +170,43 @@ class TestIntegerForm:
         m.q((1,))
         assert m.__dict__["_ints"] == (4, (2,), ((2,),))
         assert m == cyclic(4, F(1, 2)) and hash(m) == hash(cyclic(4, F(1, 2)))
+
+
+def builtin_modules():
+    """Every shipped D(M) and every D(N) of a shipped invariant Gram."""
+    ds = builtin_dataset()
+    return [g.disc for g in ds.groups if g.disc is not None] + \
+        [disc_map(n).fqm for g in ds.groups for n in g.grams]
+
+
+class TestWalk:
+    MODULES = ([rand_fqm(random.Random(2000 + seed)) for seed in range(200)]
+               + [TRIVIAL, cyclic(3, F(2, 3)), cyclic(5, F(4, 5)),
+                  Fqm((3, 9), (F(2, 3), F(4, 9)), ((F(1, 3),), ())),
+                  Fqm((5, 15), (F(0), F(2, 15)), ((F(2, 5),), ()))])
+
+    @pytest.mark.parametrize("group", ["seeded", "builtin"])
+    def test_walk_is_q_in_element_order(self, group):
+        modules = self.MODULES if group == "seeded" else builtin_modules()
+        for m in modules:
+            assert list(m._walk()) == [(x, m._eq(x)) for x in m.elements()]
+
+    @pytest.mark.parametrize("group", ["seeded", "builtin"])
+    def test_hermite_nondegeneracy_matches_scan(self, group):
+        modules = self.MODULES if group == "seeded" else builtin_modules()
+        seen = set()
+        for m in modules:
+            want = nondegenerate_scan(m.orders, m.q_diag, b_dict(m))
+            assert m._nondegenerate == want
+            seen.add(want)
+        # the seeded modules are degenerate and nondegenerate alike; the
+        # shipped ones are discriminant forms, all nondegenerate
+        assert seen == ({True, False} if group == "seeded" else {True})
+
+    def test_inputs_cover_trivial_and_odd_exponents(self):
+        assert list(TRIVIAL._walk()) == [((), 0)]
+        assert TRIVIAL._nondegenerate
+        assert sum(m.orders[-1] % 2 for m in self.MODULES if m.rank) > 20
 
 
 def form_sign_ok_by_fractions(f, sign):
@@ -794,6 +835,61 @@ class TestK3sqGlueImages:
         self.check_against_listing(cyclic(2, 0), d_n)
 
 
+@functools.cache
+def glue_pairs():
+    """(D(M), D(N)) for every built-in Gram with each form its group ships
+    or partner_disc_candidates leaves for it, then 600 seeded
+    rand_glue_pair pairs."""
+    pairs = []
+    for g in builtin_dataset().groups:
+        for n in g.grams:
+            forms = ([g.disc] if g.disc is not None
+                     else partner_disc_candidates(n))
+            pairs += [(d_m, disc_map(n).fqm) for d_m in forms]
+    return pairs + [rand_glue_pair(random.Random(2400 + seed))
+                    for seed in range(600)]
+
+
+def searches_by_scan(a, b, sign):
+    """_form_embeddings on candidates picked by the Fraction scan."""
+    cands = form_candidates_scan(a.orders, a.q_diag, b.orders, b.q_diag,
+                                 b_dict(b), sign)
+    return list(fqm._form_embeddings(a, b, sign, cands))
+
+
+class TestSharedGlueScan:
+    # one D(N) scan per glue search must give what one scan per admissible
+    # row gave, image for image and map for map
+    @pytest.mark.parametrize("part", range(4))
+    def test_glue_images_match_one_search_per_row(self, part):
+        pairs = glue_pairs()
+        kinds = set()
+        for d_m, d_n in pairs[part::4]:
+            rows = admissible_images(d_n)
+            for every in (False, True):
+                got = [(image, [f.images for f in gams]) for image, gams
+                       in k3sq_glue_images(d_m, d_n, every)]
+                assert got == glue_images_per_row(
+                    d_m.orders, d_m.q_diag, b_dict(d_m), d_n.orders,
+                    d_n.q_diag, b_dict(d_n), rows, every)
+            kinds.add((d_n._nondegenerate, bool(got)))
+        assert kinds == {(True, True), (True, False), (False, True),
+                         (False, False)}
+
+    @pytest.mark.parametrize("part", range(4))
+    def test_searches_match_the_fraction_scan(self, part):
+        for d_m, d_n in glue_pairs()[part::4]:
+            assert anti_embeddings(d_m, d_n) == searches_by_scan(d_m, d_n, -1)
+            for a, b in ((d_m, d_m), (d_n, d_n), (d_m, negated(d_m))):
+                want = searches_by_scan(a, b, 1)
+                assert isomorphisms(a, b) == want
+                assert is_isomorphic(a, b) == bool(want)
+            gens, count = orthogonal_group(d_m)
+            autos = searches_by_scan(d_m, d_m, 1)
+            assert count == len(autos)
+            assert hom_closure_images(d_m, gens) == {f.images for f in autos}
+
+
 class TestGlueImage:
     def test_random_modules_match_perp_listing(self):
         # c^perp listed element by element, on nondegenerate and
@@ -887,6 +983,49 @@ class TestAdmissibleImages:
         with pytest.raises(RuntimeError, match="order 1 in a module of "
                                                "order 4, not index 2"):
             admissible_images(Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ())))
+
+
+class TestScanCounters:
+    def test_table_walks_each_module_once_per_scan(self, monkeypatch):
+        # the scans (admissible images, anti-embedding candidates,
+        # nondegeneracy) evaluate no q from scratch and list no pairing row
+        # per element: the only rows are the backtrack's and one per
+        # admissible image.  Fresh D(N) objects, so nothing is cached
+        disc_map.cache_clear()
+        calls = collections.Counter()
+        for name in ("_eq", "_pair_row"):
+            def spy(self, x, real=getattr(Fqm, name), name=name):
+                calls[name, sys._getframe(1).f_code.co_name] += 1
+                return real(self, x)
+            monkeypatch.setattr(Fqm, name, spy)
+        walked = []
+        real_walk = Fqm._walk
+
+        def walk(self):
+            walked.append(self)
+            return real_walk(self)
+        monkeypatch.setattr(Fqm, "_walk", walk)
+        glue_calls = []
+        real_images = classify_module.k3sq_glue_images
+
+        def images(a, d_n, every=False):
+            glue_calls.append((a, d_n))
+            return real_images(a, d_n, every)
+        monkeypatch.setattr(classify_module, "k3sq_glue_images", images)
+        run_table(builtin_dataset())
+        scanned = {id(d_n): d_n for a, d_n in glue_calls
+                   if 2 * a.order == d_n.order}
+        candidate_scans = collections.Counter(
+            id(d_n) for a, d_n in glue_calls
+            if 2 * a.order == d_n.order and admissible_images(d_n))
+        want = collections.Counter(scanned.keys()) + candidate_scans
+        assert collections.Counter(map(id, walked)) == want
+        assert sum(candidate_scans.values()) == 14
+        assert not [k for k in calls if k[0] == "_eq"]
+        assert set(calls) <= {("_pair_row", "extend"),
+                              ("_pair_row", "_admissible_images")}
+        assert calls["_pair_row", "_admissible_images"] == sum(
+            len(admissible_images(d_n)) for d_n in scanned.values())
 
 
 class TestBuiltinCounts:
