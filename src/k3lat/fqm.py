@@ -13,8 +13,9 @@ per module on first use.  q and b still return Fractions; the searches
 criterion make none.  Every scan of a whole module is one incremental walk
 (Fqm._walk), which steps e*q by one add per element; nondegeneracy is one
 Hermite basis, not a scan.  The glue criterion is decided once per module:
-admissible_images caches the admissible images on it, and k3sq_glue_images
-scans D(N) once for all of them.
+admissible_images caches on it one (c, w, c^perp) triple per admissible
+image, c the first q = 3/2 class whose pairing row is w, and
+k3sq_glue_images scans D(N) once for all of them.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -171,7 +172,8 @@ class Fqm:
         return sum(c * w for c, w in zip(x, self._pair_row(y))) % self._ints[0]
 
     @cached_property
-    def _admissible_images(self) -> list[tuple[tuple[int, ...], Subgroup]]:
+    def _admissible_images(self) -> list[tuple[Element, tuple[int, ...],
+                                                Subgroup]]:
         """admissible_images(self), built on first use."""
         e = self._ints[0]
         if e % 2:  # no q = 3/2 level
@@ -182,10 +184,12 @@ class Fqm:
             # the c whose character is kept below pay for a pairing row
             level = (c for c in level
                      if not any(2 * x % d for x, d in zip(c, self.orders)))
-        # c + r, r in the radical, has the same character: keep it once
-        rows = dict.fromkeys(map(self._pair_row, level))
+        # c + r, r in the radical, has the same character: keep the first c
+        rows: dict[tuple[int, ...], Element] = {}
+        for c in level:
+            rows.setdefault(self._pair_row(c), c)
         out = []
-        for w in rows:
+        for w, c in rows.items():
             if any(2 * x % e for x in w):
                 continue  # b(2c, .) != 0: c^perp has index above 2
             # each w_i is 0 or e/2, so x is in c^perp iff its coefficients
@@ -199,7 +203,7 @@ class Fqm:
                 raise RuntimeError(f"c^perp for the character {w} has order "
                                    f"{image.order} in a module of order "
                                    f"{self.order}, not index 2")
-            out.append((w, image))
+            out.append((c, w, image))
         return out
 
     @cached_property
@@ -437,6 +441,7 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int,
     e = b._ints[0]
     want = _scaled_form(a, b, sign)[1]
     check_injective = not a._nondegenerate
+    row_of: dict[Element, tuple[int, ...]] = {}  # one pairing row per y
 
     def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
         i = len(chosen)
@@ -450,7 +455,9 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int,
         for y in candidates[i]:
             if all(sum(c * w for c, w in zip(y, row)) % e == t
                    for row, t in zip(rows, want[i])):
-                yield from extend(chosen + [y], rows + [b._pair_row(y)])
+                if y not in row_of:
+                    row_of[y] = b._pair_row(y)
+                yield from extend(chosen + [y], rows + [row_of[y]])
 
     return extend([], [])
 
@@ -472,19 +479,20 @@ def is_isomorphic(a: Fqm, b: Fqm) -> bool:
         next(_form_embeddings(a, b, 1), None) is not None
 
 
-def admissible_images(d_n: Fqm) -> list[tuple[tuple[int, ...], Subgroup]]:
-    """The admissible glue images of D(N) as (w, c^perp) pairs, built once
-    per module and cached on it.
+def admissible_images(d_n: Fqm
+                      ) -> list[tuple[Element, tuple[int, ...], Subgroup]]:
+    """The admissible glue images of D(N) as (c, w, c^perp) triples, built
+    once per module and cached on it.
 
     An admissible image H has index 2 and a class c outside it with
     q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = q(c) mod 1 = 1/2, H = c^perp
     and b(c, .) is a character of order 2; conversely every c with
     q(c) = 3/2 and b(2c, .) = 0 makes c^perp admissible.  w is the row
     d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or
-    e/2; one pair per character, in the order its first c appears in
-    elements().  On a nondegenerate D(N), such as a discriminant form, the
-    c are the order-2 classes with q = 3/2.  Raises if some c^perp does
-    not have index 2.
+    e/2; one triple per character, in the order its first c appears in
+    elements(), and c is that first class.  On a nondegenerate D(N), such
+    as a discriminant form, the c are the order-2 classes with q = 3/2.
+    Raises if some c^perp does not have index 2.
     """
     return d_n._admissible_images
 
@@ -499,7 +507,7 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
     """
     if image.ambient != d_n:
         raise ValueError("image must be a subgroup of the given module")
-    return any(h.basis == image.basis for _, h in admissible_images(d_n))
+    return any(h.basis == image.basis for _, _, h in admissible_images(d_n))
 
 
 def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
@@ -507,20 +515,20 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
     """The admissible images that anti-embeddings A -> D(N) reach, each
     with the first anti-embedding onto it (all of them when every is set),
     in the order in which anti_embeddings(a, d_n) first meets them.  D(N)
-    is scanned for candidates once; each admissible_images pair then runs
+    is scanned for candidates once; each admissible_images triple then runs
     its own search on the candidates inside its c^perp, and no other
     anti-embedding is listed.
     """
     if 2 * a.order != d_n.order:
         return []
     _check_bound(a, d_n)
-    pairs = admissible_images(d_n)
-    if not pairs:
+    triples = admissible_images(d_n)
+    if not triples:
         return []
     e = d_n._ints[0]
     candidates = _candidates(a, d_n, -1)
     found = []
-    for row, image in pairs:
+    for _, row, image in triples:
         inside = [[y for y in ys if not sum(map(operator.mul, y, row)) % e]
                   for ys in candidates]
         gams = _form_embeddings(a, d_n, -1, inside)
@@ -554,60 +562,3 @@ def hom_closure_images(m: Fqm, gens: Iterable[FqmHom]) -> set:
     """Image tuples of the subgroup of O(m) the given maps generate, grown
     coset by coset by exact.closure."""
     return exact.closure([g.images for g in gens], *_image_group(m))
-
-
-def subgroup_presentation(sub: Subgroup) -> FqmHom:
-    """Present a subgroup on invariant-factor generators of its own.
-
-    Returns the inclusion hom: its source is the subgroup as a standalone
-    module (with the restricted form), its images are the chosen generators
-    inside the ambient module.
-    """
-    amb = sub.ambient
-    gens = [g for g in map(amb.reduce, sub.basis) if any(g)]
-    if not gens:
-        return FqmHom(TRIVIAL, amb, ())
-    k, n = len(gens), amb.rank
-    # relation lattice: integer rows c with sum_i c_i g_i = 0 in the ambient,
-    # i.e. c.A = -y.diag(orders) for some integer y
-    stacked = [list(g) for g in gens]
-    stacked += [[amb.orders[j] if i == j else 0 for j in range(n)]
-                for i in range(n)]
-    kernel = exact.integer_kernel(stacked)
-    relations = [row[:k] for row in kernel]
-    s, u, _ = exact.smith_normal_form(exact.transpose(relations))
-    # in coordinates y = U x the relations are diagonal, so the new
-    # generators are the columns of U^{-1} applied to the old ones
-    u_inv = exact.rational_inverse(u)
-    new_gens = []
-    orders = []
-    for i in range(k):
-        d = s[i][i] if i < len(s) and i < len(s[0]) else 0
-        if d == 0:
-            raise ValueError("subgroup presentation is not finite")
-        if d == 1:
-            continue
-        combo = [u_inv[j][i] for j in range(k)]
-        if any(c.denominator != 1 for c in combo):
-            raise RuntimeError("subgroup presentation: U^-1 of a unimodular "
-                               f"Smith transform is not integral: {combo}")
-        elem = amb.zero()
-        for c, g in zip(combo, gens):
-            elem = amb.add(elem, amb.scale(c, g))
-        if amb.element_order(elem) != d:
-            raise RuntimeError(f"subgroup presentation: generator {elem} has "
-                               f"order {amb.element_order(elem)}, not the "
-                               f"invariant factor {d}")
-        new_gens.append(elem)
-        orders.append(d)
-    if not new_gens:
-        return FqmHom(TRIVIAL, amb, ())
-    q_diag = tuple(amb.q(g) for g in new_gens)
-    b_off = tuple(tuple(amb.b(new_gens[i], new_gens[j])
-                        for j in range(i + 1, len(new_gens)))
-                  for i in range(len(new_gens)))
-    presented = Fqm(tuple(orders), q_diag, b_off)
-    if presented.order != sub.order:
-        raise RuntimeError(f"subgroup presentation has order {presented.order}"
-                           f", the subgroup {sub.order}")
-    return FqmHom(presented, amb, tuple(new_gens))

@@ -8,6 +8,10 @@ in N measured inside the glued ambient lattice without constructing it, and
 wall_divisor_scan uses it to look for wall divisors in a definite lattice.
 partner_disc_candidates lists the forms a glue partner of N can carry; like
 classify it reads the admissible images c^perp off fqm.admissible_images.
+Each form is -q(N~_c), N~_c = N + <2> + Z (c~, 1/2) for an admissible class
+c: for L the K3^[2] lattice, L + <2> glues to the even unimodular II_{4,20},
+M = N^perp_L is the complement of N~_c there, and q_M = -q(N~_c) (Nikulin
+1.6.1).
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import exact
 from .enumeration import vectors_of_norm
 from .fqm import (Element, Fqm, FqmHom, Subgroup, admissible_images,
-                  hom_closure_images, is_isomorphic, negated,
-                  subgroup_presentation)
+                  hom_closure_images, is_isomorphic, negated)
 from .lattice import Lattice, direct_sum, disc_map, divisibility
 
 
@@ -182,17 +185,22 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
     can carry.
 
     Such a partner anti-embeds onto an admissible image H = c^perp of D(N),
-    one of fqm.admissible_images, so the partner's form is (H, -q).  The
-    images are visited in the binary order of the supports of their rows
-    w, bit i standing for generator i.  Returns one presentation per
-    isomorphism class of H; a single entry means the invariant side alone
-    pins down the partner's glue data.
+    one of fqm.admissible_images, so the partner's form is (H, -q).  It is
+    read off N~_c = N + <2> + Z (c~, 1/2), which overlattice_pairs builds
+    from (c, 1/2) and q(c) + 1/2 = 2 keeps even: as 2c = 0 and c is not in
+    c^perp, x -> (x, 0) maps c^perp isomorphically onto
+    D(N~_c) = (c, 1/2)^perp / <(c, 1/2)>, so D(N~_c) is (H, q) and
+    N~_c(-1) + E8(-1)^2 has the partner's genus.  The images are visited
+    in the binary order of the supports of their rows w, bit i standing
+    for generator i.  Returns one form per isomorphism class of H; a single
+    entry means the invariant side alone pins down the partner's glue data.
     """
     d = disc_map(n).fqm
+    two = Lattice(((2,),))
     out: list[Fqm] = []
     # each w_i is 0 or e/2: reversed rows compare as the support masks do
-    for _, sub in sorted(admissible_images(d), key=lambda p: p[0][::-1]):
-        neg = negated(subgroup_presentation(sub).source)
+    for c, _, _ in sorted(admissible_images(d), key=lambda t: t[1][::-1]):
+        neg = negated(disc_map(overlattice_pairs(n, two, [(c, (1,))])).fqm)
         if any(is_isomorphic(neg, seen) for seen in out):
             continue
         out.append(neg)

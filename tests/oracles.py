@@ -2,8 +2,13 @@
 
 Nothing here may compute with k3lat: these are deliberately naive second
 routes (minor-gcd invariant factors, box enumeration, exhaustive searches)
-against which the real algorithms are checked.  The one k3lat name is the
-FqmHom container, which compose and negation_hom build for tests.
+against which the real algorithms are checked.  The k3lat names are the
+Fqm and FqmHom containers, which compose, negation_hom and
+subgroup_presentation build for tests, and exact's Smith form and kernels,
+which subgroup_presentation calls: it is the second route to a glue
+partner's form, a subgroup of D(N) presented on invariant-factor
+generators of its own, against which the rank-4 overlattice route of
+glue.partner_disc_candidates is checked.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ import math
 import operator
 from fractions import Fraction
 
-from k3lat.fqm import FqmHom
+from k3lat import exact
+from k3lat.fqm import TRIVIAL, Fqm, FqmHom, Subgroup
 
 
 def laplace_det(a):
@@ -427,7 +433,7 @@ def form_candidates_scan(src_orders, src_q, dst_orders, dst_q, dst_b, sign):
 
 def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
                         rows, every):
-    """The glue images as one search per admissible row: for each (w, H)
+    """The glue images as one search per admissible row: for each (c, w, H)
     of rows, the candidates inside c^perp (sum x_i w_i = 0 mod the
     exponent) are scanned afresh and the anti-embeddings into them found
     by a lexicographic backtrack on Fractions.  Returns (H, image tuples)
@@ -454,7 +460,7 @@ def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
                 yield from extend(chosen + [y], cands)
 
     found = []
-    for w, image in rows:
+    for _, w, image in rows:
         inside = [[y for y in ys if not sum(map(operator.mul, y, w)) % e]
                   for ys in form_candidates_scan(src_orders, src_q,
                                                  dst_orders, dst_q, dst_b,
@@ -584,6 +590,63 @@ def negation_hom(m):
     return FqmHom(m, m, tuple(
         m.neg(m.reduce([int(i == j) for j in range(m.rank)]))
         for i in range(m.rank)))
+
+
+def subgroup_presentation(sub: Subgroup) -> FqmHom:
+    """Present a subgroup on invariant-factor generators of its own.
+
+    Returns the inclusion hom: its source is the subgroup as a standalone
+    module (with the restricted form), its images are the chosen generators
+    inside the ambient module.
+    """
+    amb = sub.ambient
+    gens = [g for g in map(amb.reduce, sub.basis) if any(g)]
+    if not gens:
+        return FqmHom(TRIVIAL, amb, ())
+    k, n = len(gens), amb.rank
+    # relation lattice: integer rows c with sum_i c_i g_i = 0 in the ambient,
+    # i.e. c.A = -y.diag(orders) for some integer y
+    stacked = [list(g) for g in gens]
+    stacked += [[amb.orders[j] if i == j else 0 for j in range(n)]
+                for i in range(n)]
+    kernel = exact.integer_kernel(stacked)
+    relations = [row[:k] for row in kernel]
+    s, u, _ = exact.smith_normal_form(exact.transpose(relations))
+    # in coordinates y = U x the relations are diagonal, so the new
+    # generators are the columns of U^{-1} applied to the old ones
+    u_inv = exact.rational_inverse(u)
+    new_gens = []
+    orders = []
+    for i in range(k):
+        d = s[i][i] if i < len(s) and i < len(s[0]) else 0
+        if d == 0:
+            raise ValueError("subgroup presentation is not finite")
+        if d == 1:
+            continue
+        combo = [u_inv[j][i] for j in range(k)]
+        if any(c.denominator != 1 for c in combo):
+            raise RuntimeError("subgroup presentation: U^-1 of a unimodular "
+                               f"Smith transform is not integral: {combo}")
+        elem = amb.zero()
+        for c, g in zip(combo, gens):
+            elem = amb.add(elem, amb.scale(c, g))
+        if amb.element_order(elem) != d:
+            raise RuntimeError(f"subgroup presentation: generator {elem} has "
+                               f"order {amb.element_order(elem)}, not the "
+                               f"invariant factor {d}")
+        new_gens.append(elem)
+        orders.append(d)
+    if not new_gens:
+        return FqmHom(TRIVIAL, amb, ())
+    q_diag = tuple(amb.q(g) for g in new_gens)
+    b_off = tuple(tuple(amb.b(new_gens[i], new_gens[j])
+                        for j in range(i + 1, len(new_gens)))
+                  for i in range(len(new_gens)))
+    presented = Fqm(tuple(orders), q_diag, b_off)
+    if presented.order != sub.order:
+        raise RuntimeError(f"subgroup presentation has order {presented.order}"
+                           f", the subgroup {sub.order}")
+    return FqmHom(presented, amb, tuple(new_gens))
 
 
 def all_anti_embeddings(src_orders, src_q, src_b, dst_orders, dst_q, dst_b):

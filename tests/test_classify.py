@@ -17,12 +17,12 @@ from k3lat.dataset import builtin_dataset
 from k3lat.enumeration import all_automorphisms, is_isometric
 from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,
-                       identity_hom, k3sq_glue_admissible, orthogonal_group,
-                       subgroup_presentation)
+                       identity_hom, k3sq_glue_admissible, orthogonal_group)
 from k3lat.glue import divisibility_in_glued
 from k3lat.lattice import Lattice, disc_map, induced_map
 from oracles import (char_poly, fixed_line_and_complement, glue_images,
-                     good_isometries_unfiltered, negation_hom, rand_unimodular)
+                     good_isometries_unfiltered, negation_hom, rand_unimodular,
+                     subgroup_presentation)
 
 A6_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 L2_11_GRAM = ((2, 1, 0), (1, 6, 0), (0, 0, 22))

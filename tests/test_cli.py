@@ -16,7 +16,8 @@ from k3lat.dataset import Dataset, DatasetError, builtin_dataset, \
     emit_dataset, load_dataset, parse_dataset
 from k3lat.fixtures import DATASET_TEXT
 from k3lat.fqm import Fqm, anti_embeddings, hom_closure_images, hom_image, \
-    identity_hom, isomorphisms, k3sq_glue_admissible, orthogonal_group
+    identity_hom, is_isomorphic, isomorphisms, k3sq_glue_admissible, \
+    orthogonal_group
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import Lattice, disc_map
 from oracles import leech_gram, negation_hom
@@ -320,17 +321,19 @@ class TestFixtures:
             ((Fraction(0), Fraction(1, 3)), (Fraction(2, 3),), ()))
 
     def test_partner_forms_rederive_from_the_grams(self):
-        # dual route: the stored disc is the unique admissible index-2
-        # anti-embedding partner computed from the first gram; the six
-        # unpinned groups admit exactly two candidate classes
+        # dual route: the stored disc is, up to isomorphism, the unique
+        # admissible index-2 anti-embedding partner computed from the first
+        # gram; the six unpinned groups admit exactly two candidate classes
         ds = builtin_dataset()
         for g in ds.groups:
             candidates = partner_disc_candidates(g.grams[0])
             if g.name in UNPINNED:
                 assert g.disc is None
                 assert len(candidates) == 2
+                assert not is_isomorphic(*candidates)
             else:
-                assert candidates == [g.disc]
+                assert len(candidates) == 1
+                assert is_isomorphic(candidates[0], g.disc)
 
     def test_partner_forms_work_for_every_gram_of_the_row(self):
         ds = builtin_dataset()

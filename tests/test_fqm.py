@@ -19,14 +19,15 @@ from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
                        anti_embeddings, hom_closure_images, hom_image,
                        hom_preimage, identity_hom, is_isomorphic,
                        isomorphisms, k3sq_glue_admissible, k3sq_glue_images,
-                       negated, orthogonal_group, subgroup_presentation)
+                       negated, orthogonal_group)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, closure_from_scratch, compose,
                      form_candidates_scan, fqm_b_value, fqm_q_value,
                      glue_admissible_scan, glue_admissible_walk, glue_images,
                      glue_images_per_row, greedy_generators, negation_hom,
-                     nondegenerate_scan, subgroup_closure)
+                     nondegenerate_scan, subgroup_closure,
+                     subgroup_presentation)
 
 F = Fraction
 
@@ -903,7 +904,8 @@ class TestGlueImage:
                 if any(2 * x % e for x in w):
                     continue  # the character of c has order above 2
                 perp = [x for x in d.elements() if d._eb(x, c) == 0]
-                assert (w, Subgroup.generated(d, perp)) in admissible_images(d)
+                assert (w, Subgroup.generated(d, perp)) in [
+                    (row, h) for _, row, h in admissible_images(d)]
                 checked.add(d._nondegenerate)
         assert checked == {True, False}
 
@@ -915,12 +917,12 @@ class TestGlueImage:
                 continue
             for n in g.grams:
                 d_n = disc_map(n).fqm
-                e, pairs = d_n._ints[0], admissible_images(d_n)
+                e, triples = d_n._ints[0], admissible_images(d_n)
                 for gam in anti_embeddings(g.disc, d_n):
                     image = hom_image(gam)
                     if not scan_agrees(d_n, gam.images):
                         continue
-                    (perp,) = [h for w, h in pairs if not any(
+                    (perp,) = [h for _, w, h in triples if not any(
                         sum(a * b for a, b in zip(y, w)) % e
                         for y in gam.images)]
                     assert image == perp
@@ -929,12 +931,15 @@ class TestGlueImage:
 
 
 def character_rows(d):
-    """The pairing rows of the order-2 characters b(c, .) over the c with
-    q(c) = 3/2, each once, in the order their first c appears."""
+    """(c, w) for the pairing rows w of the order-2 characters b(c, .) over
+    the c with q(c) = 3/2, each w once with the first c that has it, in
+    the order of those c."""
     e = d._ints[0]
-    rows = [d._pair_row(c) for c in level_three_half(d)]
-    return list(dict.fromkeys(w for w in rows
-                              if not any(2 * x % e for x in w)))
+    first = {}
+    for c in level_three_half(d):
+        first.setdefault(d._pair_row(c), c)
+    return [(c, w) for w, c in first.items()
+            if not any(2 * x % e for x in w)]
 
 
 class TestAdmissibleImages:
@@ -959,7 +964,7 @@ class TestAdmissibleImages:
                     for n in g.grams]
         found = 0
         for d in modules:
-            rows = [w for w, _ in admissible_images(d)]
+            rows = [(c, w) for c, w, _ in admissible_images(d)]
             assert rows == character_rows(d)
             found += bool(rows)
         assert found > 40
@@ -970,7 +975,8 @@ class TestAdmissibleImages:
         first = admissible_images(d)
         assert d.__dict__["_admissible_images"] is first
         assert admissible_images(d) is first
-        assert [w for w, _ in first] == [(0, 1), (1, 0)]
+        assert [(c, w) for c, w, _ in first] == [((0, 1), (0, 1)),
+                                                 ((1, 0), (1, 0))]
 
     def test_index_check_raises(self, monkeypatch):
         # c^perp always has index 2 (b(c, c) = 1/2); a constructor that
@@ -1026,6 +1032,48 @@ class TestScanCounters:
                               ("_pair_row", "_admissible_images")}
         assert calls["_pair_row", "_admissible_images"] == sum(
             len(admissible_images(d_n)) for d_n in scanned.values())
+
+    def test_backtrack_computes_each_row_once_per_search(self, monkeypatch):
+        # a y that one search picks on several branches pays one pairing
+        # row; each search is tagged while it runs, as the maps come lazily
+        tags, running = itertools.count(), []
+        found = collections.defaultdict(list)
+        real_search = fqm._form_embeddings
+
+        def search(*args):
+            maps, tag = real_search(*args), next(tags)
+
+            def run():
+                while True:
+                    running.append(tag)
+                    try:
+                        hom = next(maps)
+                    except StopIteration:
+                        return
+                    finally:
+                        running.pop()
+                    found[tag].append(hom.images)
+                    yield hom
+            return run()
+        monkeypatch.setattr(fqm, "_form_embeddings", search)
+        rows = collections.Counter()
+        real_row = Fqm._pair_row
+
+        def pair_row(self, y):
+            if sys._getframe(1).f_code.co_name == "extend":
+                rows[running[-1], y] += 1
+            return real_row(self, y)
+        monkeypatch.setattr(Fqm, "_pair_row", pair_row)
+        for g in builtin_dataset().groups:
+            if g.disc is not None:
+                for n in g.grams:
+                    anti_embeddings(g.disc, disc_map(n).fqm)
+        assert rows and max(rows.values()) == 1
+        # some y is picked after two different prefixes in one search
+        branches = {(tag, ims[:i + 1]) for tag, maps in found.items()
+                    for ims in maps for i in range(len(ims))}
+        picks = collections.Counter((tag, p[-1]) for tag, p in branches)
+        assert max(picks.values()) > 1
 
 
 class TestBuiltinCounts:

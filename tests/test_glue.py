@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -7,9 +8,9 @@ import pytest
 from k3lat import exact, lattice
 from k3lat.enumeration import all_automorphisms
 from k3lat.dataset import builtin_dataset
-from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, anti_embeddings,
-                       hom_image, hom_preimage, identity_hom, isomorphisms,
-                       negated, subgroup_presentation)
+from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
+                       anti_embeddings, hom_image, hom_preimage, identity_hom,
+                       is_isomorphic, isomorphisms, k3sq_glue_images, negated)
 from k3lat.glue import (check_extendable, divisibility_in_glued, glue_pairs,
                         overlattice, overlattice_pairs,
                         partner_disc_candidates, realized_actions)
@@ -17,7 +18,7 @@ from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
                            e8, induced_map, rescale, span_of_square)
 from oracles import (compose, index_two_glue_kernels, laplace_det,
                      negation_hom, rand_definite_even_gram, rand_even_gram,
-                     rand_int_matrix)
+                     rand_int_matrix, subgroup_presentation)
 
 
 def a2_glue():
@@ -371,14 +372,25 @@ def partner_forms_by_index_two_walk(n):
     return out
 
 
+def assert_same_classes(got, want):
+    """The same forms up to isomorphism, in the same order: equal length,
+    isomorphic entry by entry, and no two entries of got isomorphic."""
+    assert len(got) == len(want)
+    assert all(is_isomorphic(a, b) for a, b in zip(got, want))
+    assert not any(is_isomorphic(a, b)
+                   for a, b in itertools.combinations(got, 2))
+
+
 class TestPartnerDiscCandidates:
-    # equal lists: the same forms, presented alike, in the same order
+    # the overlattice forms against the presented subgroups; the two
+    # routes present a class on different generators, so the lists are
+    # compared up to isomorphism
 
     def test_builtin_grams_match_index_two_walk(self):
         for g in builtin_dataset().groups:
             for n in g.grams:
-                assert partner_disc_candidates(n) == \
-                    partner_forms_by_index_two_walk(n), g.name
+                assert_same_classes(partner_disc_candidates(n),
+                                    partner_forms_by_index_two_walk(n))
 
     def test_random_grams_match_index_two_walk(self):
         rng = random.Random(8080)
@@ -386,6 +398,32 @@ class TestPartnerDiscCandidates:
         for _ in range(200):
             n = Lattice(rand_definite_even_gram(rng, 3, spread=3))
             got = partner_disc_candidates(n)
-            assert got == partner_forms_by_index_two_walk(n), n.gram
+            assert_same_classes(got, partner_forms_by_index_two_walk(n))
             found += bool(got)
         assert found > 100  # most of them have an admissible image
+
+
+class TestCoinvariantRepresentative:
+    def test_overlattice_partner_glues_to_the_k3_square_lattice(self):
+        # M' = N~_c(-1) + E8(-1)^2 for every admissible image c^perp of
+        # every built-in Gram: negative definite of rank 20, with the
+        # presented partner form (c^perp, -q), and glued to N along c^perp
+        # into an even lattice with the K3^[2] lattice's |det| and signature
+        two = Lattice(((2,),))
+        checked = 0
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                d_n = disc_map(n).fqm
+                for c, _, image in admissible_images(d_n):
+                    n_c = overlattice_pairs(n, two, [(c, (1,))])
+                    m = direct_sum(rescale(n_c, -1), e8(-1), e8(-1))
+                    assert m.signature == (0, 20)
+                    d_m = disc_map(m).fqm
+                    assert is_isomorphic(
+                        d_m, negated(subgroup_presentation(image).source))
+                    gam = dict(k3sq_glue_images(d_m, d_n))[image][0]
+                    glued = overlattice(n, m, gam)
+                    assert glued.is_even and abs(glued.det) == 2
+                    assert glued.signature == (3, 20)
+                    checked += 1
+        assert checked == 43

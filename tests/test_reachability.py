@@ -1,0 +1,143 @@
+"""Which src/ functions can a k3lat command or the benchmark reach?
+
+A walk over the source with ast, never importing the package.  The roots
+are cli.main, every k3lat name the benchmark reads (the bindings that
+test_benchmark_bindings checks, and the functions perfbench/spans.py
+traces), and the statements each module runs at import.  A function
+reaches every function or method whose name its body mentions, as a bare
+name or an attribute, so the walk over-approximates the call graph.  A
+reached class reaches its dunder methods, which Python calls implicitly,
+and, when it subclasses a class from outside the package, every method,
+as the base class may call each override.
+
+The functions left unreached are pinned, each with the reason it stays:
+acceptance (it backs an acceptance criterion), roadmap (an open item will
+give it a command) or tests (only tests read it).  A new entry fails this
+test until it is pinned, deleted or given a caller.
+"""
+
+import ast
+import functools
+import pathlib
+
+from test_benchmark_bindings import PERFBENCH, module_attributes, \
+    module_constant
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "k3lat"
+
+UNREACHED = {
+    "cli.parse_table": "tests",
+    "fqm.Fqm.element_order": "roadmap",
+    "fqm.FqmHom.negates_form": "roadmap",
+    "fqm.isomorphisms": "roadmap",
+    "fqm.orthogonal_group": "roadmap",
+    "glue.glue_pairs": "acceptance",
+    "glue.overlattice": "roadmap",
+    "glue.wall_divisor_scan": "roadmap",
+    "lattice.a2": "acceptance",
+    "lattice.discriminant_group": "acceptance",
+    "lattice.divisibility": "roadmap",
+    "lattice.e8": "acceptance",
+    "lattice.hyperbolic_plane": "acceptance",
+    "lattice.k3_lattice": "acceptance",
+    "lattice.k3_square_lattice": "acceptance",
+    "lattice.saturate": "acceptance",
+    "lattice.span_of_square": "acceptance",
+}
+
+
+@functools.cache
+def modules():
+    """(module name, parsed module) for every module of the package."""
+    return tuple((path.stem, ast.parse(path.read_text(encoding="utf-8")))
+                 for path in sorted(SRC.glob("*.py")))
+
+
+def definitions():
+    """{"module.name" or "module.Class.name": (node, class node or None)}
+    for every function and method of the package."""
+    out = {}
+    for stem, tree in modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                out[f"{stem}.{node.name}"] = (node, None)
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        out[f"{stem}.{node.name}.{item.name}"] = (item, node)
+    return out
+
+
+def mentioned(nodes):
+    """Every identifier the nodes read, as a bare name or an attribute."""
+    names = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                names.add(sub.attr)
+    return names
+
+
+def import_time_statements():
+    """The module-level statements other than function and class bodies,
+    with each class's bases and decorators."""
+    out = []
+    for _, tree in modules():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                out += node.decorator_list
+            elif isinstance(node, ast.ClassDef):
+                out += node.bases + node.decorator_list
+            else:
+                out.append(node)
+    return out
+
+
+def roots():
+    names = {"main"}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        names |= {name for _, name in module_attributes(path)}
+    for layer in module_constant(PERFBENCH / "spans.py", "TRACED").values():
+        names |= set(layer)
+    return names | mentioned(import_time_statements())
+
+
+def unreached():
+    defs = definitions()
+    classes = {node.name: node for _, tree in modules() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    seen_names, seen_defs = set(), set()
+    todo = list(roots())
+    while todo:
+        name = todo.pop()
+        if name in seen_names:
+            continue
+        seen_names.add(name)
+        hits = [key for key in defs if key.rsplit(".", 1)[1] == name]
+        cls = classes.get(name)
+        if cls is not None:
+            foreign = any(not (isinstance(b, ast.Name) and b.id in classes)
+                          for b in cls.bases)
+            hits += [key for key, (node, owner) in defs.items()
+                     if owner is cls and (foreign or (
+                         node.name.startswith("__")
+                         and node.name.endswith("__")))]
+        for key in hits:
+            if key not in seen_defs:
+                seen_defs.add(key)
+                todo += mentioned([defs[key][0]])
+    return sorted(set(defs) - seen_defs)
+
+
+def test_unreached_functions_are_pinned():
+    assert unreached() == sorted(UNREACHED)
+    assert set(UNREACHED.values()) <= {"acceptance", "roadmap", "tests"}
+
+
+def test_subgroup_presentation_is_not_in_src():
+    assert not [key for key in definitions()
+                if key.endswith(".subgroup_presentation")]
+    assert "subgroup_presentation" not in mentioned(
+        tree for _, tree in modules())
