@@ -2,8 +2,8 @@
 
 Pipeline: enumerate good isometries of each invariant lattice, read the
 admissible glue images off D(N) (fqm.admissible_images: each is c^perp for
-an order-2 class c with q(c) = 3/2) together with anti-embeddings of the
-coinvariant discriminant form onto them (fqm.k3sq_glue_images), keep the
+an order-2 class c with q(c) = 3/2) together with one anti-embedding of the
+coinvariant discriminant form onto each (fqm.k3sq_glue_images), keep the
 isometries extending over the glued lattice, and emit one row per GL2(Z)
 class of the transcendental lattice, carrying the polarization degree, its
 divisibility and the K3-birational flag.
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import exact
 from .enumeration import Isometry, all_automorphisms
-from .fqm import Fqm, FqmHom, Subgroup, k3sq_glue_images
+from .fqm import Fqm, FqmHom, Subgroup, conjugates, k3sq_glue_images
 from .glue import check_extendable, divisibility_in_glued, realized_actions
 from .lattice import Lattice, disc_map, induced_map, invariant_and_coinvariant
 
@@ -124,10 +124,11 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
     """One row per (h^2, div, m, GL2(Z) class of T, invariant Gram), sorted.
 
     Loops over the admissible glue images of D(N), each c^perp for an
-    order-2 class c with q(c) = 3/2, found once per distinct D(N); an image
-    alone fixes condition 1, div and the k3 flag.  Permissive mode searches
-    one gamma onto each image and ignores obar; exact mode needs obar,
-    takes every gamma and keeps a row once any passes condition 2.  Per
+    order-2 class c with q(c) = 3/2, found once per distinct D(N), with one
+    gamma onto each; an image alone fixes condition 1, div and the k3 flag.
+    Permissive mode ignores obar.  Exact mode needs obar: the gluings onto
+    an image are gamma o a, a in O(D_M), with witnesses a^-1 w a, so it
+    tests gamma's witness w against the O(D_M)-conjugates of <obar>.  Per
     invariant lattice, the map each good isometry induces on D(N) is built
     once, and its fixed line and complement once it yields a row.  A
     merged row prints its smallest T and flags "excluded" only if every
@@ -137,9 +138,10 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact" and m_data.obar is None:
         raise ValueError("exact mode needs obar generators")
-    realized = (realized_actions(m_data.disc, m_data.obar)
+    realized = (conjugates(m_data.disc,
+                           realized_actions(m_data.disc, m_data.obar))
                 if mode == "exact" else None)
-    images_of: dict[Fqm, list[tuple[Subgroup, list[FqmHom]]]] = {}
+    images_of: dict[Fqm, list[tuple[Subgroup, FqmHom]]] = {}
     merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
         goods = good_isometries(n)  # raises unless rank 3, even, definite
@@ -147,21 +149,15 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
             continue
         d_n = disc_map(n).fqm
         if d_n not in images_of:
-            images_of[d_n] = k3sq_glue_images(m_data.disc, d_n,
-                                              every=mode == "exact")
+            images_of[d_n] = k3sq_glue_images(m_data.disc, d_n)
         images = images_of[d_n]
         if not images:
             continue
         fbars = [induced_map(n, f.matrix) for f in goods]
         lines: dict[int, tuple] = {}  # good isometry index -> (h, T rows, T)
-        for image, gams in images:
+        for image, gam in images:
             for i, f in enumerate(goods):
-                for gam in gams:  # no witness: condition 1 fails on the image
-                    ok, witness = check_extendable(fbars[i], gam,
-                                                   realized=realized)
-                    if ok or witness is None:
-                        break
-                if not ok:
+                if not check_extendable(fbars[i], gam, realized=realized)[0]:
                     continue
                 if i not in lines:
                     lines[i] = _fixed_line_and_complement(n, f.matrix)

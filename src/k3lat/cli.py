@@ -23,10 +23,9 @@ from .dataset import Dataset, DatasetError, GroupEntry, b_entries, \
     builtin_dataset, disc_form, load_dataset
 from .enumeration import automorphism_group, vectors_of_norm
 from .fqm import Fqm, anti_embeddings, hom_image, k3sq_glue_admissible
+from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 # perfbench reads these through cli
 from .dataset import emit_dataset, parse_dataset  # noqa: F401
-from .hilb2 import ample_model_verdict  # noqa: F401
-from .hilb2 import all_excluded, minus2_wall_scan, obstruction_report
 from .lattice import Lattice, disc_map
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -330,9 +329,8 @@ def _cmd_hilb2(args) -> int:
     try:
         report = obstruction_report(args.h2, l_bound=args.l_bound)
         scan = minus2_wall_scan(args.h2)
-        # the blocks ample_model_verdict would rebuild, without a second scan
-        verdict = all_excluded(
-            report.minus10_grams + (scan.terminal_gram,), args.no_lines)
+        verdict = ample_model_verdict(args.h2, args.no_lines,
+                                      l_bound=args.l_bound)
     except ValueError as exc:
         raise InputError(str(exc))
     print("obstruction blocks:", len(report.minus10_grams))

@@ -15,7 +15,7 @@ criterion make none.  Every scan of a whole module is one incremental walk
 Hermite basis, not a scan.  The glue criterion is decided once per module:
 admissible_images caches on it one (c, w, c^perp) triple per admissible
 image, c the first q = 3/2 class whose pairing row is w, and
-k3sq_glue_images scans D(N) once for all of them.
+k3sq_glue_images scans D(N) once for one anti-embedding onto each.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -510,14 +510,13 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
     return any(h.basis == image.basis for _, _, h in admissible_images(d_n))
 
 
-def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
-                     ) -> list[tuple[Subgroup, list[FqmHom]]]:
+def k3sq_glue_images(a: Fqm, d_n: Fqm) -> list[tuple[Subgroup, FqmHom]]:
     """The admissible images that anti-embeddings A -> D(N) reach, each
-    with the first anti-embedding onto it (all of them when every is set),
-    in the order in which anti_embeddings(a, d_n) first meets them.  D(N)
-    is scanned for candidates once; each admissible_images triple then runs
-    its own search on the candidates inside its c^perp, and no other
-    anti-embedding is listed.
+    with the first anti-embedding onto it, in the order in which
+    anti_embeddings(a, d_n) first meets them.  D(N) is scanned for
+    candidates once; each admissible_images triple then runs its own
+    search on the candidates inside its c^perp and stops at its first map:
+    the others onto the image are its compositions with O(A).
     """
     if 2 * a.order != d_n.order:
         return []
@@ -531,13 +530,12 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm, every: bool = False
     for _, row, image in triples:
         inside = [[y for y in ys if not sum(map(operator.mul, y, row)) % e]
                   for ys in candidates]
-        gams = _form_embeddings(a, d_n, -1, inside)
-        gams = list(gams) if every else list(itertools.islice(gams, 1))
-        if gams:
-            found.append((image, gams))
+        gam = next(_form_embeddings(a, d_n, -1, inside), None)
+        if gam is not None:
+            found.append((image, gam))
     # each candidate list is in elements() order, so sorting by the first
     # map's images is the order in which anti_embeddings meets the images
-    found.sort(key=lambda item: item[1][0].images)
+    found.sort(key=lambda item: item[1].images)
     return found
 
 
@@ -549,6 +547,24 @@ def orthogonal_group(m: Fqm) -> tuple[list[FqmHom], int]:
     exact.check_element_store(len(autos), "orthogonal group")
     gens = exact.generators(autos, *_image_group(m))
     return [FqmHom(m, m, g) for g in gens], len(autos)
+
+
+def conjugates(m: Fqm, group: set) -> set:
+    """Image tuples a^-1 w a for w in group, a subgroup R of O(m), and a in
+    O(m), conjugating by one a per right coset R a (a^-1 R a depends on it
+    alone) with a^-1 a power of a: if R = O(m), nothing is multiplied."""
+    ident, mul = _image_group(m)
+    out, covered = set(group), set(group)
+    for a in (f.images for f in _form_embeddings(m, m, 1)):
+        if a in covered:
+            continue
+        covered.update(mul(w, a) for w in group)
+        exact.check_element_store(len(covered), "orthogonal group")
+        inv = a
+        while (power := mul(inv, a)) != ident:
+            inv = power
+        out.update(mul(mul(inv, w), a) for w in group)
+    return out
 
 
 def _image_group(m: Fqm):

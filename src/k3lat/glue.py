@@ -197,10 +197,11 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
     """
     d = disc_map(n).fqm
     two = Lattice(((2,),))
+    disc = disc_map.__wrapped__  # uncached: nothing asks for N~_c again
     out: list[Fqm] = []
     # each w_i is 0 or e/2: reversed rows compare as the support masks do
     for c, _, _ in sorted(admissible_images(d), key=lambda t: t[1][::-1]):
-        neg = negated(disc_map(overlattice_pairs(n, two, [(c, (1,))])).fqm)
+        neg = negated(disc(overlattice_pairs(n, two, [(c, (1,))])).fqm)
         if any(is_isomorphic(neg, seen) for seen in out):
             continue
         out.append(neg)

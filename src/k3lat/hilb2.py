@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 IntMatrix = tuple[tuple[int, ...], ...]
 # wall datum: parameter t of the pierced point h - t*xi, coefficients (k, l)
@@ -171,10 +171,10 @@ def obstruction_report(h_sq: int,
                              minus2_wall_scan(h_sq).solutions, needs_line)
 
 
-def all_excluded(blocks, no_lines: bool,
-                 picard_excludes: Optional[Callable[[IntMatrix], bool]] = None
-                 ) -> bool:
-    """True iff every block is excluded from the Picard lattice.
+def ample_model_verdict(h_sq: int, no_lines: bool, picard_excludes=None,
+                        l_bound: Optional[int] = None) -> bool:
+    """True iff every obstruction block of degree h_sq is excluded from the
+    Picard lattice.
 
     Exclusion of a block comes from the caller's predicate, from containing
     a -2-class orthogonal to h (impossible next to an ample class), or,
@@ -182,13 +182,5 @@ def all_excluded(blocks, no_lines: bool,
     """
     return all((picard_excludes is not None and picard_excludes(g))
                or vector_with(g, -2, 0) is not None
-               or (no_lines and line_witness(g) is not None) for g in blocks)
-
-
-def ample_model_verdict(h_sq: int, no_lines: bool,
-                        picard_excludes=None,
-                        l_bound: Optional[int] = None) -> bool:
-    """True iff every obstruction block of degree h_sq is excluded from the
-    Picard lattice (all_excluded)."""
-    return all_excluded(_obstruction_blocks(h_sq, l_bound), no_lines,
-                        picard_excludes)
+               or (no_lines and line_witness(g) is not None)
+               for g in _obstruction_blocks(h_sq, l_bound))

@@ -432,14 +432,13 @@ def form_candidates_scan(src_orders, src_q, dst_orders, dst_q, dst_b, sign):
 
 
 def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
-                        rows, every):
+                        rows):
     """The glue images as one search per admissible row: for each (c, w, H)
     of rows, the candidates inside c^perp (sum x_i w_i = 0 mod the
     exponent) are scanned afresh and the anti-embeddings into them found
     by a lexicographic backtrack on Fractions.  Returns (H, image tuples)
-    for each H that some injective map reaches, with its first map (all
-    of them when every), sorted by that first map.  src_b and dst_b are
-    dicts {(i,j): Fraction}."""
+    for each H that some injective map reaches, with its first map, sorted
+    by that map.  src_b and dst_b are dicts {(i,j): Fraction}."""
     if 2 * math.prod(src_orders) != math.prod(dst_orders):
         return []
     e = dst_orders[-1]
@@ -465,11 +464,10 @@ def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
                   for ys in form_candidates_scan(src_orders, src_q,
                                                  dst_orders, dst_q, dst_b,
                                                  -1)]
-        maps = extend([], inside)
-        maps = list(maps) if every else list(itertools.islice(maps, 1))
-        if maps:
-            found.append((image, maps))
-    found.sort(key=lambda item: item[1][0])
+        first = next(extend([], inside), None)
+        if first is not None:
+            found.append((image, first))
+    found.sort(key=lambda item: item[1])
     return found
 
 
@@ -583,6 +581,24 @@ def compose(f, g):
     if g.target != f.source:
         raise ValueError("composition type mismatch")
     return FqmHom(g.source, f.target, tuple(f(im) for im in g.images))
+
+
+def conjugates_by_search(autos, groups):
+    """For each subgroup in groups (image tuples), the set of a^-1 o w o a
+    over its w and every a in autos, the FqmHom list of a whole O(m):
+    every a conjugates every w, the maps evaluated through FqmHom calls,
+    and a^-1 is the b in autos with b(a(g_i)) = g_i for each i."""
+    m = autos[0].source
+    units = [m.reduce([int(i == j) for j in range(m.rank)])
+             for i in range(m.rank)]
+    pairs = [(a, next(b for b in autos if all(
+        b(y) == u for y, u in zip(a.images, units)))) for a in autos]
+    out = []
+    for group in groups:
+        homs = [FqmHom(m, m, w) for w in group]
+        out.append({tuple(inv(w(y)) for y in a.images)
+                    for a, inv in pairs for w in homs})
+    return out
 
 
 def negation_hom(m):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import Counter
@@ -17,10 +18,12 @@ from k3lat.dataset import builtin_dataset
 from k3lat.enumeration import all_automorphisms, is_isometric
 from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
                        hom_closure_images, hom_image, hom_preimage,
-                       identity_hom, k3sq_glue_admissible, orthogonal_group)
+                       identity_hom, isomorphisms, k3sq_glue_admissible,
+                       orthogonal_group)
 from k3lat.glue import divisibility_in_glued
 from k3lat.lattice import Lattice, disc_map, induced_map
-from oracles import (char_poly, fixed_line_and_complement, glue_images,
+from oracles import (char_poly, conjugates_by_search,
+                     fixed_line_and_complement, glue_images,
                      good_isometries_unfiltered, negation_hom, rand_unimodular,
                      subgroup_presentation)
 
@@ -262,8 +265,7 @@ class TestClassify:
     def test_reversed_anti_embedding_order_changes_nothing(self, monkeypatch):
         # M10 has two (h^2, div, m, T) classes reached by one gluing that
         # excludes and another that does not: both must read "unknown".
-        # The glue images come in reverse order, and so do the
-        # anti-embeddings onto each image (all of them in exact mode)
+        # The glue images come in reverse order
         g = builtin_dataset().group("M10")
         mds = [CoinvariantData(disc=g.disc),
                CoinvariantData(disc=g.disc,
@@ -273,18 +275,17 @@ class TestClassify:
         real = classify_module.k3sq_glue_images
         seen = []
 
-        def reversed_images(a, d_n, every=False):
-            images = real(a, d_n, every)
-            seen.append((every, [len(gams) for _, gams in images]))
-            return [(image, gams[::-1]) for image, gams in images[::-1]]
+        def reversed_images(a, d_n):
+            images = real(a, d_n)
+            seen.append(len(images))
+            return images[::-1]
         monkeypatch.setattr(classify_module, "k3sq_glue_images",
                             reversed_images)
         flipped = [classify(list(g.grams), md, g.name, mode)
                    for md, mode in zip(mds, ("permissive", "exact"))]
         assert flipped == base
-        # several images per D(N), and several gammas per image when exact
-        assert all(len(lens) > 1 for _, lens in seen)
-        assert all(min(lens) > 1 for every, lens in seen if every)
+        # several images per D(N)
+        assert all(count > 1 for count in seen)
         for rows in base:
             flags = {(r.h_sq, r.h_div, r.m, r.t_gram): r.k3_flag for r in rows}
             assert flags[(2, 1, 2, ((4, 0), (0, 30)))] == "unknown"
@@ -443,6 +444,93 @@ class TestHoistedLoop:
                 # every map built is a gamma out of this group's D(M)
                 assert all(src == g.disc for src in built[start:]), g.name
         assert len(built) == 19
+
+
+@functools.cache
+def seeded_obar():
+    """(group, obar, normal) for each built-in group with shipped data and
+    seeds 0-4: obar is one or two elements of O(D_M) (two on odd seeds)
+    drawn by Random(2300 + seed) from isomorphisms(D_M, D_M), and normal
+    says whether the subgroup it generates is normal in O(D_M), decided
+    by conjugating with every automorphism."""
+    out = []
+    for g in builtin_dataset().groups:
+        if g.disc is None:
+            continue
+        autos = isomorphisms(g.disc, g.disc)
+        obars = []
+        for seed in range(5):
+            rng = random.Random(2300 + seed)
+            obars.append(tuple(rng.choice(autos)
+                               for _ in range(1 + seed % 2)))
+        groups = [hom_closure_images(g.disc, obar) for obar in obars]
+        out += [(g, obar, closed == group) for obar, group, closed in zip(
+            obars, groups, conjugates_by_search(autos, groups))]
+    return out
+
+
+def reference_sample():
+    """The seeded obar that generate non-normal subgroups, on the groups
+    with |O(D_M)| <= 48 (the per-gamma reference tries up to |O(D_M)|
+    gammas per image), and the first one on 3^4:A6, |O(D_M)| = 144."""
+    small = [(g, obar) for g, obar, normal in seeded_obar() if not normal
+             and len(isomorphisms(g.disc, g.disc)) <= 48]
+    return small + [next((g, obar) for g, obar, normal in seeded_obar()
+                         if g.name == "3^4:A6" and not normal)]
+
+
+class TestConjugacyClosure:
+    # exact mode searches one gamma per image and tests its witness
+    # against the O(D_M)-conjugates of the realized group
+    def test_sample_holds_non_normal_subgroups(self):
+        normal = [normal for _, _, normal in seeded_obar()]
+        assert (len(normal), normal.count(False)) == (45, 20)
+        assert len(reference_sample()) == 11
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_exact_mode_matches_per_gamma_reference(self, index):
+        g, obar = reference_sample()[index]
+        md = CoinvariantData(disc=g.disc, obar=obar)
+        assert classify(list(g.grams), md, g.name, "exact") == \
+            reference_classify(list(g.grams), md, g.name, "exact")[0]
+
+    def test_first_witness_alone_changes_rows(self, monkeypatch):
+        # without the conjugates, six of the 45 give other rows; all six
+        # are in the reference sample
+        def rows(g, obar):
+            return classify(list(g.grams), CoinvariantData(g.disc, obar=obar),
+                            g.name, "exact")
+        base = [rows(g, obar) for g, obar, _ in seeded_obar()]
+        monkeypatch.setattr(classify_module, "conjugates",
+                            lambda m, group: group)
+        changed = [(g, obar) for (g, obar, _), want
+                   in zip(seeded_obar(), base) if rows(g, obar) != want]
+        assert len(changed) == 6
+        assert all(case in reference_sample() for case in changed)
+
+    def test_last_gamma_onto_each_image_gives_the_same_rows(self,
+                                                             monkeypatch):
+        cases = [(g, CoinvariantData(disc=g.disc), "permissive")
+                 for g in builtin_dataset().groups if g.disc is not None]
+        cases += [(g, CoinvariantData(disc=g.disc, obar=obar), "exact")
+                  for g, obar, _ in seeded_obar()]
+        base = [classify(list(g.grams), md, g.name, mode)
+                for g, md, mode in cases]
+        real, moved = classify_module.k3sq_glue_images, []
+
+        def last_gamma_images(a, d_n):
+            out = []
+            for image, gam in real(a, d_n):
+                onto = [f for f in anti_embeddings(a, d_n)
+                        if hom_image(f) == image]
+                moved.append(onto[-1] != gam)
+                out.append((image, onto[-1]))
+            return out
+        monkeypatch.setattr(classify_module, "k3sq_glue_images",
+                            last_gamma_images)
+        assert [classify(list(g.grams), md, g.name, mode)
+                for g, md, mode in cases] == base
+        assert any(moved)
 
 
 def _random_binary_grams(rng, count):

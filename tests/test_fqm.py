@@ -16,17 +16,17 @@ from k3lat import fqm
 from k3lat.cli import run_table
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
-                       anti_embeddings, hom_closure_images, hom_image,
-                       hom_preimage, identity_hom, is_isomorphic,
+                       anti_embeddings, conjugates, hom_closure_images,
+                       hom_image, hom_preimage, identity_hom, is_isomorphic,
                        isomorphisms, k3sq_glue_admissible, k3sq_glue_images,
                        negated, orthogonal_group)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (all_anti_embeddings, closure_from_scratch, compose,
-                     form_candidates_scan, fqm_b_value, fqm_q_value,
-                     glue_admissible_scan, glue_admissible_walk, glue_images,
-                     glue_images_per_row, greedy_generators, negation_hom,
-                     nondegenerate_scan, subgroup_closure,
+                     conjugates_by_search, form_candidates_scan, fqm_b_value,
+                     fqm_q_value, glue_admissible_scan, glue_admissible_walk,
+                     glue_images, glue_images_per_row, greedy_generators,
+                     negation_hom, nondegenerate_scan, subgroup_closure,
                      subgroup_presentation)
 
 F = Fraction
@@ -587,6 +587,47 @@ class TestOrthogonalGroup:
         assert [g.images for g in orthogonal_group(m)[0]] == want
 
 
+class TestConjugates:
+    # conjugates against every automorphism conjugating every element, on
+    # the trivial subgroup and the closures of one to three random
+    # automorphisms; a random module's whole O(m) too
+    def check(self, rng, m, whole=False):
+        autos = isomorphisms(m, m)
+        groups = [{identity_hom(m).images}]
+        groups += [{f.images for f in autos}] if whole else []
+        for _ in range(3):
+            gens = [rng.choice(autos) for _ in range(rng.randint(1, 3))]
+            groups.append(hom_closure_images(m, gens))
+        got = [conjugates(m, group) for group in groups]
+        assert got == conjugates_by_search(autos, groups)
+        return [c == group for c, group in zip(got, groups)]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_modules_match_conjugation_by_search(self, seed):
+        m = rand_fqm(random.Random(1500 + seed))
+        self.check(random.Random(2500 + seed), m, whole=True)
+
+    def test_shipped_forms_match_conjugation_by_search(self):
+        rng, normal = random.Random(2600), []
+        for g in builtin_dataset().groups:
+            if g.disc is not None:
+                normal += self.check(rng, g.disc)
+        assert False in normal and True in normal
+
+    def test_whole_group_multiplies_nothing(self, monkeypatch):
+        m = builtin_dataset().group("3^4:A6").disc
+        real, products = fqm._image_group, []
+
+        def counted(mod):
+            ident, mul = real(mod)
+            return ident, lambda f, g: products.append(1) or mul(f, g)
+        monkeypatch.setattr(fqm, "_image_group", counted)
+        whole = {f.images for f in isomorphisms(m, m)}
+        assert len(whole) == 144
+        assert conjugates(m, whole) == whole
+        assert products == []
+
+
 def scan_agrees(d, gens):
     """k3sq_glue_admissible against the level-set scan of the oracle."""
     got = k3sq_glue_admissible(d, Subgroup.generated(d, gens))
@@ -780,13 +821,17 @@ def rand_glue_pair(rng):
 
 class TestK3sqGlueImages:
     def check_against_listing(self, d_m, d_n):
+        # one gamma per image, the first one listed; the listed maps onto
+        # that image are exactly the gamma o a for a in O(D_M), each once
         want = admissible_images_by_listing(d_m, d_n)
-        every = k3sq_glue_images(d_m, d_n, every=True)
         first = k3sq_glue_images(d_m, d_n)
-        assert [image for image, _ in every] == [image for image, _ in want]
         assert [image for image, _ in first] == [image for image, _ in want]
-        assert [gams for _, gams in every] == [gams for _, gams in want]
-        assert [gams for _, gams in first] == [gams[:1] for _, gams in want]
+        assert [gam for _, gam in first] == [gams[0] for _, gams in want]
+        autos = isomorphisms(d_m, d_m)
+        for (_, gam), (_, gams) in zip(first, want):
+            torsor = [compose(gam, a).images for a in autos]
+            assert len(set(torsor)) == len(torsor) == len(gams)
+            assert sorted(torsor) == sorted(f.images for f in gams)
         return len(want)
 
     def test_builtin_groups_match_listing(self):
@@ -812,10 +857,13 @@ class TestK3sqGlueImages:
         cases = set()
         for seed in range(40):
             d_m, d_n = rand_glue_pair(random.Random(1700 + seed))
-            images = k3sq_glue_images(d_m, d_n, every=True)
+            images = k3sq_glue_images(d_m, d_n)
+            onto = collections.Counter(hom_image(f) for f
+                                       in anti_embeddings(d_m, d_n))
             cases.add((d_n._nondegenerate, 2 * d_m.order == d_n.order,
                        len(images) > 0,
-                       max((len(g) for _, g in images), default=0) > 1))
+                       max((onto[image] for image, _ in images),
+                           default=0) > 1))
         assert {(True, False, False, False), (True, True, False, False),
                 (True, True, True, False), (True, True, True, True),
                 (False, True, True, True)} <= cases
@@ -831,7 +879,7 @@ class TestK3sqGlueImages:
     ])
     def test_degenerate_module_gives_each_image_once(self, d_n):
         assert not d_n._nondegenerate
-        images = k3sq_glue_images(cyclic(2, 0), d_n, every=True)
+        images = k3sq_glue_images(cyclic(2, 0), d_n)
         assert len(images) == 1
         self.check_against_listing(cyclic(2, 0), d_n)
 
@@ -867,12 +915,11 @@ class TestSharedGlueScan:
         kinds = set()
         for d_m, d_n in pairs[part::4]:
             rows = admissible_images(d_n)
-            for every in (False, True):
-                got = [(image, [f.images for f in gams]) for image, gams
-                       in k3sq_glue_images(d_m, d_n, every)]
-                assert got == glue_images_per_row(
-                    d_m.orders, d_m.q_diag, b_dict(d_m), d_n.orders,
-                    d_n.q_diag, b_dict(d_n), rows, every)
+            got = [(image, gam.images)
+                   for image, gam in k3sq_glue_images(d_m, d_n)]
+            assert got == glue_images_per_row(
+                d_m.orders, d_m.q_diag, b_dict(d_m), d_n.orders,
+                d_n.q_diag, b_dict(d_n), rows)
             kinds.add((d_n._nondegenerate, bool(got)))
         assert kinds == {(True, True), (True, False), (False, True),
                          (False, False)}
@@ -1014,9 +1061,9 @@ class TestScanCounters:
         glue_calls = []
         real_images = classify_module.k3sq_glue_images
 
-        def images(a, d_n, every=False):
+        def images(a, d_n):
             glue_calls.append((a, d_n))
-            return real_images(a, d_n, every)
+            return real_images(a, d_n)
         monkeypatch.setattr(classify_module, "k3sq_glue_images", images)
         run_table(builtin_dataset())
         scanned = {id(d_n): d_n for a, d_n in glue_calls

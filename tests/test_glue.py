@@ -402,6 +402,16 @@ class TestPartnerDiscCandidates:
             found += bool(got)
         assert found > 100  # most of them have an admissible image
 
+    def test_disc_map_cache_keeps_only_the_asked_lattices(self):
+        # D(N~_c) is read past the cache: one call per built-in Gram
+        # leaves its 25 N and <2> cached, not the 43 N~_c besides
+        grams = [n for g in builtin_dataset().groups for n in g.grams]
+        disc_map.cache_clear()
+        for n in grams:
+            partner_disc_candidates(n)
+        assert len(set(grams)) == 25
+        assert disc_map.cache_info().currsize == 26
+
 
 class TestCoinvariantRepresentative:
     def test_overlattice_partner_glues_to_the_k3_square_lattice(self):
@@ -421,7 +431,7 @@ class TestCoinvariantRepresentative:
                     d_m = disc_map(m).fqm
                     assert is_isomorphic(
                         d_m, negated(subgroup_presentation(image).source))
-                    gam = dict(k3sq_glue_images(d_m, d_n))[image][0]
+                    gam = dict(k3sq_glue_images(d_m, d_n))[image]
                     glued = overlattice(n, m, gam)
                     assert glued.is_even and abs(glued.det) == 2
                     assert glued.signature == (3, 20)
