@@ -24,21 +24,23 @@ IntMatrix = tuple[tuple[int, ...], ...]
 
 # order k paired with trace 1 + 2cos(2pi/k): eigenvalues 1, zeta_k, conj
 GOOD_TRACES = {2: -1, 3: 0, 4: 1, 6: 2}
+_ORDER_OF_TRACE = {t: k for k, t in GOOD_TRACES.items()}
 
 
 def good_isometries(n: Lattice) -> list[Isometry]:
     """All f in O(N) with a single fixed line and primitive-root rotation
-    part, i.e. (order, trace) in {(2,-1), (3,0), (4,1), (6,2)}."""
+    part, i.e. (order, trace) in {(2,-1), (3,0), (4,1), (6,2)}: the f of
+    det 1 but the identity.  f has finite order, so its characteristic
+    polynomial is a product of cyclotomic polynomials of degree <= 2: its
+    eigenvalues are det f = +-1 and a pair of product 1.  With det 1 the
+    trace is 3 only for f = 1, and -1, 0, 1, 2 give orders 2, 3, 4, 6."""
     if n.rank != 3 or not n.is_even or not n.is_positive_definite:
         raise ValueError("good isometries live on even rank-3 positive "
                          "definite lattices")
     out = []
     for q in all_automorphisms(n):
-        trace = q[0][0] + q[1][1] + q[2][2]
-        if trace not in GOOD_TRACES.values():
-            continue  # no order can pair with it
-        order = exact.multiplicative_order(q)
-        if GOOD_TRACES.get(order) == trace:
+        order = _ORDER_OF_TRACE.get(q[0][0] + q[1][1] + q[2][2])
+        if order is not None and exact.bareiss_det(q) == 1:
             out.append(Isometry(q, order))
     return out
 

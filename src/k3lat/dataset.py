@@ -18,8 +18,9 @@ Fields inside a group block:
     coinv_gram <n>          Gram matrix of the coinvariant lattice itself
 
 The coinvariant (M-side) fields ``q``, ``b``, ``obar`` and ``coinv_gram``
-need a ``disc`` line in the same block.  Any other field is an error, and
-so is a second block of the same name.
+need a ``disc`` line in the same block.  The ``disc``, ``q`` and ``b`` lines
+must form a nondegenerate form, as every discriminant form is.  Any other
+field is an error, and so is a second block of the same name.
 
 Rationals are written ``p/q`` (plain ``p`` when integral); never floats.
 Blank lines and ``#`` comments are skipped on input and never emitted, so

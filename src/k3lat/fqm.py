@@ -4,18 +4,20 @@ A module is presented on invariant-factor generators g_1, ..., g_r of orders
 d_1 | d_2 | ... | d_r (trivial factors dropped), with q(g_i) stored in [0, 2)
 and the pairing b(g_i, g_j) in [0, 1).  Elements are coefficient tuples
 reduced modulo the orders.  These objects model discriminant groups of even
-lattices, but nothing in this module depends on a lattice.
+lattices, but nothing in this module depends on a lattice.  Every module is
+nondegenerate, as discriminant forms are: b has no radical, which is
+checked once when a module is built.
 
 Internally the form runs on scaled integers: with e the exponent (the
 largest order), e*q takes values mod 2e and e*b values mod e, derived once
-per module on first use.  q and b still return Fractions; the searches
+per module when it is built.  q and b still return Fractions; the searches
 (anti-embeddings, isomorphisms), the form checks of FqmHom and the glue
 criterion make none.  Every scan of a whole module is one incremental walk
-(Fqm._walk), which steps e*q by one add per element; nondegeneracy is one
-Hermite basis, not a scan.  The glue criterion is decided once per module:
-admissible_images caches on it one (c, w, c^perp) triple per admissible
-image, c the first q = 3/2 class whose pairing row is w, and
-k3sq_glue_images scans D(N) once for one anti-embedding onto each.
+(Fqm._walk), which steps e*q by one add per element.  The glue criterion is
+decided once per module: admissible_images caches on it one
+(c, w, c^perp) triple per admissible image, c an order-2 class with
+q = 3/2 and w its pairing row, and k3sq_glue_images scans D(N) once for
+one anti-embedding onto each.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -66,11 +68,25 @@ class Fqm:
                 raise ValueError(f"{d} * q(g) must be an integer")
             if q.numerator * d * d % (2 * q.denominator):
                 raise ValueError(f"q({d}*g) must vanish mod 2")
-            for k, b in enumerate(self.b_off[i]):
+            for b in self.b_off[i]:
                 if not (0 <= b < 1):
                     raise ValueError("b values must be reduced into [0, 1)")
                 if b.numerator * d % b.denominator:
                     raise ValueError("pairing must kill the generator order")
+        # x -> _pair_row(x) is a homomorphism A -> (Z/e)^r with the radical
+        # of b as kernel.  Its image is L / e Z^r for the lattice L that the
+        # rows of B and e I span, of order e^r / [Z^r : L], and [Z^r : L] is
+        # the product of the pivots of L's Hermite basis; so the radical has
+        # order |A| prod(pivots) / e^r
+        e, _, bm = self._ints
+        basis = exact.hermite_row_basis(
+            [*map(list, bm), *([e * (i == j) for j in range(r)]
+                               for i in range(r))])
+        radical = self.order * math.prod(
+            row[i] for i, row in enumerate(basis)) // e ** r
+        if radical != 1:
+            raise ValueError(f"pairing is degenerate: its radical has order "
+                             f"{radical}")
 
     @property
     def rank(self) -> int:
@@ -108,12 +124,12 @@ class Fqm:
         d_i q(g_i) and d_i b(g_i, g_j) are and d_i divides e."""
         r = self.rank
         e = self.orders[-1] if r else 1
-        qs = tuple(int(q * e) for q in self.q_diag)
+        qs = tuple(q.numerator * (e // q.denominator) for q in self.q_diag)
         bm = [[0] * r for _ in range(r)]
         for i in range(r):
             bm[i][i] = qs[i] % e
-            for j in range(i + 1, r):
-                bm[i][j] = bm[j][i] = int(self.b_off[i][j - i - 1] * e)
+            for j, b in enumerate(self.b_off[i], i + 1):
+                bm[i][j] = bm[j][i] = b.numerator * (e // b.denominator)
         return e, qs, tuple(tuple(row) for row in bm)
 
     def _eq(self, x: Element) -> int:
@@ -178,20 +194,12 @@ class Fqm:
         e = self._ints[0]
         if e % 2:  # no q = 3/2 level
             return []
-        level = (c for c, v in self._walk() if v == 3 * e // 2)
-        if self._nondegenerate:
-            # b(2c, .) = 0 is 2c = 0 here, a test on coordinates, so only
-            # the c whose character is kept below pay for a pairing row
-            level = (c for c in level
-                     if not any(2 * x % d for x, d in zip(c, self.orders)))
-        # c + r, r in the radical, has the same character: keep the first c
-        rows: dict[tuple[int, ...], Element] = {}
-        for c in level:
-            rows.setdefault(self._pair_row(c), c)
         out = []
-        for w, c in rows.items():
-            if any(2 * x % e for x in w):
-                continue  # b(2c, .) != 0: c^perp has index above 2
+        for c, v in self._walk():
+            # b(2c, .) = 0 is 2c = 0, as b has no radical
+            if v != 3 * e // 2 or any(self.scale(2, c)):
+                continue
+            w = self._pair_row(c)
             # each w_i is 0 or e/2, so x is in c^perp iff its coefficients
             # on the support of w have even sum: e_i off the support and
             # e_i + e_s on it, s the first index there, generate c^perp
@@ -205,24 +213,6 @@ class Fqm:
                                    f"{self.order}, not index 2")
             out.append((c, w, image))
         return out
-
-    @cached_property
-    def _nondegenerate(self) -> bool:
-        """Is the radical of b trivial?
-
-        x -> _pair_row(x) is a homomorphism A -> (Z/e)^r with the radical
-        as kernel.  Its image is L / e Z^r for the lattice L that the rows
-        of B and e I span, of order e^r / [Z^r : L], and [Z^r : L] is the
-        product of the pivots of L's Hermite basis; so the radical is
-        trivial iff e^r = |A| prod(pivots).
-        """
-        e, _, bm = self._ints
-        r = self.rank
-        basis = exact.hermite_row_basis(
-            [*map(list, bm), *([e * (i == j) for j in range(r)]
-                               for i in range(r))])
-        return e ** r == self.order * math.prod(
-            row[i] for i, row in enumerate(basis))
 
     def q(self, x: Iterable[int]) -> Fraction:
         """q(x) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij, reduced mod 2."""
@@ -260,10 +250,6 @@ class FqmHom:
             if k:
                 out = self.target.add(out, self.target.scale(k, im))
         return out
-
-    def is_injective(self) -> bool:
-        img = Subgroup.generated(self.target, self.images)
-        return img.order == self.source.order
 
     @cached_property
     def preimage_table(self) -> dict[Element, Element]:
@@ -426,29 +412,24 @@ def _candidates(a: Fqm, b: Fqm, sign: int) -> list[list[Element]]:
 def _form_embeddings(a: Fqm, b: Fqm, sign: int,
                      candidates: Optional[list[list[Element]]] = None
                      ) -> Iterator[FqmHom]:
-    """Injective homs A -> B multiplying the form by sign, in the
-    lexicographic order of their generator images.
+    """Homs A -> B multiplying the form by sign, injective as their kernel
+    lies in A's radical, 0, in the lexicographic order of their images.
 
     Without candidates they are picked here by _candidates, so the bound
     raises at call time; the backtrack runs lazily.  Given candidates
     (_candidates' lists, or sublists of them in the same order, such as
-    the y inside one c^perp), the maps use only those.  A hom matching b
-    up to sign has its kernel inside the radical of A's pairing, so
-    injectivity is checked per map only when A is degenerate.
+    the y inside one c^perp), the maps use only those.
     """
     if candidates is None:
         candidates = _candidates(a, b, sign)
     e = b._ints[0]
     want = _scaled_form(a, b, sign)[1]
-    check_injective = not a._nondegenerate
     row_of: dict[Element, tuple[int, ...]] = {}  # one pairing row per y
 
     def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
         i = len(chosen)
         if i == a.rank:
-            hom = FqmHom(a, b, tuple(chosen))
-            if not check_injective or hom.is_injective():
-                yield hom
+            yield FqmHom(a, b, tuple(chosen))
             return
         if None in want[i]:
             return
@@ -487,11 +468,11 @@ def admissible_images(d_n: Fqm
     An admissible image H has index 2 and a class c outside it with
     q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = q(c) mod 1 = 1/2, H = c^perp
     and b(c, .) is a character of order 2; conversely every c with
-    q(c) = 3/2 and b(2c, .) = 0 makes c^perp admissible.  w is the row
-    d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or
-    e/2; one triple per character, in the order its first c appears in
-    elements(), and c is that first class.  On a nondegenerate D(N), such
-    as a discriminant form, the c are the order-2 classes with q = 3/2.
+    q(c) = 3/2 and b(2c, .) = 0 makes c^perp admissible.  As b has no
+    radical, b(2c, .) = 0 means 2c = 0, and distinct c have distinct
+    characters: one triple per order-2 class c with q(c) = 3/2, in
+    elements() order.  w is the row d_n._pair_row(c), with
+    e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or e/2.
     Raises if some c^perp does not have index 2.
     """
     return d_n._admissible_images
@@ -501,9 +482,10 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
     """Does gluing along the image leave exactly the order-2, q = 3/2 quotient?
 
     True iff the image has index 2 and some x outside it pairs integrally
-    with the whole image and has q(x) = 3/2 mod 2, i.e. iff it is one of
-    admissible_images(d_n).  This is the uniqueness criterion for the
-    glued lattice being the rank-23 hyperkaehler one.
+    with the whole image and has q(x) = 3/2 mod 2, i.e. iff it is c^perp
+    for an order-2 class c with q(c) = 3/2, one of admissible_images(d_n).
+    This is the uniqueness criterion for the glued lattice being the
+    rank-23 hyperkaehler one.
     """
     if image.ambient != d_n:
         raise ValueError("image must be a subgroup of the given module")

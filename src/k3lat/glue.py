@@ -56,13 +56,14 @@ def overlattice_pairs(n: Lattice, m: Lattice,
 
 
 def overlattice(n: Lattice, m: Lattice, gamma: FqmHom) -> Lattice:
-    """The overlattice glued along gamma, an anti-embedding D(M) -> D(N)."""
+    """The overlattice glued along gamma, an anti-embedding D(M) -> D(N):
+    negating the form, gamma is injective, as D(M) has no radical."""
     dn, dm = disc_map(n), disc_map(m)
     if gamma.source != dm.fqm:
         raise ValueError("glue map source must be D(M)")
     if gamma.target != dn.fqm:
         raise ValueError("glue map target must be D(N)")
-    if not gamma.negates_form() or not gamma.is_injective():
+    if not gamma.negates_form():
         raise ValueError("glue map must be a form-negating embedding")
     pairs = []
     for i in range(dm.fqm.rank):
@@ -141,11 +142,10 @@ def realized_actions(d_m: Fqm, obar: Iterable[FqmHom]
                      ) -> set[tuple[Element, ...]]:
     """Image tuples of the subgroup of O(D_M) generated by obar (generators
     of the image of O(M) in O(D_M)): the actions on D(M) that isometries of
-    M realize."""
+    M realize.  Preserving the form, each is injective: D(M) has no radical."""
     obar = list(obar)
     for h in obar:
-        if h.source != d_m or h.target != d_m or not h.preserves_form() \
-                or not h.is_injective():
+        if h.source != d_m or h.target != d_m or not h.preserves_form():
             raise ValueError("obar must consist of automorphisms of D(M)")
     return hom_closure_images(d_m, obar)
 
@@ -198,11 +198,11 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
     d = disc_map(n).fqm
     two = Lattice(((2,),))
     disc = disc_map.__wrapped__  # uncached: nothing asks for N~_c again
-    out: list[Fqm] = []
+    kept: list[Fqm] = []
     # each w_i is 0 or e/2: reversed rows compare as the support masks do
     for c, _, _ in sorted(admissible_images(d), key=lambda t: t[1][::-1]):
-        neg = negated(disc(overlattice_pairs(n, two, [(c, (1,))])).fqm)
-        if any(is_isomorphic(neg, seen) for seen in out):
-            continue
-        out.append(neg)
-    return out
+        form = disc(overlattice_pairs(n, two, [(c, (1,))])).fqm
+        # negation preserves isomorphism, so only the kept forms negate
+        if not any(is_isomorphic(form, seen) for seen in kept):
+            kept.append(form)
+    return [negated(f) for f in kept]

@@ -19,7 +19,7 @@ import operator
 from fractions import Fraction
 
 from k3lat import exact
-from k3lat.fqm import TRIVIAL, Fqm, FqmHom, Subgroup
+from k3lat.fqm import Fqm, FqmHom, Subgroup
 
 
 def laplace_det(a):
@@ -402,19 +402,24 @@ def fqm_b_value(orders, q_diag, b_off, x, y):
     return (total / 2) % 1
 
 
-def nondegenerate_scan(orders, q_diag, b_off):
-    """No x != 0 pairs to 0 with every generator, found by walking the
-    whole group on Fractions.  b_off is a dict {(i,j): Fraction}."""
+def radical_scan(orders, q_diag, b_off):
+    """The radical of b: every x that pairs to 0 with every generator,
+    found by walking the whole group on Fractions.  b_off is a dict
+    {(i,j): Fraction}."""
     rank = len(orders)
 
     def b_gen(i, j):
         return q_diag[i] if i == j else \
             b_off.get((min(i, j), max(i, j)), Fraction(0))
 
-    return not any(
-        any(x) and not any(sum(x[i] * b_gen(i, j) for i in range(rank)) % 1
-                           for j in range(rank))
-        for x in itertools.product(*[range(d) for d in orders]))
+    return [x for x in itertools.product(*[range(d) for d in orders])
+            if not any(sum(x[i] * b_gen(i, j) for i in range(rank)) % 1
+                       for j in range(rank))]
+
+
+def nondegenerate_scan(orders, q_diag, b_off):
+    """No x != 0 pairs to 0 with every generator (radical_scan)."""
+    return len(radical_scan(orders, q_diag, b_off)) == 1
 
 
 def form_candidates_scan(src_orders, src_q, dst_orders, dst_q, dst_b, sign):
@@ -608,17 +613,15 @@ def negation_hom(m):
         for i in range(m.rank)))
 
 
-def subgroup_presentation(sub: Subgroup) -> FqmHom:
-    """Present a subgroup on invariant-factor generators of its own.
-
-    Returns the inclusion hom: its source is the subgroup as a standalone
-    module (with the restricted form), its images are the chosen generators
-    inside the ambient module.
-    """
+def presented_form(sub: Subgroup):
+    """A subgroup on invariant-factor generators of its own, as
+    (orders, q_diag, b_off, images): the restricted form on those
+    generators, as Fqm takes it, and the generators inside the ambient
+    module.  The restricted form may be degenerate, so no Fqm is built."""
     amb = sub.ambient
     gens = [g for g in map(amb.reduce, sub.basis) if any(g)]
     if not gens:
-        return FqmHom(TRIVIAL, amb, ())
+        return (), (), (), ()
     k, n = len(gens), amb.rank
     # relation lattice: integer rows c with sum_i c_i g_i = 0 in the ambient,
     # i.e. c.A = -y.diag(orders) for some integer y
@@ -652,17 +655,23 @@ def subgroup_presentation(sub: Subgroup) -> FqmHom:
                                f"invariant factor {d}")
         new_gens.append(elem)
         orders.append(d)
-    if not new_gens:
-        return FqmHom(TRIVIAL, amb, ())
+    if math.prod(orders) != sub.order:
+        raise RuntimeError(f"subgroup presentation has order "
+                           f"{math.prod(orders)}, the subgroup {sub.order}")
     q_diag = tuple(amb.q(g) for g in new_gens)
     b_off = tuple(tuple(amb.b(new_gens[i], new_gens[j])
                         for j in range(i + 1, len(new_gens)))
                   for i in range(len(new_gens)))
-    presented = Fqm(tuple(orders), q_diag, b_off)
-    if presented.order != sub.order:
-        raise RuntimeError(f"subgroup presentation has order {presented.order}"
-                           f", the subgroup {sub.order}")
-    return FqmHom(presented, amb, tuple(new_gens))
+    return tuple(orders), q_diag, b_off, tuple(new_gens)
+
+
+def subgroup_presentation(sub: Subgroup) -> FqmHom:
+    """The inclusion hom of presented_form(sub): its source is the
+    subgroup as a standalone module (with the restricted form), its images
+    are the chosen generators inside the ambient module.  Building the
+    source raises when the restricted form is degenerate."""
+    orders, q_diag, b_off, images = presented_form(sub)
+    return FqmHom(Fqm(orders, q_diag, b_off), sub.ambient, images)
 
 
 def all_anti_embeddings(src_orders, src_q, src_b, dst_orders, dst_q, dst_b):

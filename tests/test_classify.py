@@ -409,24 +409,31 @@ class TestHoistedLoop:
 
 
     def test_good_isometries_order_only_trace_candidates(self, monkeypatch):
-        # an order is computed only for an automorphism whose trace some
-        # good isometry has: 260 of the 320 on the built-in Grams
-        ordered = []
-        real = exact.multiplicative_order
+        # the trace gives the order, so no order is computed; a determinant
+        # is taken only for an automorphism whose trace some good isometry
+        # has: 260 of the 320 on the built-in Grams
+        ordered, dets = [], []
+        real_order, real_det = exact.multiplicative_order, exact.bareiss_det
 
-        def counted(q):
-            ordered.append(tuple(map(tuple, q)))
-            return real(q)
-        monkeypatch.setattr(exact, "multiplicative_order", counted)
+        def counted_order(q):
+            ordered.append(q)
+            return real_order(q)
+
+        def counted_det(q):
+            dets.append(tuple(map(tuple, q)))
+            return real_det(q)
+        monkeypatch.setattr(exact, "multiplicative_order", counted_order)
+        monkeypatch.setattr(exact, "bareiss_det", counted_det)
         autos = 0
         for g in builtin_dataset().groups:
             for n in g.grams:
                 good_isometries(n)
                 autos += len(all_automorphisms(n))
         assert autos == 320
-        assert len(ordered) == 260
+        assert ordered == []
+        assert len(dets) == 260
         assert all(sum(q[i][i] for i in range(3)) in GOOD_TRACES.values()
-                   for q in ordered)
+                   for q in dets)
 
     def test_permissive_mode_builds_one_gamma_per_image(self, monkeypatch):
         # listing every anti-embedding would build 832 maps here

@@ -187,6 +187,19 @@ class TestParseEmit:
         with pytest.raises(DatasetError, match="disc form"):
             parse_dataset(text)
 
+    @pytest.mark.parametrize("form, radical", [
+        ("disc 2 6\nq 0 1/6\n", 2),
+        ("disc 3 3\nq 2/3 2/3\nb 0 1 1/3\n", 3),
+    ], ids=["q", "b"])
+    def test_degenerate_disc_form(self, form, radical):
+        # no lattice has such a discriminant form
+        text = ("format 1\ngroup X\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
+                f"{form}end\n")
+        with pytest.raises(DatasetError, match=(
+                f"^line 8: disc form: pairing is degenerate: its radical "
+                f"has order {radical}$")):
+            parse_dataset(text)
+
     def test_q_without_disc_line(self):
         text = ("format 1\ngroup X\norder 2\ngram 3\n2 0 0\n0 2 0\n0 0 2\n"
                 "q 1/2\nend\n")
@@ -518,6 +531,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "disc form" in err and "internal invariant" not in err
 
+    def test_glue_check_degenerate_inline_form(self, capsys):
+        assert main(["glue-check", "--gram", "2 1 0; 1 2 0; 0 0 4",
+                     "--disc", "2,2", "--q", "0,1/2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("k3lat: disc form: pairing is degenerate: "
+                                "its radical has order 2\n")
+
     def test_glue_check_short_b_names_the_triple_format(self, capsys):
         assert main(["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22",
                      "--disc", "11,11", "--q", "16/11,20/11", "--b", "0"]) == 1
@@ -703,6 +724,33 @@ class TestFrozenTable:
                               capture_output=True, env=env, timeout=300)
         assert done.returncode == 0, done.stderr.decode()
         assert done.stdout == FROZEN_TABLE.read_bytes()
+
+
+class TestDegenerateInputUnderPythonO:
+    # -O strips asserts: the nondegeneracy check must raise without them
+    def run(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        return subprocess.run([sys.executable, "-O", "-m", "k3lat.cli",
+                               *argv], capture_output=True, env=env,
+                              timeout=120)
+
+    def test_glue_check(self):
+        done = self.run("glue-check", "--gram", "2 1 0; 1 2 0; 0 0 4",
+                        "--disc", "2,2", "--q", "0,1/2")
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert done.stderr == (b"k3lat: disc form: pairing is degenerate: "
+                               b"its radical has order 2\n")
+
+    def test_dataset(self, tmp_path):
+        path = tmp_path / "degenerate.txt"
+        path.write_text("format 1\ngroup X\norder 2\ngram 3\n2 0 0\n"
+                        "0 2 0\n0 0 2\ndisc 2 6\nq 0 1/6\nend\n")
+        done = self.run("classify", "--group", "X", "--dataset", str(path))
+        assert done.returncode == 1
+        assert done.stdout == b""
+        assert b"line 8: disc form: pairing is degenerate: its radical " \
+            b"has order 2" in done.stderr
 
 
 class TestFrozenExactTable:

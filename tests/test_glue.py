@@ -88,19 +88,21 @@ class TestOverlattice:
         n, m, gams = a2_glue()
         two = span_of_square(2)
         d2 = disc_map(two).fqm
-        killed = Fqm((2,), (Fraction(0),), ((),))
         # a form-negating map out of a nondegenerate D(M) is injective, so
-        # the non-injective map is caught by its source
-        n, m, gam, why = {
-            "wrong-source": (n, span_of_square(-2), gams[0], "source"),
-            "wrong-target": (two, m, gams[0], "target"),
-            "not-form-negating": (two, two, identity_hom(d2),
+        # a non-injective one needs a degenerate source, which building
+        # the module rejects
+        glue, why = {
+            "wrong-source": (lambda: (n, span_of_square(-2), gams[0]),
+                             "source"),
+            "wrong-target": (lambda: (two, m, gams[0]), "target"),
+            "not-form-negating": (lambda: (two, two, identity_hom(d2)),
                                   "form-negating"),
-            "not-injective": (two, two, FqmHom(killed, d2, ((0,),)),
-                              "source"),
+            "not-injective": (lambda: (two, two, FqmHom(
+                Fqm((2,), (Fraction(0),), ((),)), d2, ((0,),))),
+                "radical has order 2"),
         }[case]
         with pytest.raises(ValueError, match=why):
-            overlattice(n, m, gam)
+            overlattice(*glue())
 
     def test_odd_square_rejected(self):
         # lift (1/2, 1/2) in <2> + <-6> has square -1

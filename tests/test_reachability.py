@@ -141,3 +141,15 @@ def test_subgroup_presentation_is_not_in_src():
                 if key.endswith(".subgroup_presentation")]
     assert "subgroup_presentation" not in mentioned(
         tree for _, tree in modules())
+
+
+def test_degenerate_module_paths_are_not_in_src():
+    # every Fqm is nondegenerate, checked once when it is built, so no
+    # code tests a module or a map for a radical again
+    gone = {"_nondegenerate", "is_injective", "check_injective"}
+    assert not [key for key in definitions()
+                if key.rsplit(".", 1)[1] in gone]
+    assert not gone & mentioned(tree for _, tree in modules())
+    # a good isometry's order is read off its trace
+    assert "multiplicative_order" not in mentioned(
+        [tree for stem, tree in modules() if stem == "classify"])
