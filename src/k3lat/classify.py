@@ -99,7 +99,7 @@ class ClassificationRow:
     h_div: int
     m: int
     t_gram: IntMatrix
-    k3_flag: str  # "excluded" / "unknown" / "possible" (ingested only)
+    k3_flag: str  # "excluded" / "unknown"; ROADMAP item 5 reserves "possible"
     invariant_gram: IntMatrix
     mode: str  # "exact" / "permissive"
 

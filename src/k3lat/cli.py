@@ -11,7 +11,6 @@ with t_gram rendered as the compact literal ``[[a,b],[b,c]]``.
 from __future__ import annotations
 
 import argparse
-import ast
 import csv
 import io
 import sys
@@ -96,42 +95,6 @@ def format_table(rows: Sequence[ClassificationRow], out_format: str) -> str:
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise InputError(f"unknown table format {out_format!r}")
-
-
-def parse_table(text: str, out_format: str):
-    """Inverse of format_table; returns (group, h_sq, div, m, t, k3, mode)
-    tuples, for round-tripping the documented schema."""
-    def decode(cells):
-        if len(cells) != len(TABLE_COLUMNS):
-            raise InputError(f"table row has {len(cells)} cells")
-        g, h_sq, div, m, t_text, k3, mode = cells
-        t = tuple(tuple(int(x) for x in row)
-                  for row in ast.literal_eval(t_text))
-        return (g, int(h_sq), int(div), int(m), t, k3, mode)
-
-    rows = []
-    if out_format == "csv":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader, None)
-        if tuple(header or ()) != TABLE_COLUMNS:
-            raise InputError("csv header does not match the table schema")
-        for record in reader:
-            if record:
-                rows.append(decode(record))
-    elif out_format == "markdown":
-        lines = [l for l in text.split("\n") if l.strip()]
-        if len(lines) < 2:
-            raise InputError("markdown table needs a header and a rule")
-        header = [c.strip() for c in lines[0].strip().strip("|").split("|")]
-        if tuple(header) != TABLE_COLUMNS:
-            raise InputError("markdown header does not match the table "
-                             "schema")
-        for line in lines[2:]:
-            rows.append(decode([c.strip()
-                                for c in line.strip().strip("|").split("|")]))
-    else:
-        raise InputError(f"unknown table format {out_format!r}")
-    return rows
 
 
 # ------------------------------------------------------------ cli plumbing

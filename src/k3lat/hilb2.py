@@ -13,7 +13,9 @@ closed forms.  The -10 one (proof in minus10_solutions) has one block
 The -2 one (proof in minus2_wall_scan) has in every degree one wall,
 t = 1/2, and one block ((-2,p),(p,h_sq)) with p = (h_sq-2)/2.  Whether a
 block really embeds is geometry the caller supplies, e.g. "S contains no
-lines".
+lines".  The witnesses that exclude a block, a -2-class orthogonal to h or
+a line class, come from one completed-square test (vector_with), not a
+search.
 """
 
 from __future__ import annotations
@@ -105,50 +107,31 @@ def minus2_wall_scan(h_sq: int) -> WallScan:
     return WallScan(((Fraction(1, 2), 1, 1),), ((-2, p), (p, h_sq)))
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return abs(a), (1 if a >= 0 else -1), 0
-    g, u, v = _ext_gcd(b, a % b)
-    return g, v, u - (a // b) * v
-
-
-def _quadratic_roots(a: int, b: int, c: int) -> list[int]:
-    """Integer roots of a*s^2 + b*s + c with a != 0."""
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    r = math.isqrt(disc)
-    if r * r != disc:
-        return []
-    return sorted({(-b + s) // (2 * a) for s in (r, -r)
-                   if (-b + s) % (2 * a) == 0})
-
-
 def vector_with(gram: IntMatrix, norm: int, pairing: int):
-    """An integer vector of the given norm and pairing with the second
-    basis vector, or None.  Exact: the pairing condition is a line, and
-    restricting the form to it leaves one quadratic in one variable."""
+    """An integer vector v = (a, b) with vGv^T = norm and pairing with the
+    second basis vector h, or None; of two solutions, the one with larger a.
+
+    Domain: G = ((A, B), (B, H)) with H > 0 and D = AH - B^2 != 0, else
+    ValueError.  Completing the square gives H*vGv^T = D*a^2 + (aB + bH)^2,
+    and aB + bH is the pairing k, so a^2 = (H*norm - k^2)/D must be a
+    perfect square and b = (k - aB)/H an integer.  Every block this module
+    builds is in the domain: H = h_sq > 0; a -10 block has
+    D = 2H(l^2+l-1) - (2l+1)^2, which is odd; the wall block has
+    D = -2H - p^2 < 0.
+    """
     (g00, g01), (_, g11) = gram
-    g, u, v = _ext_gcd(g01, g11)
-    if pairing % g:
+    det = g00 * g11 - g01 * g01
+    if g11 <= 0 or det == 0:
+        raise ValueError("vector_with needs H > 0 and a nonzero determinant")
+    a_sq, rem = divmod(g11 * norm - pairing * pairing, det)
+    root = math.isqrt(max(a_sq, 0))
+    if rem or root * root != a_sq:
         return None
-    a0, b0 = u * (pairing // g), v * (pairing // g)
-    d, e = g11 // g, g01 // g  # direction (d, -e) keeps the pairing fixed
-    qa = g00 * d * d - 2 * g01 * d * e + g11 * e * e
-    qb = 2 * (g00 * a0 * d + g01 * (b0 * d - a0 * e) - g11 * b0 * e)
-    qc = g00 * a0 * a0 + 2 * g01 * a0 * b0 + g11 * b0 * b0 - norm
-    if qa == 0:
-        if qb == 0:
-            return (a0, b0) if qc == 0 else None
-        if qc % qb:
-            return None
-        s = -qc // qb
-        return (a0 + d * s, b0 - e * s)
-    roots = _quadratic_roots(qa, qb, qc)
-    if not roots:
-        return None
-    s = roots[-1]
-    return (a0 + d * s, b0 - e * s)
+    for a in (root, -root):
+        b, rem = divmod(pairing - a * g01, g11)
+        if not rem:
+            return (a, b)
+    return None
 
 
 def line_witness(gram: IntMatrix):
@@ -171,16 +154,12 @@ def obstruction_report(h_sq: int,
                              minus2_wall_scan(h_sq).solutions, needs_line)
 
 
-def ample_model_verdict(h_sq: int, no_lines: bool, picard_excludes=None,
+def ample_model_verdict(h_sq: int, no_lines: bool,
                         l_bound: Optional[int] = None) -> bool:
     """True iff every obstruction block of degree h_sq is excluded from the
-    Picard lattice.
-
-    Exclusion of a block comes from the caller's predicate, from containing
-    a -2-class orthogonal to h (impossible next to an ample class), or,
-    when no_lines is set, from containing a line class.
+    Picard lattice: it contains a -2-class orthogonal to h (impossible next
+    to an ample class) or, when no_lines is set, a line class.
     """
-    return all((picard_excludes is not None and picard_excludes(g))
-               or vector_with(g, -2, 0) is not None
+    return all(vector_with(g, -2, 0) is not None
                or (no_lines and line_witness(g) is not None)
                for g in _obstruction_blocks(h_sq, l_bound))

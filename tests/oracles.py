@@ -8,11 +8,17 @@ subgroup_presentation build for tests, and exact's Smith form and kernels,
 which subgroup_presentation calls: it is the second route to a glue
 partner's form, a subgroup of D(N) presented on invariant-factor
 generators of its own, against which the rank-4 overlattice route of
-glue.partner_disc_candidates is checked.
+glue.partner_disc_candidates is checked.  Two references stand in for
+code that left the package: vector_with_by_parametrisation, the general
+binary-quadratic solver hilb2.vector_with replaced, and parse_table, the
+reader that round-trips the `k3lat table` schema.
 """
 
 from __future__ import annotations
 
+import ast
+import csv
+import io
 import itertools
 import math
 import operator
@@ -814,6 +820,52 @@ def minus2_box(h_sq, l_bound, k_bound):
     return sorted(sols)
 
 
+def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, u, v = _ext_gcd(b, a % b)
+    return g, v, u - (a // b) * v
+
+
+def _quadratic_roots(a: int, b: int, c: int) -> list[int]:
+    """Integer roots of a*s^2 + b*s + c with a != 0."""
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    r = math.isqrt(disc)
+    if r * r != disc:
+        return []
+    return sorted({(-b + s) // (2 * a) for s in (r, -r)
+                   if (-b + s) % (2 * a) == 0})
+
+
+def vector_with_by_parametrisation(gram, norm: int, pairing: int):
+    """An integer vector of the given norm and pairing with the second
+    basis vector, or None.  Exact: the pairing condition is a line, and
+    restricting the form to it leaves one quadratic in one variable."""
+    (g00, g01), (_, g11) = gram
+    g, u, v = _ext_gcd(g01, g11)
+    if pairing % g:
+        return None
+    a0, b0 = u * (pairing // g), v * (pairing // g)
+    d, e = g11 // g, g01 // g  # direction (d, -e) keeps the pairing fixed
+    qa = g00 * d * d - 2 * g01 * d * e + g11 * e * e
+    qb = 2 * (g00 * a0 * d + g01 * (b0 * d - a0 * e) - g11 * b0 * e)
+    qc = g00 * a0 * a0 + 2 * g01 * a0 * b0 + g11 * b0 * b0 - norm
+    if qa == 0:
+        if qb == 0:
+            return (a0, b0) if qc == 0 else None
+        if qc % qb:
+            return None
+        s = -qc // qb
+        return (a0 + d * s, b0 - e * s)
+    roots = _quadratic_roots(qa, qb, qc)
+    if not roots:
+        return None
+    s = roots[-1]
+    return (a0 + d * s, b0 - e * s)
+
+
 def hermite_basis(rows):
     """Row Hermite normal form of the integer span of rows (zero rows
     dropped): positive pivots, zeros below them, entries above each pivot
@@ -877,3 +929,43 @@ def leech_gram():
     if len(basis) != 24 or any(x % 8 for row in gram for x in row):
         raise ValueError("Golay construction is not a rank-24 lattice")
     return tuple(tuple(x // 8 for x in row) for row in gram)
+
+
+# the documented `k3lat table` schema, csv and markdown alike
+TABLE_COLUMNS = ("group", "h_sq", "div", "m", "t_gram", "k3", "mode")
+
+
+def parse_table(text: str, out_format: str):
+    """Inverse of cli.format_table; returns (group, h_sq, div, m, t, k3,
+    mode) tuples, for round-tripping the documented schema."""
+    def decode(cells):
+        if len(cells) != len(TABLE_COLUMNS):
+            raise ValueError(f"table row has {len(cells)} cells")
+        g, h_sq, div, m, t_text, k3, mode = cells
+        t = tuple(tuple(int(x) for x in row)
+                  for row in ast.literal_eval(t_text))
+        return (g, int(h_sq), int(div), int(m), t, k3, mode)
+
+    rows = []
+    if out_format == "csv":
+        reader = csv.reader(io.StringIO(text))
+        header = next(reader, None)
+        if tuple(header or ()) != TABLE_COLUMNS:
+            raise ValueError("csv header does not match the table schema")
+        for record in reader:
+            if record:
+                rows.append(decode(record))
+    elif out_format == "markdown":
+        lines = [l for l in text.split("\n") if l.strip()]
+        if len(lines) < 2:
+            raise ValueError("markdown table needs a header and a rule")
+        header = [c.strip() for c in lines[0].strip().strip("|").split("|")]
+        if tuple(header) != TABLE_COLUMNS:
+            raise ValueError("markdown header does not match the table "
+                             "schema")
+        for line in lines[2:]:
+            rows.append(decode([c.strip()
+                                for c in line.strip().strip("|").split("|")]))
+    else:
+        raise ValueError(f"unknown table format {out_format!r}")
+    return rows

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from k3lat import cli, fqm
-from k3lat.cli import InputError, format_table, main, parse_table, run_table
+from k3lat.cli import InputError, format_table, main, run_table
 from k3lat.dataset import Dataset, DatasetError, builtin_dataset, \
     emit_dataset, load_dataset, parse_dataset
 from k3lat.fixtures import DATASET_TEXT
@@ -20,7 +20,7 @@ from k3lat.fqm import Fqm, anti_embeddings, hom_closure_images, hom_image, \
     orthogonal_group
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import Lattice, disc_map
-from oracles import leech_gram, negation_hom
+from oracles import TABLE_COLUMNS, leech_gram, negation_hom, parse_table
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # the frozen `k3lat table` output (permissive, built-in dataset); read only
@@ -408,6 +408,18 @@ class TestTableRuns:
         for fmt in ("csv", "markdown"):
             text = format_table(rows, fmt)
             assert parse_table(text, fmt) == row_tuples(rows)
+
+    def test_reader_checks_the_documented_schema(self):
+        assert cli.TABLE_COLUMNS == TABLE_COLUMNS
+        text = format_table(run_table(small_dataset())[0], "csv")
+        for bad, match in (("x," + text, "csv header"),
+                           (text + "A,1,2\n", "row has 3 cells")):
+            with pytest.raises(ValueError, match=match):
+                parse_table(bad, "csv")
+        with pytest.raises(ValueError, match="markdown table needs"):
+            parse_table("| group |\n", "markdown")
+        with pytest.raises(ValueError, match="unknown table format"):
+            parse_table(text, "json")
 
 
 class TestMain:

@@ -287,17 +287,6 @@ def form_sign_ok_by_fractions(f, sign):
     return True
 
 
-def rand_hom(rng, a, b):
-    """Random generator images in b, each scaled into its generator's
-    order."""
-    images = []
-    for d in a.orders:
-        y = rand_element(rng, b)
-        o = b.element_order(y)
-        images.append(b.scale(o // math.gcd(o, d), y))
-    return FqmHom(a, b, tuple(images))
-
-
 class TestFormChecks:
     def test_match_fraction_reference(self):
         # random maps, automorphisms and anti-embeddings; some source

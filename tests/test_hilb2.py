@@ -1,14 +1,20 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from k3lat import exact
+from k3lat import exact, hilb2
 from k3lat.hilb2 import (ample_model_verdict, line_witness, minus2_wall_scan,
                          minus10_obstruction_grams, minus10_solutions,
                          obstruction_report, vector_with)
-from oracles import minus2_box, minus10_box
+from oracles import minus2_box, minus10_box, vector_with_by_parametrisation
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 LINE_IN_QUARTIC = ((-2, 1), (1, 4))
 BAD_SUBLATTICE = ((2, 3), (3, 4))
@@ -143,8 +149,47 @@ class TestVectorSolver:
                 assert brute == []
             else:
                 assert norm_and_pairing(gram, got) == (norm, pairing)
-                assert got in brute
+                assert got == max(brute)  # the larger a of the two
             checked += 1
+
+    def test_agrees_with_parametrisation_oracle(self):
+        rng = random.Random(25)
+        checked = found = 0
+        while checked < 20000:
+            g00, g01 = rng.randint(-40, 40), rng.randint(-40, 40)
+            g11 = rng.randint(1, 59)
+            if g00 * g11 == g01 * g01:
+                continue
+            gram = ((g00, g01), (g01, g11))
+            # a random system, mostly unsolvable, and one planted solution
+            planted = (rng.randint(-5, 5), rng.randint(-5, 5))
+            for norm, pairing in ((rng.randint(-30, 30), rng.randint(-10, 10)),
+                                  norm_and_pairing(gram, planted)):
+                got = vector_with(gram, norm, pairing)
+                assert got == vector_with_by_parametrisation(gram, norm,
+                                                             pairing)
+                found += got is not None
+            checked += 1
+        assert found > checked  # every planted system, and some random ones
+
+    @pytest.mark.parametrize("gram", [((2, 1), (1, 0)), ((2, 1), (1, -3)),
+                                      ((1, 1), (1, 1)), ((4, 6), (6, 9)),
+                                      ((0, 0), (0, 5))])
+    def test_outside_the_domain_is_a_value_error(self, gram):
+        with pytest.raises(ValueError, match="H > 0 and a nonzero"):
+            vector_with(gram, -2, 0)
+
+    def test_domain_check_survives_python_O(self):
+        code = ("from k3lat.hilb2 import vector_with\n"
+                "for g in (((2, 1), (1, 0)), ((4, 6), (6, 9))):\n"
+                "    try:\n"
+                "        vector_with(g, -2, 0)\n"
+                "    except ValueError:\n"
+                "        print('rejected')\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, env=env, timeout=60)
+        assert done.stdout.decode().split() == ["rejected"] * 2
 
 
 class TestReportAndVerdict:
@@ -160,19 +205,10 @@ class TestReportAndVerdict:
     def test_quartic_with_lines_is_blocked(self):
         assert ample_model_verdict(4, no_lines=False) is False
 
-    def test_useless_predicate_changes_nothing(self):
-        assert ample_model_verdict(4, True, picard_excludes=lambda g: False)
-        assert not ample_model_verdict(6, False, picard_excludes=lambda g: False)
-
-    def test_predicate_alone_can_clear_everything(self):
-        assert ample_model_verdict(6, False, picard_excludes=lambda g: True)
-
     def test_degree_six_needs_picard_knowledge(self):
         # the wall block ((-2,2),(2,6)) carries neither a line class nor
         # a class orthogonal to h, so "no lines" is not enough
         assert ample_model_verdict(6, no_lines=True) is False
-        assert ample_model_verdict(
-            6, True, picard_excludes=lambda g: g == ((-2, 2), (2, 6))) is True
 
     def test_degree_two_cleared_by_lines_alone(self):
         assert ample_model_verdict(2, no_lines=True, l_bound=50) is True
@@ -184,3 +220,14 @@ class TestReportAndVerdict:
             blocks.append(minus2_wall_scan(h_sq).terminal_gram)
             for g in blocks:
                 assert g[0][0] * g[1][1] - g[0][1] ** 2 < 0
+
+    def test_same_answers_as_parametrisation_oracle(self, monkeypatch):
+        def answers():
+            return [(obstruction_report(h_sq, l_bound=40),
+                     ample_model_verdict(h_sq, False, l_bound=40),
+                     ample_model_verdict(h_sq, True, l_bound=40))
+                    for h_sq in range(2, 401, 2)]
+        got = answers()
+        monkeypatch.setattr(hilb2, "vector_with",
+                            vector_with_by_parametrisation)
+        assert got == answers()
