@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import mul
-from typing import Optional
+from itertools import repeat
+from operator import add, mul
+from typing import Iterator, Optional
 
 from . import exact
 from .lattice import Lattice
@@ -215,6 +216,7 @@ def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
     if lat.rank == 0 or n == 0 or (n > 0) != (sign > 0):
         return []
     gram_red, u, _ = _lll(gram)
+    # _times yields its products, so sorted builds the only list of them
     return sorted(_times(_fp_vectors(_scaled_ldl(gram_red), abs(n)), u))
 
 
@@ -260,10 +262,15 @@ def _int_matrix(rows) -> IntMatrix:
     return tuple(tuple(row) for row in rows)
 
 
-def _times(rows, m) -> list[Vector]:
-    """row * m for each row (reduced coordinates times U: original ones)."""
-    cols = list(zip(*m))
-    return [tuple(sum(map(mul, row, col)) for col in cols) for row in rows]
+def _times(rows, m) -> Iterator[Vector]:
+    """row * m for each row (reduced coordinates times U: original ones),
+    the rows of m summed over the row's nonzero coefficients only."""
+    for row in rows:
+        acc = (0,) * len(m[0])
+        for c, m_row in zip(row, m):
+            if c:
+                acc = tuple(map(add, acc, map(mul, repeat(c), m_row)))
+        yield acc
 
 
 def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
@@ -321,7 +328,7 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
     if not hits:
         return None
     # rows of M are images in reduced L2 coordinates: M.G2'.M^T = G1'
-    q = tuple(_times(u1_inv, _times(hits[0], u2)))
+    q = tuple(_times(u1_inv, list(_times(hits[0], u2))))
     if exact.conjugate_rows(q, l2.gram) != [list(r) for r in l1.gram]:
         raise RuntimeError("is_isometric witness Q fails Q.G2.Q^T = G1 for "
                            f"G1 = {l1.gram}, G2 = {l2.gram}")

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
-from typing import Sequence
+from operator import mod, mul
+from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
 
@@ -64,8 +64,9 @@ def mat_vec(v, a):
 
 
 def conjugate_rows(rows, gram):
-    """Gram matrix of the sublattice spanned by ``rows``: rows * gram * rowsᵀ."""
-    return mat_mul(mat_mul(rows, gram), transpose(rows))
+    """Gram matrix of the sublattice spanned by ``rows``: rows * gram * rowsᵀ,
+    square also when the rows have no entries."""
+    return [[sum(map(mul, p, r)) for r in rows] for p in mat_mul(rows, gram)]
 
 
 def is_symmetric(a: Matrix) -> bool:
@@ -227,31 +228,38 @@ def integer_kernel(a: Matrix) -> list[list[int]]:
     return out
 
 
-def hermite_row_basis(a: Matrix) -> list[list[int]]:
-    """Row-style Hermite normal form basis of the row space (zero rows dropped)."""
-    work = copy_matrix(a)
-    m, n = dims(a)
-    r = 0
-    for col in range(n):
-        piv = next((i for i in range(r, m) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        for i in range(r + 1, m):
-            while work[i][col]:
-                q = work[r][col] // work[i][col]
-                work[r] = [x - q * y for x, y in zip(work[r], work[i])]
-                work[r], work[i] = work[i], work[r]
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][col] // work[r][col]
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-        if r == m:
-            break
-    return work[:r]
+def hermite_basis_mod(rows: Iterable[Sequence[int]],
+                      moduli: Sequence[int]) -> list[list[int]]:
+    """Row Hermite basis of span(rows) + (+)_i m_i Z e_i, every m_i > 0:
+    upper triangular, pivots p_i > 0 dividing m_i, entries above p_j in
+    [0, p_j), so unique.  Hermite normal form modulo D (Cohen, GTM 138,
+    Alg. 2.4.8): diag(m) folds in each row by extended-gcd pairs with the
+    pivots, and as m_j e_j lies in the lattice, column j stays mod m_j."""
+    n = len(moduli)
+    basis = [[m * (i == j) for j in range(n)] for i, m in enumerate(moduli)]
+    for row in rows:
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+        v = list(map(mod, row, moduli))
+        for i in range(n):
+            if not v[i]:
+                continue
+            p = basis[i]
+            g = math.gcd(p[i], v[i])
+            a, b = p[i] // g, v[i] // g
+            if a > 1:  # the pivot falls to g <= v_i < m_i: s a + t b = 1
+                t = pow(b, -1, a)
+                s = (1 - t * b) // a
+                basis[i] = [(s * x + t * y) % m
+                            for x, y, m in zip(p, v, moduli)]
+            # v_i becomes 0, by one subtraction if the pivot divided it
+            v = [(a * y - b * x) % m for x, y, m in zip(p, v, moduli)]
+    for j in range(1, n):
+        for i in range(j):
+            k = basis[i][j] // basis[j][j]
+            if k:
+                basis[i] = [x - k * y for x, y in zip(basis[i], basis[j])]
+    return basis
 
 
 def rational_inverse(a) -> list[list]:

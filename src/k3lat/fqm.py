@@ -79,9 +79,7 @@ class Fqm:
         # the product of the pivots of L's Hermite basis; so the radical has
         # order |A| prod(pivots) / e^r
         e, _, bm = self._ints
-        basis = exact.hermite_row_basis(
-            [*map(list, bm), *([e * (i == j) for j in range(r)]
-                               for i in range(r))])
+        basis = exact.hermite_basis_mod(bm, [e] * r)
         radical = self.order * math.prod(
             row[i] for i, row in enumerate(basis)) // e ** r
         if radical != 1:
@@ -237,11 +235,12 @@ class FqmHom:
     def __post_init__(self):
         if len(self.images) != self.source.rank:
             raise ValueError("one image per source generator required")
-        object.__setattr__(self, "images",
-                           tuple(self.target.reduce(im) for im in self.images))
-        for d, im in zip(self.source.orders, self.images):
-            if any(self.target.scale(d, im)):
+        orders = self.target.orders
+        images = [tuple(map(operator.mod, im, orders)) for im in self.images]
+        for d, y in zip(self.source.orders, images):
+            if any(d * c % o for c, o in zip(y, orders)):
                 raise ValueError("image order does not divide generator order")
+        object.__setattr__(self, "images", tuple(images))
 
     def __call__(self, x: Iterable[int]) -> Element:
         c = self.source.reduce(x)
@@ -315,10 +314,7 @@ class Subgroup:
     @classmethod
     def generated(cls, ambient: Fqm, gens: Iterable[Iterable[int]]) -> "Subgroup":
         """L_H is spanned by the generators and the rows d_i e_i."""
-        orders = ambient.orders
-        diag = [[d if i == j else 0 for j in range(len(orders))]
-                for i, d in enumerate(orders)]
-        basis = exact.hermite_row_basis([*map(list, gens), *diag])
+        basis = exact.hermite_basis_mod(gens, ambient.orders)
         return cls(ambient, tuple(map(tuple, basis)))
 
     def __contains__(self, x) -> bool:
@@ -422,25 +418,31 @@ def _form_embeddings(a: Fqm, b: Fqm, sign: int,
     """
     if candidates is None:
         candidates = _candidates(a, b, sign)
+    if not a.rank:
+        return iter((FqmHom(a, b, ()),))
     e = b._ints[0]
     want = _scaled_form(a, b, sign)[1]
     row_of: dict[Element, tuple[int, ...]] = {}  # one pairing row per y
 
-    def extend(chosen: list[Element], rows: list[tuple[int, ...]]):
+    def extend(chosen: tuple[Element, ...],
+               rows: tuple[tuple[int, ...], ...]):
         i = len(chosen)
-        if i == a.rank:
-            yield FqmHom(a, b, tuple(chosen))
-            return
         if None in want[i]:
             return
+        pairs = tuple(zip(rows, want[i]))
         for y in candidates[i]:
-            if all(sum(c * w for c, w in zip(y, row)) % e == t
-                   for row, t in zip(rows, want[i])):
+            for row, t in pairs:
+                if sum(map(operator.mul, y, row)) % e != t:
+                    break
+            else:
+                if i == a.rank - 1:  # the map is built here, once
+                    yield FqmHom(a, b, chosen + (y,))
+                    continue
                 if y not in row_of:
                     row_of[y] = b._pair_row(y)
-                yield from extend(chosen + [y], rows + [row_of[y]])
+                yield from extend(chosen + (y,), rows + (row_of[y],))
 
-    return extend([], [])
+    return extend((), ())
 
 
 def anti_embeddings(a: Fqm, b: Fqm) -> list[FqmHom]:

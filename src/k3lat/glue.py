@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from . import exact
 from .enumeration import vectors_of_norm
 from .fqm import (Element, Fqm, FqmHom, Subgroup, admissible_images,
                   hom_closure_images, is_isomorphic, negated)
-from .lattice import Lattice, direct_sum, disc_map, divisibility
+from .lattice import Lattice, disc_map, divisibility
 
 
 def overlattice_pairs(n: Lattice, m: Lattice,
@@ -33,19 +33,18 @@ def overlattice_pairs(n: Lattice, m: Lattice,
     """Overlattice of N + M spanned by lifts of (class in D_N, class in D_M)
     pairs.  Raises if the span fails to be an integral even lattice."""
     dn, dm = disc_map(n), disc_map(m)
-    total = n.rank + m.rank
-    # every row is a numerator over den: N + M itself, then the glue lifts
+    # rows are numerators over den: the glue lifts, and N + M as the moduli
     den = math.lcm(dn.den, dm.den)
     sn, sm = den // dn.den, den // dm.den
-    rows = [[den * int(i == j) for j in range(total)] for i in range(total)]
-    for a, b in class_pairs:
-        rows.append([sn * x for x in dn.lift(a)] + [sm * x for x in dm.lift(b)])
-    basis = [row for row in exact.hermite_row_basis(rows) if any(row)]
-    if len(basis) != total:
-        raise ValueError("glue classes do not span a full-rank lattice")
-    gram = exact.conjugate_rows(basis, direct_sum(n, m).gram)
+    basis = exact.hermite_basis_mod(
+        ([sn * x for x in dn.lift(a)] + [sm * x for x in dm.lift(b)]
+         for a, b in class_pairs), [den] * (n.rank + m.rank))
+    # a Gram entry of N + M is the sum of the pairings in N and in M
+    gram_n = exact.conjugate_rows([row[:n.rank] for row in basis], n.gram)
+    gram_m = exact.conjugate_rows([row[n.rank:] for row in basis], m.gram)
     out = []
-    for i, row in enumerate(gram):
+    for i, (gn, gm) in enumerate(zip(gram_n, gram_m)):
+        row = list(map(add, gn, gm))
         if any(x % (den * den) for x in row):
             raise ValueError("glue classes do not pair integrally")
         row = [x // (den * den) for x in row]

@@ -140,18 +140,20 @@ def line_witness(gram: IntMatrix):
     return vector_with(gram, -2, 1)
 
 
-def _obstruction_blocks(h_sq: int, l_bound: Optional[int]) -> list[IntMatrix]:
-    """The -10 blocks in sorted order, then the -2 wall block last."""
+def _obstruction_blocks(h_sq: int, l_bound: Optional[int]
+                        ) -> tuple[list[IntMatrix], WallScan]:
+    """The -10 blocks in sorted order, then the -2 wall block last; and the
+    -2 wall scan the last block comes from."""
     grams = minus10_obstruction_grams(h_sq, l_bound)
-    return grams + [minus2_wall_scan(h_sq).terminal_gram]
+    scan = minus2_wall_scan(h_sq)
+    return grams + [scan.terminal_gram], scan
 
 
 def obstruction_report(h_sq: int,
                        l_bound: Optional[int] = None) -> ObstructionReport:
-    blocks = _obstruction_blocks(h_sq, l_bound)
+    blocks, scan = _obstruction_blocks(h_sq, l_bound)
     needs_line = any(line_witness(g) is not None for g in blocks)
-    return ObstructionReport(tuple(blocks[:-1]),
-                             minus2_wall_scan(h_sq).solutions, needs_line)
+    return ObstructionReport(tuple(blocks[:-1]), scan.solutions, needs_line)
 
 
 def ample_model_verdict(h_sq: int, no_lines: bool,
@@ -162,4 +164,4 @@ def ample_model_verdict(h_sq: int, no_lines: bool,
     """
     return all(vector_with(g, -2, 0) is not None
                or (no_lines and line_witness(g) is not None)
-               for g in _obstruction_blocks(h_sq, l_bound))
+               for g in _obstruction_blocks(h_sq, l_bound)[0])

@@ -1,13 +1,19 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from k3lat import exact
 from oracles import (char_poly, closure_from_scratch, congruence_signature,
-                     fraction_inverse, greedy_generators,
+                     fraction_inverse, greedy_generators, hermite_basis,
                      invariant_factors_via_minors, laplace_det,
                      matrix_product, rand_int_matrix, rand_unimodular)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def rand_symmetric(rng, n, rank, spread=3):
@@ -235,15 +241,63 @@ class TestIntegerKernel:
             assert all(s[i][i] == 1 for i in range(len(basis)))
 
 
+def diagonal(moduli):
+    return [[m * (i == j) for j in range(len(moduli))]
+            for i, m in enumerate(moduli)]
+
+
+def rand_moduli(rng, n):
+    """Positive moduli, 1 and non-chains included."""
+    return [rng.choice((1, 2, 3, 4, 6, 8, 12, 30, rng.randint(1, 60)))
+            for _ in range(n)]
+
+
 class TestHermite:
     @pytest.mark.parametrize("seed", range(20))
     def test_idempotent_and_canonical(self, seed):
+        # hermite_basis_mod(rows, m) is the Hermite basis of the rows and
+        # diag(m); the oracle reduces the stacked matrix by plain Euclid
         rng = random.Random(400 + seed)
-        a = rand_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        h = exact.hermite_row_basis(a)
-        assert exact.hermite_row_basis(h) == h
-        p = rand_unimodular(rng, len(a))
-        assert exact.hermite_row_basis(exact.mat_mul(p, a)) == h
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            moduli = rand_moduli(rng, n)
+            rows = rand_int_matrix(rng, rng.randint(0, 2 * n + 1), n, 40)
+            if rows and rng.random() < 0.3:
+                rows[rng.randrange(len(rows))] = [0] * n
+            h = exact.hermite_basis_mod(rows, moduli)
+            assert h == hermite_basis(rows + diagonal(moduli))
+            assert exact.hermite_basis_mod(h, moduli) == h
+            if rows:
+                p = rand_unimodular(rng, len(rows))
+                assert exact.hermite_basis_mod(exact.mat_mul(p, rows),
+                                               moduli) == h
+
+    def test_edge_cases(self):
+        assert exact.hermite_basis_mod([], []) == []
+        assert exact.hermite_basis_mod([[], []], []) == []
+        assert exact.hermite_basis_mod([], [4, 6]) == [[4, 0], [0, 6]]
+        assert exact.hermite_basis_mod([[0, 0]], [1, 1]) == [[1, 0], [0, 1]]
+        assert exact.hermite_basis_mod([[-1, 5]], [4, 6]) == [[1, 1], [0, 2]]
+        # the pivot 4 divides the entry 8 mod 12: one subtraction
+        assert exact.hermite_basis_mod([[4, 1], [8, 0]], [12, 3]) == \
+            hermite_basis([[4, 1], [8, 0], [12, 0], [0, 3]])
+
+    @pytest.mark.parametrize("rows", [[[1, 2, 3]], [[1, 2], [1]], [[]]])
+    def test_ragged_row_is_a_value_error(self, rows):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            exact.hermite_basis_mod(rows, [2, 2])
+
+    def test_ragged_check_survives_python_O(self):
+        code = ("from k3lat.exact import hermite_basis_mod\n"
+                "for rows in ([[1, 2, 3]], [[1]]):\n"
+                "    try:\n"
+                "        hermite_basis_mod(rows, [2, 2])\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, env=env, timeout=60)
+        assert done.stdout.decode().splitlines() == ["ragged matrix"] * 2
 
 
 class TestRationalInverse:
@@ -321,6 +375,8 @@ class TestMatMul:
         assert exact.transpose([[], []]) == []
         assert exact.dims([]) == (0, 0)
         assert exact.dims([[], []]) == (2, 0)
+        # two rows with no entries span a rank-0 lattice: a 2x2 zero Gram
+        assert exact.conjugate_rows([[], []], []) == [[0, 0], [0, 0]]
 
     def test_errors(self):
         with pytest.raises(ValueError, match="ragged matrix"):

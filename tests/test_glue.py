@@ -16,9 +16,9 @@ from k3lat.glue import (check_extendable, divisibility_in_glued, glue_pairs,
                         partner_disc_candidates, realized_actions)
 from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
                            e8, induced_map, rescale, span_of_square)
-from oracles import (compose, index_two_glue_kernels, laplace_det,
-                     negation_hom, rand_definite_even_gram, rand_even_gram,
-                     rand_int_matrix, subgroup_presentation)
+from oracles import (compose, hermite_basis, index_two_glue_kernels,
+                     laplace_det, negation_hom, rand_definite_even_gram,
+                     rand_even_gram, rand_int_matrix, subgroup_presentation)
 
 
 def a2_glue():
@@ -57,6 +57,12 @@ class TestOverlattice:
         triv = FqmHom(TRIVIAL, disc_map(n).fqm, ())
         l = overlattice(n, m, triv)
         assert l.gram == direct_sum(n, m).gram
+
+    def test_rank_zero_summand_gives_the_other(self):
+        zero, two = Lattice(()), span_of_square(2)
+        assert overlattice_pairs(zero, two, []).gram == two.gram
+        assert overlattice_pairs(two, zero, []).gram == two.gram
+        assert overlattice_pairs(zero, zero, []).gram == ()
 
     def test_a2_pair_gives_even_unimodular(self):
         n, m, gams = a2_glue()
@@ -218,7 +224,7 @@ def glued_basis(n_lat, m_lat, pairs):
                     + [Fraction(x, dm.den) for x in dm.lift(b)])
     denom = math.lcm(*[x.denominator for row in rows for x in row])
     scaled = [[int(x * denom) for x in row] for row in rows]
-    basis = [row for row in exact.hermite_row_basis(scaled) if any(row)]
+    basis = hermite_basis(scaled)
     return [[Fraction(x, denom) for x in row] for row in basis]
 
 

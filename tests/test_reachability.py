@@ -34,6 +34,7 @@ UNREACHED = {
     "glue.overlattice": "roadmap",
     "glue.wall_divisor_scan": "roadmap",
     "lattice.a2": "acceptance",
+    "lattice.direct_sum": "acceptance",
     "lattice.discriminant_group": "acceptance",
     "lattice.divisibility": "roadmap",
     "lattice.e8": "acceptance",
@@ -165,3 +166,12 @@ def test_solver_and_table_reader_are_not_in_src():
                        for node in ast.walk(tree)
                        if isinstance(node, ast.arguments)
                        for arg in node.args + node.kwonlyargs}
+
+
+def test_hermite_row_basis_is_not_in_src():
+    # every Hermite basis is one exact.hermite_basis_mod, which takes the
+    # moduli instead of a diagonal block
+    assert not [key for key in definitions()
+                if key.endswith(".hermite_row_basis")]
+    assert "hermite_row_basis" not in mentioned(
+        tree for _, tree in modules())
