@@ -1,16 +1,18 @@
 """Good isometries of rank-3 lattices and assembly of classification rows.
 
-Pipeline: enumerate good isometries of each invariant lattice, read the
-admissible glue images off D(N) (fqm.admissible_images: each is c^perp for
-an order-2 class c with q(c) = 3/2) together with one anti-embedding of the
-coinvariant discriminant form onto each (fqm.k3sq_glue_images), keep the
-isometries extending over the glued lattice, and emit one row per GL2(Z)
-class of the transcendental lattice, carrying the polarization degree, its
-divisibility and the K3-birational flag.
+Pipeline: enumerate good isometries of each invariant lattice, one per
+cyclic group <f> (named by its axis and order), read the admissible glue
+images off D(N) (fqm.admissible_images: each is c^perp for an order-2 class
+c with q(c) = 3/2) together with one anti-embedding of the coinvariant
+discriminant form onto each (fqm.k3sq_glue_images), keep the isometries
+extending over the glued lattice, and emit one row per GL2(Z) class of the
+transcendental lattice, carrying the polarization degree, its divisibility
+and the K3-birational flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -18,7 +20,7 @@ from . import exact
 from .enumeration import Isometry, all_automorphisms
 from .fqm import Fqm, FqmHom, Subgroup, conjugates, k3sq_glue_images
 from .glue import check_extendable, divisibility_in_glued, realized_actions
-from .lattice import Lattice, disc_map, induced_map, invariant_and_coinvariant
+from .lattice import Lattice, disc_map, induced_map, orthogonal_complement
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -45,21 +47,32 @@ def good_isometries(n: Lattice) -> list[Isometry]:
     return out
 
 
-def _fixed_line_and_complement(n: Lattice, matrix):
-    """(h, T basis rows, T gram) for an isometry fixing one line: h spans it,
-    first nonzero entry > 0; T = h^perp, T[0][0] <= T[1][1], T[0][1] >= 0."""
-    inv, coinv = invariant_and_coinvariant(n, [matrix])
-    if len(inv) != 1:
+def _fixed_line(f) -> tuple[int, ...]:
+    """The h spanning the line a good isometry f fixes, primitive, first
+    nonzero entry > 0.  h (f - 1) = 0 and f - 1 has rank 2, so h is the
+    cross product of two independent columns of f - 1, made primitive."""
+    c0, c1, c2 = ([f[i][j] - (i == j) for i in range(3)] for j in range(3))
+    for u, v in ((c0, c1), (c0, c2), (c1, c2)):
+        h = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+             u[0] * v[1] - u[1] * v[0])
+        if any(h):
+            break
+    if not any(h) or tuple(exact.mat_vec(h, f)) != h:
         raise ValueError("isometry must fix exactly one line")
-    (h,), (t1, t2) = inv, coinv
-    if next(x for x in h if x) < 0:
-        h = tuple(-x for x in h)
-    (a, b), (_, c) = exact.conjugate_rows(coinv, n.gram)
+    g = math.gcd(*h) * (1 if next(x for x in h if x) > 0 else -1)
+    return tuple(x // g for x in h)
+
+
+def _complement(n: Lattice, h) -> tuple[tuple, IntMatrix]:
+    """(T basis rows, T gram) for T = h^perp, T[0][0] <= T[1][1],
+    T[0][1] >= 0.  The kernel, so T, is the same for h and -h."""
+    t1, t2 = orthogonal_complement(n, [h])
+    (a, b), (_, c) = exact.conjugate_rows((t1, t2), n.gram)
     if a > c:  # swapping the rows swaps a and c
         t1, t2, a, c = t2, t1, c, a
     if b < 0:  # negating the second row negates b
         t2, b = tuple(-x for x in t2), -b
-    return h, (t1, t2), ((a, b), (b, c))
+    return (t1, t2), ((a, b), (b, c))
 
 
 def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
@@ -131,9 +144,10 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
     Permissive mode ignores obar.  Exact mode needs obar: the gluings onto
     an image are gamma o a, a in O(D_M), with witnesses a^-1 w a, so it
     tests gamma's witness w against the O(D_M)-conjugates of <obar>.  Per
-    invariant lattice, the map each good isometry induces on D(N) is built
-    once, and its fixed line and complement once it yields a row.  A
-    merged row prints its smallest T and flags "excluded" only if every
+    invariant lattice it takes one generator f per cyclic group <f> (f^-1
+    gives the same rows) and builds the map f induces on D(N) once; T =
+    h^perp once per axis h, div h and the k3 flag once per axis and image.
+    A merged row prints its smallest T and flags "excluded" only if every
     gluing does (else "unknown").
     """
     if mode not in ("permissive", "exact"):
@@ -155,29 +169,31 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         images = images_of[d_n]
         if not images:
             continue
-        fbars = [induced_map(n, f.matrix) for f in goods]
-        lines: dict[int, tuple] = {}  # good isometry index -> (h, T rows, T)
+        # rotations about h act faithfully on h^perp, a cyclic group, so
+        # (h, m) names <f>; its other generator f^-1 gives the rows of f,
+        # as it extends iff f does, with witness w^-1: keep the first f
+        gens: dict[tuple, Isometry] = {}
+        for f in goods:
+            gens.setdefault((_fixed_line(f.matrix), f.order), f)
+        fbars = {key: induced_map(n, f.matrix) for key, f in gens.items()}
+        complements: dict[tuple, tuple] = {}  # axis h -> (T rows, T gram)
         for image, gam in images:
-            for i, f in enumerate(goods):
-                if not check_extendable(fbars[i], gam, realized=realized)[0]:
-                    continue
-                if i not in lines:
-                    lines[i] = _fixed_line_and_complement(n, f.matrix)
-                h, t_rows, t_gram = lines[i]
-                row = ClassificationRow(
-                    group_name=group_name,
-                    h_sq=n.norm(h),
-                    h_div=divisibility_in_glued(n, h, image),
-                    m=f.order,
-                    t_gram=t_gram,
-                    k3_flag=k3_birational_flag(n, t_rows, image),
-                    invariant_gram=n.gram,
-                    mode=mode)
-                key = (row.h_sq, row.h_div, row.m, row.invariant_gram,
-                       gauss_reduced(t_gram))
-                old = merged.setdefault(key, row)
-                merged[key] = replace(
-                    row, t_gram=min(old.t_gram, t_gram),
-                    k3_flag=row.k3_flag if row.k3_flag == old.k3_flag
-                    else "unknown")
+            orders: dict[tuple, list[int]] = {}  # axis -> m of extending f
+            for (h, m), fbar in fbars.items():
+                if check_extendable(fbar, gam, realized=realized)[0]:
+                    orders.setdefault(h, []).append(m)
+            for h, ms in orders.items():
+                if h not in complements:
+                    complements[h] = _complement(n, h)
+                t_rows, t_gram = complements[h]
+                h_div = divisibility_in_glued(n, h, image)
+                flag = k3_birational_flag(n, t_rows, image)
+                for m in ms:
+                    row = ClassificationRow(group_name, n.norm(h), h_div, m,
+                                            t_gram, flag, n.gram, mode)
+                    key = (row.h_sq, h_div, m, n.gram, gauss_reduced(t_gram))
+                    old = merged.setdefault(key, row)
+                    merged[key] = replace(
+                        row, t_gram=min(old.t_gram, t_gram),
+                        k3_flag=flag if flag == old.k3_flag else "unknown")
     return sorted(merged.values(), key=_row_key)

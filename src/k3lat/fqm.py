@@ -16,8 +16,9 @@ criterion make none.  Every scan of a whole module is one incremental walk
 (Fqm._walk), which steps e*q by one add per element.  The glue criterion is
 decided once per module: admissible_images caches on it one
 (c, w, c^perp) triple per admissible image, c an order-2 class with
-q = 3/2 and w its pairing row, and k3sq_glue_images scans D(N) once for
-one anti-embedding onto each.
+q = 3/2 and w its pairing row, read off the at most 2^r classes of the
+2-torsion, and k3sq_glue_images scans D(N) once for one anti-embedding
+onto each.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -60,7 +61,7 @@ class Fqm:
             if len(self.b_off[i]) != r - i - 1:
                 raise ValueError("pairing row length mismatch")
             q = self.q_diag[i]
-            if not (0 <= q < 2):
+            if not 0 <= q.numerator < 2 * q.denominator:
                 raise ValueError("q values must be reduced into [0, 2)")
             # q(k g) = k^2 q(g) is well defined mod 2 iff both of these hold
             # (tested on numerators, so checking makes no Fraction)
@@ -69,7 +70,7 @@ class Fqm:
             if q.numerator * d * d % (2 * q.denominator):
                 raise ValueError(f"q({d}*g) must vanish mod 2")
             for b in self.b_off[i]:
-                if not (0 <= b < 1):
+                if not 0 <= b.numerator < b.denominator:
                     raise ValueError("b values must be reduced into [0, 1)")
                 if b.numerator * d % b.denominator:
                     raise ValueError("pairing must kill the generator order")
@@ -193,9 +194,11 @@ class Fqm:
         if e % 2:  # no q = 3/2 level
             return []
         out = []
-        for c, v in self._walk():
-            # b(2c, .) = 0 is 2c = 0, as b has no radical
-            if v != 3 * e // 2 or any(self.scale(2, c)):
+        # b(2c, .) = 0 is 2c = 0, as b has no radical: c is 2-torsion, with
+        # each coordinate 0 or d_i / 2, listed in elements() order
+        for c in itertools.product(*[(0, d // 2) if d % 2 == 0 else (0,)
+                                     for d in self.orders]):
+            if self._eq(c) != 3 * e // 2:
                 continue
             w = self._pair_row(c)
             # each w_i is 0 or e/2, so x is in c^perp iff its coefficients
@@ -473,8 +476,9 @@ def admissible_images(d_n: Fqm
     q(c) = 3/2 and b(2c, .) = 0 makes c^perp admissible.  As b has no
     radical, b(2c, .) = 0 means 2c = 0, and distinct c have distinct
     characters: one triple per order-2 class c with q(c) = 3/2, in
-    elements() order.  w is the row d_n._pair_row(c), with
-    e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or e/2.
+    elements() order, read off the 2-torsion alone.  w is the row
+    d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or
+    e/2.
     Raises if some c^perp does not have index 2.
     """
     return d_n._admissible_images

@@ -8,10 +8,13 @@ subgroup_presentation build for tests, and exact's Smith form and kernels,
 which subgroup_presentation calls: it is the second route to a glue
 partner's form, a subgroup of D(N) presented on invariant-factor
 generators of its own, against which the rank-4 overlattice route of
-glue.partner_disc_candidates is checked.  Two references stand in for
+glue.partner_disc_candidates is checked.  Four references stand in for
 code that left the package: vector_with_by_parametrisation, the general
-binary-quadratic solver hilb2.vector_with replaced, and parse_table, the
-reader that round-trips the `k3lat table` schema.
+binary-quadratic solver hilb2.vector_with replaced; parse_table, the
+reader that round-trips the `k3lat table` schema; fixed_line_by_kernel,
+classify's per-isometry fixed line and complement from two Smith-form
+kernels (lattice.invariant_and_coinvariant); and admissible_images_by_walk,
+the admissible scan over a whole Fqm walk.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from fractions import Fraction
 
 from k3lat import exact
 from k3lat.fqm import Fqm, FqmHom, Subgroup
+from k3lat.lattice import invariant_and_coinvariant
 
 
 def laplace_det(a):
@@ -388,6 +392,26 @@ def fixed_line_and_complement(gram, f):
         return tuple(h), (a, b, cc)
 
 
+def fixed_line_by_kernel(n, matrix):
+    """(h, T basis rows, T gram) for an isometry of the rank-3 lattice n
+    fixing one line, as classify built them per isometry before it built
+    them per axis: h and T from two Smith-form kernels
+    (invariant_and_coinvariant), h made positive in its first nonzero entry,
+    T[0][0] <= T[1][1] and T[0][1] >= 0."""
+    inv, coinv = invariant_and_coinvariant(n, [matrix])
+    if len(inv) != 1:
+        raise ValueError("isometry must fix exactly one line")
+    (h,), (t1, t2) = inv, coinv
+    if next(x for x in h if x) < 0:
+        h = tuple(-x for x in h)
+    (a, b), (_, c) = exact.conjugate_rows(coinv, n.gram)
+    if a > c:
+        t1, t2, a, c = t2, t1, c, a
+    if b < 0:
+        t2, b = tuple(-x for x in t2), -b
+    return h, (t1, t2), ((a, b), (b, c))
+
+
 def fqm_q_value(orders, q_diag, b_off, x):
     """q(x) in [0, 2) for generator data; b_off is a dict {(i,j): Fraction}."""
     r = len(orders)
@@ -557,6 +581,24 @@ def index_two_glue_kernels(orders, q_diag, b_off):
                for x, w in level):
             kernels.append(gens)
     return kernels
+
+
+def admissible_images_by_walk(d):
+    """admissible_images(d) as Fqm built it before it read the 2-torsion:
+    a walk of all of d, keeping each x with e q(x) = 3e/2 and 2x = 0."""
+    e = d._ints[0]
+    if e % 2:
+        return []
+    out = []
+    for c, v in d._walk():
+        if v != 3 * e // 2 or any(d.scale(2, c)):
+            continue
+        w = d._pair_row(c)
+        s = next((i for i, x in enumerate(w) if x), None)
+        out.append((c, w, Subgroup.generated(d, [
+            [int(j == i) + int(j == s and x != 0) for j in range(d.rank)]
+            for i, x in enumerate(w)])))
+    return out
 
 
 def subgroup_closure(orders, gens):

@@ -11,21 +11,23 @@ from k3lat import classify as classify_module
 from k3lat import exact, lattice
 from k3lat import fqm as fqm_module
 from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
-                            _fixed_line_and_complement, _row_key, classify,
+                            _complement, _fixed_line, _row_key, classify,
                             gauss_reduced, good_isometries,
                             k3_birational_flag)
 from k3lat.dataset import builtin_dataset
 from k3lat.enumeration import all_automorphisms, is_isometric
 from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
-                       hom_closure_images, hom_image, hom_preimage,
-                       identity_hom, isomorphisms, k3sq_glue_admissible,
+                       conjugates, hom_closure_images, hom_image,
+                       hom_preimage, identity_hom, isomorphisms,
+                       k3sq_glue_admissible, k3sq_glue_images,
                        orthogonal_group)
-from k3lat.glue import divisibility_in_glued
+from k3lat.glue import (check_extendable, divisibility_in_glued,
+                        realized_actions)
 from k3lat.lattice import Lattice, disc_map, induced_map
-from oracles import (char_poly, conjugates_by_search,
-                     fixed_line_and_complement, glue_images,
-                     good_isometries_unfiltered, negation_hom, rand_unimodular,
-                     subgroup_presentation)
+from oracles import (char_poly, compose, conjugates_by_search,
+                     fixed_line_and_complement, fixed_line_by_kernel,
+                     glue_images, good_isometries_unfiltered, negation_hom,
+                     rand_unimodular, subgroup_presentation)
 
 A6_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 L2_11_GRAM = ((2, 1, 0), (1, 6, 0), (0, 0, 22))
@@ -96,9 +98,25 @@ class TestGoodIsometries:
 
 
 def polarization(n: Lattice, f):
-    """h and the T Gram of _fixed_line_and_complement."""
-    h, _, t_gram = _fixed_line_and_complement(n, [list(r) for r in f])
-    return h, t_gram
+    """h and the T Gram of the axis path: _fixed_line, then _complement."""
+    h = _fixed_line([list(r) for r in f])
+    return h, _complement(n, h)[1]
+
+
+def symmetric_grams(seed, count):
+    """count even positive rank-3 Grams with good isometries of every
+    order: a random A2-type, square or rectangular binary block beside
+    <2c>, in a random basis."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        a, b, c = (rng.randint(1, 5) for _ in range(3))
+        block = rng.choice([((2 * a, a), (a, 2 * a)), ((2 * a, 0), (0, 2 * a)),
+                            ((2 * a, 0), (0, 2 * b))])
+        gram = [list(block[0]) + [0], list(block[1]) + [0], [0, 0, 2 * c]]
+        out.append(Lattice(exact.conjugate_rows(rand_unimodular(rng, 3),
+                                                gram)))
+    return out
 
 
 class TestPolarization:
@@ -131,6 +149,24 @@ class TestPolarization:
             fixed_line_and_complement(DIAG6.gram, ident)
         with pytest.raises(ValueError):
             fixed_line_and_complement(DIAG6.gram, neg)
+
+    @pytest.mark.parametrize("source", ["builtin", "seeded"])
+    def test_axis_path_matches_kernel_path(self, source):
+        # the cross product gives the kernel's h, and one complement per
+        # axis gives the T rows and Gram of the per-isometry Smith forms
+        if source == "builtin":
+            grams = [n for g in builtin_dataset().groups for n in g.grams]
+        else:
+            grams = symmetric_grams(2700, 200)
+        orders = Counter()
+        for n in grams:
+            for f in good_isometries(n):
+                h = _fixed_line(f.matrix)
+                assert (h, *_complement(n, h)) == \
+                    fixed_line_by_kernel(n, f.matrix), (n.gram, f.matrix)
+                orders[f.order] += 1
+        assert orders == ({2: 97, 3: 20, 4: 8, 6: 10} if source == "builtin"
+                          else {2: 1128, 3: 264, 4: 272, 6: 128})
 
     def test_matches_oracle_on_builtin_grams(self):
         # h, and T up to GL2(Z), against a null space and a Euclid kernel
@@ -304,14 +340,25 @@ def reference_extendable(n, f, gam, realized):
     return realized is None or witness in realized, witness
 
 
+def inverse_pairs(goods):
+    """(f, f^-1) for each good isometry f of order > 2 that comes first in
+    goods, the inverse found as the g with f g = 1."""
+    ident = exact.identity(3)
+    return [(f, g) for i, f in enumerate(goods) for g in goods[i + 1:]
+            if f.order > 2 and exact.mat_mul(f.matrix, g.matrix) == ident]
+
+
 def reference_classify(lattices, m_data, group_name, mode="permissive"):
     """classify as a plain per-(image, f, gamma) loop with every decision
-    made afresh: the merged rows and the list of (ok, witness images)."""
+    made afresh and a row from every good isometry: the merged rows and
+    the list of (ok, witness images), logged for the isometries classify
+    keeps (not the later one of each inverse pair)."""
     realized = (hom_closure_images(m_data.disc, m_data.obar)
                 if mode == "exact" else None)
     decisions, groups = [], {}
     for n in lattices:
         goods = good_isometries(n)
+        skipped = [g for _, g in inverse_pairs(goods)]
         d_n = disc_map(n).fqm
         for image, gams in glue_images(anti_embeddings(m_data.disc, d_n),
                                         hom_image):
@@ -320,12 +367,13 @@ def reference_classify(lattices, m_data, group_name, mode="permissive"):
             for f in goods:
                 for gam in gams:
                     ok, witness = reference_extendable(n, f, gam, realized)
-                    decisions.append((ok, witness))
+                    if f not in skipped:
+                        decisions.append((ok, witness))
                     if ok or witness is None:
                         break
                 if not ok:
                     continue
-                h, t_rows, t_gram = _fixed_line_and_complement(n, f.matrix)
+                h, t_rows, t_gram = fixed_line_by_kernel(n, f.matrix)
                 row = ClassificationRow(
                     group_name, n.norm(h), divisibility_in_glued(n, h, image),
                     f.order, t_gram, k3_birational_flag(n, t_rows, image),
@@ -377,11 +425,11 @@ class TestHoistedLoop:
         log = recording_check_extendable(monkeypatch)
         calls = Counter()
         tables_built = Counter()  # gamma value -> preimage tables built
-        for name in ("induced_map", "_fixed_line_and_complement"):
-            def counted(n, matrix, real=getattr(classify_module, name),
+        for name in ("induced_map", "_complement"):
+            def counted(n, arg, real=getattr(classify_module, name),
                         name=name):
-                calls[name, n.gram, tuple(map(tuple, matrix))] += 1
-                return real(n, matrix)
+                calls[name, n.gram, repr(arg)] += 1
+                return real(n, arg)
             monkeypatch.setattr(classify_module, name, counted)
         build = FqmHom.__dict__["preimage_table"].func
 
@@ -396,17 +444,52 @@ class TestHoistedLoop:
                 classify(list(g.grams), g.coinv, g.name)
         per_name = Counter()
         for (name, *_), count in calls.items():
-            assert count == 1, name  # once per (N, f)
+            assert count == 1, name  # once per (N, f) and per (N, axis)
             per_name[name] += count
-        assert per_name["induced_map"] == 106
-        assert len(log) == 161
-        assert sum(ok for ok, _ in log) == 105
-        assert per_name["_fixed_line_and_complement"] == 94  # (N, f) with a row
+        # one f per <f>: 18 of the 106 good isometries are a kept f^-1
+        assert per_name["induced_map"] == 88
+        assert len(log) == 129
+        assert sum(ok for ok, _ in log) == 91
+        assert per_name["_complement"] == 67  # (N, axis) with a row
         # 19 gamma values, one table each: the three A7 lattices that share
         # D(N) share its glue images and their gammas too
         assert len(tables_built) == 19
         assert sum(tables_built.values()) == 19
 
+
+    @pytest.mark.parametrize("mode", ["permissive", "exact"])
+    def test_skipped_inverse_decides_as_its_partner(self, mode):
+        # classify decides f alone for each inverse pair: f^-1 must get the
+        # same decision on every admissible image, with the inverse witness
+        if mode == "permissive":
+            cases = [(g, None) for g in builtin_dataset().groups
+                     if g.disc is not None]
+        else:
+            cases = [(g, obar) for g, obar, _ in seeded_obar()]
+        outcomes = Counter()
+        for g, obar in cases:
+            realized = None if obar is None else conjugates(
+                g.disc, realized_actions(g.disc, obar))
+            ident = identity_hom(g.disc).images
+            for n in g.grams:
+                pairs = inverse_pairs(good_isometries(n))
+                for _, gam in k3sq_glue_images(g.disc, disc_map(n).fqm):
+                    for f, f_inv in pairs:
+                        ok, w = check_extendable(induced_map(n, f.matrix),
+                                                 gam, realized)
+                        ok_inv, w_inv = check_extendable(
+                            induced_map(n, f_inv.matrix), gam, realized)
+                        assert (ok_inv, w_inv is None) == (ok, w is None)
+                        if w is not None:
+                            assert compose(w, w_inv).images == ident
+                        outcomes[ok, w is None] += 1
+        # (ok, no witness) counts; in permissive mode the 14 accepted
+        # pairs are the 105 - 91 rows the skip saves.  Exact mode also
+        # rejects pairs whose witnesses no realized conjugate holds
+        assert outcomes == ({(True, False): 14, (False, True): 18}
+                            if mode == "permissive" else
+                            {(True, False): 21, (False, True): 90,
+                             (False, False): 49})
 
     def test_good_isometries_order_only_trace_candidates(self, monkeypatch):
         # the trace gives the order, so no order is computed; a determinant

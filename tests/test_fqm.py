@@ -5,7 +5,9 @@ import dataclasses
 import math
 import functools
 import pathlib
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -22,14 +24,16 @@ from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
                        negated, orthogonal_group)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
-from oracles import (all_anti_embeddings, closure_from_scratch, compose,
-                     conjugates_by_search, form_candidates_scan, fqm_b_value,
+from oracles import (admissible_images_by_walk, all_anti_embeddings,
+                     closure_from_scratch, compose, conjugates_by_search,
+                     form_candidates_scan, fqm_b_value,
                      fqm_q_value, glue_admissible_scan, glue_admissible_walk,
                      glue_images, glue_images_per_row, greedy_generators,
                      negation_hom, nondegenerate_scan, presented_form,
                      radical_scan, subgroup_closure, subgroup_presentation)
 
 F = Fraction
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 CHAINS = [(2,), (3,), (4,), (2, 2), (2, 4), (3, 3), (3, 6), (2, 2, 2), (3, 9)]
 
@@ -99,6 +103,34 @@ class TestValidation:
     def test_q_out_of_range(self):
         with pytest.raises(ValueError):
             Fqm((2,), (F(5, 2),), ((),))
+
+    @pytest.mark.parametrize("q", [F(-1, 2), F(2), F(5, 2), F(-4)])
+    def test_q_range_is_named(self, q):
+        with pytest.raises(ValueError, match=r"^q values must be reduced "
+                                             r"into \[0, 2\)$"):
+            Fqm((2,), (q,), ((),))
+
+    @pytest.mark.parametrize("b", [F(-1, 2), F(1), F(3, 2)])
+    def test_b_range_is_named(self, b):
+        with pytest.raises(ValueError, match=r"^b values must be reduced "
+                                             r"into \[0, 1\)$"):
+            Fqm((2, 2), (F(1, 2), F(1, 2)), ((b,), ()))
+
+    def test_range_checks_survive_python_O(self):
+        code = ("from fractions import Fraction as F\n"
+                "from k3lat.fqm import Fqm\n"
+                "for q, b in ((F(5, 2), F(0)), (F(-1, 2), F(0)),\n"
+                "             (F(1, 2), F(1)), (F(1, 2), F(-1, 2))):\n"
+                "    try:\n"
+                "        Fqm((2, 2), (F(1, 2), q), ((b,), ()))\n"
+                "    except ValueError as exc:\n"
+                "        print(exc)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, env=env, timeout=60)
+        assert done.stdout.decode().splitlines() == \
+            ["q values must be reduced into [0, 2)"] * 2 + \
+            ["b values must be reduced into [0, 1)"] * 2
 
     def test_q_must_kill_order(self):
         with pytest.raises(ValueError):
@@ -1056,6 +1088,27 @@ class TestAdmissibleImages:
             found += bool(rows)
         assert found > 40
 
+    def test_two_torsion_scan_matches_the_walk(self):
+        # the seeded random and glue-pair corpora, every built-in D(N),
+        # odd-exponent modules and the rank-0 module
+        modules = [rand_fqm(random.Random(2800 + seed)) for seed in range(80)]
+        modules += [m for seed in range(40)
+                    for m in rand_glue_pair(random.Random(1700 + seed))]
+        modules += [disc_map(n).fqm for g in builtin_dataset().groups
+                    for n in g.grams]
+        odd = [cyclic(3, F(2, 3)), cyclic(9, F(4, 9)),
+               Fqm((3, 3), (F(2, 3), F(2, 3)), ((F(0),), ())),
+               Fqm((3, 9), (F(2, 3), F(2, 9)), ((F(1, 3),), ()))]
+        modules += odd + [TRIVIAL]
+        found = collections.Counter()
+        for d in modules:
+            want = admissible_images_by_walk(d)
+            assert admissible_images(d) == want, d
+            found[bool(want)] += 1
+            found["images"] += len(want)
+        assert all(admissible_images(d) == [] for d in odd + [TRIVIAL])
+        assert found == {True: 78, False: 112, "images": 121}
+
     def test_built_once_and_cached_on_the_module(self):
         d = Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ()))
         assert "_admissible_images" not in d.__dict__
@@ -1080,15 +1133,18 @@ class TestAdmissibleImages:
 
 class TestScanCounters:
     def test_table_walks_each_module_once_per_scan(self, monkeypatch):
-        # the scans (admissible images, anti-embedding candidates,
-        # nondegeneracy) evaluate no q from scratch and list no pairing row
-        # per element: the only rows are the backtrack's and one per
-        # admissible image.  Fresh D(N) objects, so nothing is cached
+        # the admissible scan walks nothing: it evaluates q on the at most
+        # 2^rank classes of the 2-torsion.  The anti-embedding candidate
+        # scan walks D(N) once, and no scan lists a pairing row per
+        # element: the only rows are the backtrack's and one per admissible
+        # image.  Fresh D(N) objects, so nothing is cached
         disc_map.cache_clear()
-        calls = collections.Counter()
+        calls, q_reads = collections.Counter(), collections.Counter()
         for name in ("_eq", "_pair_row"):
             def spy(self, x, real=getattr(Fqm, name), name=name):
                 calls[name, sys._getframe(1).f_code.co_name] += 1
+                if name == "_eq":
+                    q_reads[id(self)] += 1
                 return real(self, x)
             monkeypatch.setattr(Fqm, name, spy)
         walked = []
@@ -1111,11 +1167,17 @@ class TestScanCounters:
         candidate_scans = collections.Counter(
             id(d_n) for a, d_n in glue_calls
             if 2 * a.order == d_n.order and admissible_images(d_n))
-        want = collections.Counter(scanned.keys()) + candidate_scans
-        assert collections.Counter(map(id, walked)) == want
+        assert collections.Counter(map(id, walked)) == candidate_scans
         assert sum(candidate_scans.values()) == 14
-        assert not [k for k in calls if k[0] == "_eq"]
+        # q is read once per 2-torsion class of each scanned module: at
+        # most 2^rank, 70 over the pass
+        assert q_reads == {key: 2 ** sum(d % 2 == 0 for d in d_n.orders)
+                           for key, d_n in scanned.items()}
+        assert all(q_reads[key] <= 2 ** d_n.rank
+                   for key, d_n in scanned.items())
+        assert calls["_eq", "_admissible_images"] == 70
         assert set(calls) <= {("_pair_row", "extend"),
+                              ("_eq", "_admissible_images"),
                               ("_pair_row", "_admissible_images")}
         assert calls["_pair_row", "_admissible_images"] == sum(
             len(admissible_images(d_n)) for d_n in scanned.values())

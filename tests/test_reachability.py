@@ -69,11 +69,13 @@ def definitions():
 
 
 def mentioned(nodes):
-    """Every identifier the nodes read, as a bare name or an attribute."""
+    """Every identifier the nodes read, as a bare name or an attribute.  A
+    bare name counts only where it is loaded: a local that shadows a
+    function's name, as an assignment or loop target, calls nothing."""
     names = set()
     for node in nodes:
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 names.add(sub.id)
             elif isinstance(sub, ast.Attribute):
                 names.add(sub.attr)
@@ -175,3 +177,11 @@ def test_hermite_row_basis_is_not_in_src():
                 if key.endswith(".hermite_row_basis")]
     assert "hermite_row_basis" not in mentioned(
         tree for _, tree in modules())
+
+
+def test_assigned_names_reach_nothing():
+    # a local named like a package function, such as a2 or e8 in lattice,
+    # is written, not read, and must not mark that function reached
+    tree = ast.parse("def f(x):\n    a2 = x.gram\n    for e8 in a2:\n"
+                     "        del e8\n    return x\n")
+    assert mentioned([tree]) == {"x", "gram", "a2"}
