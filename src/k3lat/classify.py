@@ -2,12 +2,11 @@
 
 Pipeline: enumerate good isometries of each invariant lattice, one per
 cyclic group <f> (named by its axis and order), read the admissible glue
-images off D(N) (fqm.admissible_images: each is c^perp for an order-2 class
-c with q(c) = 3/2) together with one anti-embedding of the coinvariant
-discriminant form onto each (fqm.k3sq_glue_images), keep the isometries
-extending over the glued lattice, and emit one row per GL2(Z) class of the
-transcendental lattice, carrying the polarization degree, its divisibility
-and the K3-birational flag.
+images c^perp of D(N), c an order-2 class with q(c) = 3/2, each with c and
+one anti-embedding of the coinvariant form onto it (fqm.k3sq_glue_images),
+keep the isometries fixing c (in exact mode, with a realized witness), and
+emit one row per GL2(Z) class of the transcendental lattice, carrying the
+polarization degree, its divisibility and the K3-birational flag.
 """
 
 from __future__ import annotations
@@ -133,22 +132,31 @@ def gauss_reduced(t_gram: IntMatrix) -> tuple[int, int, int]:
         a, c = c, a
 
 
+def _fixes(dm, f, x) -> bool:
+    """Does the isometry f fix the class of x = dm.lift(c) in D(N)?  Iff
+    x f - x lies in N, i.e. iff dm.den divides each of its numerators."""
+    return not any((y - a) % dm.den for y, a in zip(exact.mat_vec(x, f), x))
+
+
 def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
              group_name: str, mode: str = "permissive"
              ) -> list[ClassificationRow]:
     """One row per (h^2, div, m, GL2(Z) class of T, invariant Gram), sorted.
 
-    Loops over the admissible glue images of D(N), each c^perp for an
-    order-2 class c with q(c) = 3/2, found once per distinct D(N), with one
-    gamma onto each; an image alone fixes condition 1, div and the k3 flag.
-    Permissive mode ignores obar.  Exact mode needs obar: the gluings onto
-    an image are gamma o a, a in O(D_M), with witnesses a^-1 w a, so it
-    tests gamma's witness w against the O(D_M)-conjugates of <obar>.  Per
-    invariant lattice it takes one generator f per cyclic group <f> (f^-1
-    gives the same rows) and builds the map f induces on D(N) once; T =
-    h^perp once per axis h, div h and the k3 flag once per axis and image.
-    A merged row prints its smallest T and flags "excluded" only if every
-    gluing does (else "unknown").
+    Loops over the admissible images H = c^perp of D(N), found once per
+    distinct D(N) with c and one gamma onto each; an image alone fixes div
+    and the k3 flag.  f extends only if fbar(H) = H (condition 1 of
+    check_extendable), which holds iff f fixes c (Nikulin 1979, 1.5): fbar
+    is an isometry of D(N), so fbar(c^perp) = fbar(c)^perp, and as b has
+    no radical, (c^perp)^perp = <c> = {0, c}, so fbar(c)^perp = c^perp
+    iff fbar(c) = c.  Permissive mode needs nothing else.  Exact mode needs
+    obar: the gluings onto an image are gamma o a, a in O(D_M), with
+    witnesses a^-1 w a, so for an f fixing c it tests gamma's witness w
+    against the O(D_M)-conjugates of <obar>, building fbar on first use.
+    Per invariant lattice it takes one generator f per cyclic group <f>
+    (f^-1 gives the same rows); T = h^perp once per axis h, div h and the
+    k3 flag once per axis and image.  A merged row prints its smallest T
+    and flags "excluded" only if every gluing does (else "unknown").
     """
     if mode not in ("permissive", "exact"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -157,16 +165,16 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
     realized = (conjugates(m_data.disc,
                            realized_actions(m_data.disc, m_data.obar))
                 if mode == "exact" else None)
-    images_of: dict[Fqm, list[tuple[Subgroup, FqmHom]]] = {}
+    images_of: dict[Fqm, list[tuple]] = {}  # D(N) -> (c, image, gamma)s
     merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
         goods = good_isometries(n)  # raises unless rank 3, even, definite
         if not goods:
             continue
-        d_n = disc_map(n).fqm
-        if d_n not in images_of:
-            images_of[d_n] = k3sq_glue_images(m_data.disc, d_n)
-        images = images_of[d_n]
+        dm = disc_map(n)
+        if dm.fqm not in images_of:
+            images_of[dm.fqm] = k3sq_glue_images(m_data.disc, dm.fqm)
+        images = images_of[dm.fqm]
         if not images:
             continue
         # rotations about h act faithfully on h^perp, a cyclic group, so
@@ -175,13 +183,20 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
         gens: dict[tuple, Isometry] = {}
         for f in goods:
             gens.setdefault((_fixed_line(f.matrix), f.order), f)
-        fbars = {key: induced_map(n, f.matrix) for key, f in gens.items()}
+        fbars: dict[tuple, FqmHom] = {}  # exact mode, built on first use
         complements: dict[tuple, tuple] = {}  # axis h -> (T rows, T gram)
-        for image, gam in images:
+        for c, image, gam in images:
+            x = dm.lift(c)
             orders: dict[tuple, list[int]] = {}  # axis -> m of extending f
-            for (h, m), fbar in fbars.items():
-                if check_extendable(fbar, gam, realized=realized)[0]:
-                    orders.setdefault(h, []).append(m)
+            for (h, m), f in gens.items():
+                if not _fixes(dm, f.matrix, x):
+                    continue
+                if realized is not None:
+                    if (h, m) not in fbars:
+                        fbars[h, m] = induced_map(n, f.matrix)
+                    if not check_extendable(fbars[h, m], gam, realized)[0]:
+                        continue
+                orders.setdefault(h, []).append(m)
             for h, ms in orders.items():
                 if h not in complements:
                     complements[h] = _complement(n, h)
@@ -196,4 +211,9 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
                     merged[key] = replace(
                         row, t_gram=min(old.t_gram, t_gram),
                         k3_flag=flag if flag == old.k3_flag else "unknown")
+        # induced_map checked each f it built; no row leaves unchecked
+        if not all(n.is_isometry(f.matrix)
+                   for hm, f in gens.items() if hm not in fbars):
+            raise RuntimeError(f"a good isometry breaks f G f^T = G for "
+                               f"G = {n.gram}")
     return sorted(merged.values(), key=_row_key)

@@ -15,16 +15,18 @@ import csv
 import io
 import sys
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .classify import ClassificationRow, classify, good_isometries
 from .dataset import Dataset, DatasetError, GroupEntry, b_entries, \
     builtin_dataset, disc_form, load_dataset
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, anti_embeddings, hom_image, k3sq_glue_admissible
+from .fqm import Fqm, admissible_images, anti_embeddings
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 # perfbench reads these through cli
 from .dataset import emit_dataset, parse_dataset  # noqa: F401
+from .fqm import hom_image, k3sq_glue_admissible  # noqa: F401
 from .lattice import Lattice, disc_map
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -267,8 +269,12 @@ def _cmd_glue_check(args) -> int:
         m_disc = _inline_disc(args)
     d_n = _resolve_disc(args)
     embeddings = anti_embeddings(m_disc, d_n)
-    admissible = sum(k3sq_glue_admissible(d_n, hom_image(gamma))
-                     for gamma in embeddings)
+    # an injective map of order |D_N| / 2 is onto c^perp iff y . w = 0 mod e
+    rows = ([w for _, w, _ in admissible_images(d_n)]
+            if 2 * m_disc.order == d_n.order else [])
+    e = max(d_n.orders, default=1)
+    admissible = sum(any(all(not sum(map(mul, y, w)) % e for y in gam.images)
+                         for w in rows) for gam in embeddings)
     print("anti-embeddings:", len(embeddings))
     print("admissible:", admissible)
     print("verdict:", "admissible" if admissible else "no admissible glue")

@@ -498,11 +498,12 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
     return any(h.basis == image.basis for _, _, h in admissible_images(d_n))
 
 
-def k3sq_glue_images(a: Fqm, d_n: Fqm) -> list[tuple[Subgroup, FqmHom]]:
-    """The admissible images that anti-embeddings A -> D(N) reach, each
-    with the first anti-embedding onto it, in the order in which
-    anti_embeddings(a, d_n) first meets them.  D(N) is scanned for
-    candidates once; each admissible_images triple then runs its own
+def k3sq_glue_images(a: Fqm, d_n: Fqm
+                     ) -> list[tuple[Element, Subgroup, FqmHom]]:
+    """(c, c^perp, gamma) for the admissible_images triples whose c^perp
+    anti-embeddings A -> D(N) reach, gamma the first one onto c^perp, in
+    the order in which anti_embeddings(a, d_n) first meets the images.
+    D(N) is scanned for candidates once; each triple then runs its own
     search on the candidates inside its c^perp and stops at its first map:
     the others onto the image are its compositions with O(A).
     """
@@ -515,15 +516,15 @@ def k3sq_glue_images(a: Fqm, d_n: Fqm) -> list[tuple[Subgroup, FqmHom]]:
     e = d_n._ints[0]
     candidates = _candidates(a, d_n, -1)
     found = []
-    for _, row, image in triples:
+    for c, row, image in triples:
         inside = [[y for y in ys if not sum(map(operator.mul, y, row)) % e]
                   for ys in candidates]
         gam = next(_form_embeddings(a, d_n, -1, inside), None)
         if gam is not None:
-            found.append((image, gam))
+            found.append((c, image, gam))
     # each candidate list is in elements() order, so sorting by the first
     # map's images is the order in which anti_embeddings meets the images
-    found.sort(key=lambda item: item[1].images)
+    found.sort(key=lambda item: item[2].images)
     return found
 
 

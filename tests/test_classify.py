@@ -15,14 +15,15 @@ from k3lat.classify import (ClassificationRow, CoinvariantData, GOOD_TRACES,
                             gauss_reduced, good_isometries,
                             k3_birational_flag)
 from k3lat.dataset import builtin_dataset
-from k3lat.enumeration import all_automorphisms, is_isometric
-from k3lat.fqm import (Fqm, FqmHom, Subgroup, anti_embeddings,
+from k3lat.enumeration import Isometry, all_automorphisms, is_isometric
+from k3lat.fqm import (Fqm, FqmHom, Subgroup, admissible_images,
+                       anti_embeddings,
                        conjugates, hom_closure_images, hom_image,
                        hom_preimage, identity_hom, isomorphisms,
                        k3sq_glue_admissible, k3sq_glue_images,
                        orthogonal_group)
 from k3lat.glue import (check_extendable, divisibility_in_glued,
-                        realized_actions)
+                        partner_disc_candidates, realized_actions)
 from k3lat.lattice import Lattice, disc_map, induced_map
 from oracles import (char_poly, compose, conjugates_by_search,
                      fixed_line_and_complement, fixed_line_by_kernel,
@@ -223,6 +224,34 @@ class TestClassify:
         assert any((r.h_sq, r.h_div, r.m, r.t_gram) == (22, 2, 2, ((2, 1), (1, 6)))
                    for r in rows)
 
+    @pytest.mark.parametrize("mode", ["permissive", "exact"])
+    def test_a_generator_that_is_no_isometry_is_refused(self, monkeypatch,
+                                                        mode):
+        # every kept generator is checked for f G f^T = G once: by
+        # induced_map where exact mode builds its map, else before classify
+        # returns.  This f fixes the line of e1, and the class c of the one
+        # admissible image, but moves G
+        n = Lattice(L2_11_GRAM)
+        bogus = Isometry(((1, 0, 0), (0, -1, 0), (0, 0, -1)), 2)
+        assert not n.is_isometry(bogus.matrix)
+        real = classify_module.good_isometries
+        monkeypatch.setattr(classify_module, "good_isometries",
+                            lambda lat: [bogus] + real(lat))
+        disc = coinv_disc(n, ((1, 0), (0, 2)))
+        md = CoinvariantData(disc=disc,
+                             obar=tuple(orthogonal_group(disc)[0]))
+        (c, _, _), = admissible_images(disc_map(n).fqm)
+        assert classify_module._fixes(disc_map(n), bogus.matrix,
+                                      disc_map(n).lift(c))
+        if mode == "permissive":
+            err, match = RuntimeError, (
+                r"breaks f G f\^T = G for "
+                r"G = \(\(2, 1, 0\), \(1, 6, 0\), \(0, 0, 22\)\)")
+        else:
+            err, match = ValueError, "not an isometry of the lattice"
+        with pytest.raises(err, match=match):
+            classify([n], md, "L2(11)", mode)
+
     def test_rows_are_sorted_and_deduplicated(self):
         n = Lattice(L2_11_GRAM)
         md = CoinvariantData(disc=coinv_disc(n, ((1, 0), (0, 2))))
@@ -402,10 +431,23 @@ def recording_check_extendable(monkeypatch):
     return log
 
 
+def recording_fixes(monkeypatch):
+    """Patch classify's c test to log (N gram, f, lift of c, decision)."""
+    real, log = classify_module._fixes, []
+
+    def fixes(dm, f, x):
+        ok = real(dm, f, x)
+        log.append((dm.lattice.gram, f, x, ok))
+        return ok
+    monkeypatch.setattr(classify_module, "_fixes", fixes)
+    return log
+
+
 class TestHoistedLoop:
     @pytest.mark.parametrize("mode", ["permissive", "exact"])
     def test_matches_per_gamma_reference(self, mode, monkeypatch):
         log = recording_check_extendable(monkeypatch)
+        tests = recording_fixes(monkeypatch)
         for g in builtin_dataset().groups:
             if g.disc is None:
                 continue
@@ -414,15 +456,27 @@ class TestHoistedLoop:
                 obar = tuple(orthogonal_group(g.disc)[0])
             md = CoinvariantData(disc=g.disc, obar=obar)
             log.clear()
+            tests.clear()
             rows = classify(list(g.grams), md, g.name, mode)
             want_rows, want_decisions = reference_classify(
                 list(g.grams), md, g.name, mode)
             assert rows == want_rows, g.name
-            assert log == want_decisions, g.name
+            # one c test per (image, f) the reference decides, in its
+            # order: f fixes c iff the reference finds condition 1, which
+            # is its whole decision in permissive mode
+            fixed = [ok for *_, ok in tests]
+            assert fixed == [w is not None for _, w in want_decisions]
+            if mode == "permissive":
+                assert fixed == [ok for ok, _ in want_decisions], g.name
+                assert log == [], g.name
+            else:  # a witness is decided for each pair that fixes c
+                assert log == [d for d in want_decisions
+                               if d[1] is not None], g.name
             assert all(r.mode == mode for r in rows)
 
     def test_per_isometry_and_per_gamma_work_is_done_once(self, monkeypatch):
         log = recording_check_extendable(monkeypatch)
+        tests = recording_fixes(monkeypatch)
         calls = Counter()
         tables_built = Counter()  # gamma value -> preimage tables built
         for name in ("induced_map", "_complement"):
@@ -446,15 +500,41 @@ class TestHoistedLoop:
         for (name, *_), count in calls.items():
             assert count == 1, name  # once per (N, f) and per (N, axis)
             per_name[name] += count
-        # one f per <f>: 18 of the 106 good isometries are a kept f^-1
-        assert per_name["induced_map"] == 88
-        assert len(log) == 129
-        assert sum(ok for ok, _ in log) == 91
+        # one f per <f> (18 of the 106 good isometries are a kept f^-1),
+        # each tested once against the class c of each image; permissive
+        # mode needs nothing past the c test: no induced map, extension
+        # check or preimage table
+        assert len(tests) == len(set(tests)) == 129
+        assert sum(ok for *_, ok in tests) == 91
+        assert per_name["induced_map"] == 0
+        assert log == []
         assert per_name["_complement"] == 67  # (N, axis) with a row
-        # 19 gamma values, one table each: the three A7 lattices that share
-        # D(N) share its glue images and their gammas too
-        assert len(tables_built) == 19
-        assert sum(tables_built.values()) == 19
+        assert sum(tables_built.values()) == 0
+
+    def test_exact_mode_builds_each_induced_map_on_first_use(self,
+                                                             monkeypatch):
+        # exact mode builds f's map on D(N) once, and only for an f that
+        # fixes the class c of some image; it checks a witness for exactly
+        # the (image, f) that fix c
+        log = recording_check_extendable(monkeypatch)
+        tests = recording_fixes(monkeypatch)
+        built = Counter()
+        real = classify_module.induced_map
+
+        def counted(n, f):
+            built[n.gram, f] += 1
+            return real(n, f)
+        monkeypatch.setattr(classify_module, "induced_map", counted)
+        for g, obar, _ in seeded_obar():
+            tests.clear()
+            log.clear()
+            built.clear()
+            classify(list(g.grams), CoinvariantData(g.disc, obar=obar),
+                     g.name, "exact")
+            assert len(log) == sum(ok for *_, ok in tests)
+            assert set(built) == {(gram, f) for gram, f, _, ok in tests
+                                  if ok}
+            assert set(built.values()) <= {1}
 
 
     @pytest.mark.parametrize("mode", ["permissive", "exact"])
@@ -473,7 +553,7 @@ class TestHoistedLoop:
             ident = identity_hom(g.disc).images
             for n in g.grams:
                 pairs = inverse_pairs(good_isometries(n))
-                for _, gam in k3sq_glue_images(g.disc, disc_map(n).fqm):
+                for _, _, gam in k3sq_glue_images(g.disc, disc_map(n).fqm):
                     for f, f_inv in pairs:
                         ok, w = check_extendable(induced_map(n, f.matrix),
                                                  gam, realized)
@@ -610,17 +690,89 @@ class TestConjugacyClosure:
 
         def last_gamma_images(a, d_n):
             out = []
-            for image, gam in real(a, d_n):
+            for c, image, gam in real(a, d_n):
                 onto = [f for f in anti_embeddings(a, d_n)
                         if hom_image(f) == image]
                 moved.append(onto[-1] != gam)
-                out.append((image, onto[-1]))
+                out.append((c, image, onto[-1]))
             return out
         monkeypatch.setattr(classify_module, "k3sq_glue_images",
                             last_gamma_images)
         assert [classify(list(g.grams), md, g.name, mode)
                 for g, md, mode in cases] == base
         assert any(moved)
+
+
+BUILTIN_GROUPS = [g.name for g in builtin_dataset().groups]
+MOVES_SOME_C = {"2xL2(7)", "M10", "Q(3^2:2)", "3^2:QD16", "3^(1+4):2.2^2"}
+
+
+class TestFixedClassCriterion:
+    # condition 1 of check_extendable on H = c^perp is "f fixes c": for
+    # every built-in Gram and 20 seeded rebasings of it, every good
+    # isometry (not only one per <f>), every admissible (c, w, c^perp)
+    # and every anti-embedding onto c^perp from each partner form, which
+    # covers every admissible image
+    @pytest.mark.parametrize("group", BUILTIN_GROUPS)
+    def test_fixing_c_decides_every_gamma(self, group):
+        g = builtin_dataset().group(group)
+        onto_of = {}  # D(N) -> {image: the anti-embeddings onto it}
+        checked = Counter()
+        for k, n0 in enumerate(g.grams):
+            rng = random.Random(2800 + 100 * BUILTIN_GROUPS.index(group) + k)
+            for n in [n0] + [Lattice(exact.conjugate_rows(
+                    rand_unimodular(rng, 3), n0.gram)) for _ in range(20)]:
+                dm = disc_map(n)
+                if dm.fqm not in onto_of:
+                    maps = [gam for a in partner_disc_candidates(n)
+                            for gam in anti_embeddings(a, dm.fqm)]
+                    onto_of[dm.fqm] = {
+                        h: [gam for gam in maps if hom_image(gam) == h]
+                        for _, _, h in admissible_images(dm.fqm)}
+                goods = good_isometries(n)
+                fbars = [induced_map(n, f.matrix) for f in goods]
+                for c, _, image in admissible_images(dm.fqm):
+                    onto = onto_of[dm.fqm][image]
+                    assert onto, (n.gram, c)
+                    for f, fbar in zip(goods, fbars):
+                        fixed = classify_module._fixes(dm, f.matrix,
+                                                       dm.lift(c))
+                        for gam in onto:
+                            assert check_extendable(fbar, gam)[0] == fixed
+                            checked[fixed] += 1
+        # every group has a gluing that some good isometry extends over,
+        # and five have one that some good isometry moves off c
+        assert checked[True] > 0
+        assert (checked[False] > 0) == (group in MOVES_SOME_C)
+
+
+class TestBasisIndependence:
+    # the rows of a lattice depend on its isometry class alone: rebasing
+    # every shipped Gram by 20 seeded unimodular U per group leaves each
+    # lattice's rows unchanged up to the printed N Gram and the class of T
+    @staticmethod
+    def rows_by_lattice(grams, rows):
+        out = [[] for _ in grams]
+        for r in rows:
+            out[grams.index(r.invariant_gram)].append(
+                (r.h_sq, r.h_div, r.m, gauss_reduced(r.t_gram), r.k3_flag))
+        return [sorted(keys) for keys in out]
+
+    @pytest.mark.parametrize("group", [g.name for g in builtin_dataset().groups
+                                       if g.disc is not None])
+    def test_rows_survive_rebasing(self, group):
+        g = builtin_dataset().group(group)
+        grams = [n.gram for n in g.grams]
+        want = self.rows_by_lattice(grams, classify(list(g.grams), g.coinv,
+                                                    g.name))
+        assert all(want)
+        rng = random.Random(3100 + BUILTIN_GROUPS.index(group))
+        for _ in range(20):
+            u = rand_unimodular(rng, 3)
+            moved = [Lattice(exact.conjugate_rows(u, gram)) for gram in grams]
+            rows = classify(moved, g.coinv, g.name)
+            assert self.rows_by_lattice([n.gram for n in moved],
+                                        rows) == want
 
 
 def _random_binary_grams(rng, count):

@@ -12,7 +12,7 @@ import pytest
 
 from k3lat import cli, fqm
 from k3lat.cli import InputError, format_table, main, run_table
-from k3lat.dataset import Dataset, DatasetError, builtin_dataset, \
+from k3lat.dataset import Dataset, DatasetError, b_entries, builtin_dataset, \
     emit_dataset, load_dataset, parse_dataset
 from k3lat.fixtures import DATASET_TEXT
 from k3lat.fqm import Fqm, anti_embeddings, hom_closure_images, hom_image, \
@@ -531,6 +531,60 @@ class TestMain:
             assert out == [f"anti-embeddings: {len(embeddings)}",
                            f"admissible: {per_embedding}",
                            "verdict: admissible"]
+
+    @pytest.mark.parametrize("group", [g.name for g in builtin_dataset().groups
+                                       if g.disc is not None])
+    def test_glue_check_matches_per_map_images(self, capsys, group):
+        # each shipped D(M), given inline, against every built-in Gram: the
+        # pairing test prints what one hom_image and one
+        # k3sq_glue_admissible per anti-embedding printed, including the
+        # count 0 when 2 |D_M| != |D_N|
+        d_m = builtin_dataset().group(group).disc
+        form = ["--disc", ",".join(map(str, d_m.orders)),
+                "--q", ",".join(map(str, d_m.q_diag))]
+        for line in b_entries(d_m):
+            form += ["--b", ",".join(line.split()[1:])]
+        counts = collections.Counter()
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                gram = "; ".join(" ".join(map(str, row)) for row in n.gram)
+                assert main(["glue-check", "--gram", gram] + form) == 0
+                d_n = disc_map(n).fqm
+                embeddings = anti_embeddings(d_m, d_n)
+                admissible = sum(k3sq_glue_admissible(d_n, hom_image(e))
+                                 for e in embeddings)
+                verdict = ("admissible" if admissible
+                           else "no admissible glue")
+                assert capsys.readouterr().out == (
+                    f"anti-embeddings: {len(embeddings)}\n"
+                    f"admissible: {admissible}\n"
+                    f"verdict: {verdict}\n"), (gram, group)
+                counts[2 * d_m.order == d_n.order, admissible > 0,
+                       len(embeddings) > admissible] += 1
+        # both admissible Grams and Grams of another order are met
+        assert counts[True, True, False] + counts[True, True, True] > 0
+        assert counts[False, False, False] + counts[False, False, True] > 0
+
+    @pytest.mark.parametrize("gram,disc,q", [
+        ("2 1 0; 1 6 0; 0 0 22", "11", "20/11"),
+        ("2 0 0; 0 14 0; 0 0 14", "7", "12/7"),
+        ("6 3 0; 3 6 0; 0 0 6", "9", "16/9"),
+    ])
+    def test_glue_check_smaller_form_lands_on_no_image(self, capsys, gram,
+                                                       disc, q):
+        # -q(y) on <y> for a y in some c^perp: its anti-embeddings land
+        # inside c^perp, but on a smaller subgroup, so none is admissible
+        assert main(["glue-check", "--gram", gram, "--disc", disc,
+                     "--q", q]) == 0
+        d_m = Fqm((int(disc),), (Fraction(q),), ((),))
+        d_n = disc_map(Lattice(cli._rows_from_text(gram, "gram"))).fqm
+        embeddings = anti_embeddings(d_m, d_n)
+        assert embeddings and 2 * d_m.order < d_n.order
+        assert not any(k3sq_glue_admissible(d_n, hom_image(e))
+                       for e in embeddings)
+        assert capsys.readouterr().out == (
+            f"anti-embeddings: {len(embeddings)}\nadmissible: 0\n"
+            "verdict: no admissible glue\n")
 
     @pytest.mark.parametrize("form", [
         ["--disc", "11,x", "--q", "16/11,20/11"],

@@ -912,10 +912,14 @@ class TestK3sqGlueImages:
         # that image are exactly the gamma o a for a in O(D_M), each once
         want = admissible_images_by_listing(d_m, d_n)
         first = k3sq_glue_images(d_m, d_n)
-        assert [image for image, _ in first] == [image for image, _ in want]
-        assert [gam for _, gam in first] == [gams[0] for _, gams in want]
+        assert [image for _, image, _ in first] == [image for image, _ in want]
+        assert [gam for _, _, gam in first] == [gams[0] for _, gams in want]
+        # each image comes with the class c of its admissible triple
+        class_of = {image: c for c, _, image in admissible_images(d_n)}
+        assert [c for c, _, _ in first] == [class_of[image]
+                                            for _, image, _ in first]
         autos = isomorphisms(d_m, d_m)
-        for (_, gam), (_, gams) in zip(first, want):
+        for (_, _, gam), (_, gams) in zip(first, want):
             torsor = [compose(gam, a).images for a in autos]
             assert len(set(torsor)) == len(torsor) == len(gams)
             assert sorted(torsor) == sorted(f.images for f in gams)
@@ -948,7 +952,7 @@ class TestK3sqGlueImages:
             onto = collections.Counter(hom_image(f) for f
                                        in anti_embeddings(d_m, d_n))
             cases.add((2 * d_m.order == d_n.order, len(images) > 0,
-                       max((onto[image] for image, _ in images),
+                       max((onto[image] for _, image, _ in images),
                            default=0) > 1))
         assert {(False, False, False), (True, False, False),
                 (True, True, False), (True, True, True)} <= cases
@@ -990,8 +994,10 @@ class TestSharedGlueScan:
         kinds = set()
         for d_m, d_n in pairs[part::4]:
             rows = admissible_images(d_n)
-            got = [(image, gam.images)
-                   for image, gam in k3sq_glue_images(d_m, d_n)]
+            found = k3sq_glue_images(d_m, d_n)
+            got = [(image, gam.images) for _, image, gam in found]
+            class_of = {image: c for c, _, image in rows}
+            assert all(class_of[image] == c for c, image, _ in found)
             assert got == glue_images_per_row(
                 d_m.orders, d_m.q_diag, b_dict(d_m), d_n.orders,
                 d_n.q_diag, b_dict(d_n), rows)
@@ -1140,9 +1146,11 @@ class TestScanCounters:
         # image.  Fresh D(N) objects, so nothing is cached
         disc_map.cache_clear()
         calls, q_reads = collections.Counter(), collections.Counter()
+        read = set()  # ids of the modules whose q or b is read
         for name in ("_eq", "_pair_row"):
             def spy(self, x, real=getattr(Fqm, name), name=name):
                 calls[name, sys._getframe(1).f_code.co_name] += 1
+                read.add(id(self))
                 if name == "_eq":
                     q_reads[id(self)] += 1
                 return real(self, x)
@@ -1169,6 +1177,9 @@ class TestScanCounters:
             if 2 * a.order == d_n.order and admissible_images(d_n))
         assert collections.Counter(map(id, walked)) == candidate_scans
         assert sum(candidate_scans.values()) == 14
+        # deciding extension reads no module: the c test is lattice
+        # arithmetic, and only the scanned modules have q or b read
+        assert read <= set(scanned)
         # q is read once per 2-torsion class of each scanned module: at
         # most 2^rank, 70 over the pass
         assert q_reads == {key: 2 ** sum(d % 2 == 0 for d in d_n.orders)

@@ -439,7 +439,8 @@ class TestCoinvariantRepresentative:
                     d_m = disc_map(m).fqm
                     assert is_isomorphic(
                         d_m, negated(subgroup_presentation(image).source))
-                    gam = dict(k3sq_glue_images(d_m, d_n))[image]
+                    gam = {h: f for _, h, f
+                           in k3sq_glue_images(d_m, d_n)}[image]
                     glued = overlattice(n, m, gam)
                     assert glued.is_even and abs(glued.det) == 2
                     assert glued.signature == (3, 20)
