@@ -2,11 +2,13 @@
 
 Pipeline: enumerate good isometries of each invariant lattice, one per
 cyclic group <f> (named by its axis and order), read the admissible glue
-images c^perp of D(N), c an order-2 class with q(c) = 3/2, each with c and
-one anti-embedding of the coinvariant form onto it (fqm.k3sq_glue_images),
-keep the isometries fixing c (in exact mode, with a realized witness), and
-emit one row per GL2(Z) class of the transcendental lattice, carrying the
-polarization degree, its divisibility and the K3-birational flag.
+images c^perp of D(N), c an order-2 class with q(c) = 3/2, each as c and
+one anti-embedding of the coinvariant form onto c^perp
+(fqm.k3sq_glue_images), keep the isometries fixing c (in exact mode, with
+a realized witness), and emit one row per GL2(Z) class of the
+transcendental lattice, carrying the polarization degree, its
+divisibility and the K3-birational flag: each read off x = dm.lift(c) by
+one class test, _same_class.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from typing import Optional, Sequence
 
 from . import exact
 from .enumeration import Isometry, all_automorphisms
-from .fqm import Fqm, FqmHom, Subgroup, conjugates, k3sq_glue_images
-from .glue import check_extendable, divisibility_in_glued, realized_actions
+from .fqm import Fqm, FqmHom, conjugates, k3sq_glue_images
+from .glue import check_extendable, realized_actions
 from .lattice import Lattice, disc_map, induced_map, orthogonal_complement
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -74,14 +76,35 @@ def _complement(n: Lattice, h) -> tuple[tuple, IntMatrix]:
     return (t1, t2), ((a, b), (b, c))
 
 
-def k3_birational_flag(n: Lattice, t_basis: Sequence[Sequence[int]],
-                       image: Subgroup) -> str:
-    """"excluded" when t1, t2 or t1+t2 has divisibility 2 in the glued
-    lattice (a wall class survives on the transcendental side), else
-    "unknown"."""
+def _same_class(den: int, u: Sequence[int], x: Sequence[int]) -> bool:
+    """Do the numerator rows u and x over den name one class of D(N)?  Iff
+    u - x lies in N, i.e. iff den divides each of its numerators."""
+    return not any((a - b) % den for a, b in zip(u, x))
+
+
+def _fixes(dm, f, x) -> bool:
+    """Does the isometry f fix the class of x = dm.lift(c) in D(N)?"""
+    return _same_class(dm.den, exact.mat_vec(x, f), x)
+
+
+def _glued_div(den: int, v: Sequence[int], x: Sequence[int]) -> int:
+    """div(v), v primitive in N, in the lattice glued along c^perp,
+    x = dm.lift(c).  That lattice projects onto N_c, the lifts of c^perp,
+    of index 2 in N^* and holding N; v . N^* = Z, so div(v) is 1 or 2, and
+    2 iff v pairs evenly with N_c, iff v/2 is in N^* with
+    b(v/2, .) = b(c, .), iff (b has no radical) (den/2) v names c."""
+    return 2 if _same_class(den, [den // 2 * a for a in v], x) else 1
+
+
+def k3_birational_flag(den: int, x: Sequence[int],
+                       t_basis: Sequence[Sequence[int]]) -> str:
+    """"excluded" when t1, t2 or t1+t2 (primitive, as T = h^perp is
+    saturated) has divisibility 2 in the lattice glued along c^perp,
+    x = dm.lift(c) (a wall class survives on the transcendental side),
+    else "unknown"."""
     t1, t2 = t_basis
     for v in (t1, t2, [a + b for a, b in zip(t1, t2)]):
-        if divisibility_in_glued(n, v, image) == 2:
+        if _glued_div(den, v, x) == 2:
             return "excluded"
     return "unknown"
 
@@ -132,20 +155,14 @@ def gauss_reduced(t_gram: IntMatrix) -> tuple[int, int, int]:
         a, c = c, a
 
 
-def _fixes(dm, f, x) -> bool:
-    """Does the isometry f fix the class of x = dm.lift(c) in D(N)?  Iff
-    x f - x lies in N, i.e. iff dm.den divides each of its numerators."""
-    return not any((y - a) % dm.den for y, a in zip(exact.mat_vec(x, f), x))
-
-
 def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
              group_name: str, mode: str = "permissive"
              ) -> list[ClassificationRow]:
     """One row per (h^2, div, m, GL2(Z) class of T, invariant Gram), sorted.
 
     Loops over the admissible images H = c^perp of D(N), found once per
-    distinct D(N) with c and one gamma onto each; an image alone fixes div
-    and the k3 flag.  f extends only if fbar(H) = H (condition 1 of
+    distinct D(N) as c and one gamma onto each; c alone fixes div and the
+    k3 flag (_glued_div).  f extends only if fbar(H) = H (condition 1 of
     check_extendable), which holds iff f fixes c (Nikulin 1979, 1.5): fbar
     is an isometry of D(N), so fbar(c^perp) = fbar(c)^perp, and as b has
     no radical, (c^perp)^perp = <c> = {0, c}, so fbar(c)^perp = c^perp
@@ -165,7 +182,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
     realized = (conjugates(m_data.disc,
                            realized_actions(m_data.disc, m_data.obar))
                 if mode == "exact" else None)
-    images_of: dict[Fqm, list[tuple]] = {}  # D(N) -> (c, image, gamma)s
+    images_of: dict[Fqm, list[tuple]] = {}  # D(N) -> (c, gamma)s
     merged: dict[tuple, ClassificationRow] = {}
     for n in invariant_lattices:
         goods = good_isometries(n)  # raises unless rank 3, even, definite
@@ -185,7 +202,7 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
             gens.setdefault((_fixed_line(f.matrix), f.order), f)
         fbars: dict[tuple, FqmHom] = {}  # exact mode, built on first use
         complements: dict[tuple, tuple] = {}  # axis h -> (T rows, T gram)
-        for c, image, gam in images:
+        for c, gam in images:
             x = dm.lift(c)
             orders: dict[tuple, list[int]] = {}  # axis -> m of extending f
             for (h, m), f in gens.items():
@@ -201,8 +218,8 @@ def classify(invariant_lattices: Sequence[Lattice], m_data: CoinvariantData,
                 if h not in complements:
                     complements[h] = _complement(n, h)
                 t_rows, t_gram = complements[h]
-                h_div = divisibility_in_glued(n, h, image)
-                flag = k3_birational_flag(n, t_rows, image)
+                h_div = _glued_div(dm.den, h, x)  # h is primitive
+                flag = k3_birational_flag(dm.den, x, t_rows)
                 for m in ms:
                     row = ClassificationRow(group_name, n.norm(h), h_div, m,
                                             t_gram, flag, n.gram, mode)

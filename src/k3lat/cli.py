@@ -15,14 +15,13 @@ import csv
 import io
 import sys
 from fractions import Fraction
-from operator import mul
 from typing import Optional, Sequence
 
 from .classify import ClassificationRow, classify, good_isometries
 from .dataset import Dataset, DatasetError, GroupEntry, b_entries, \
     builtin_dataset, disc_form, load_dataset
 from .enumeration import automorphism_group, vectors_of_norm
-from .fqm import Fqm, admissible_images, anti_embeddings
+from .fqm import Fqm, admissible_images, anti_embeddings, in_perp
 from .hilb2 import ample_model_verdict, minus2_wall_scan, obstruction_report
 # perfbench reads these through cli
 from .dataset import emit_dataset, parse_dataset  # noqa: F401
@@ -75,26 +74,17 @@ def _t_text(t: IntMatrix) -> str:
     return "[[{},{}],[{},{}]]".format(t[0][0], t[0][1], t[1][0], t[1][1])
 
 
-def _row_tuple(row: ClassificationRow):
-    return (row.group_name, row.h_sq, row.h_div, row.m, row.t_gram,
-            row.k3_flag, row.mode)
-
-
 def format_table(rows: Sequence[ClassificationRow], out_format: str) -> str:
-    tups = [_row_tuple(r) for r in rows]
+    cells = [[r.group_name, str(r.h_sq), str(r.h_div), str(r.m),
+              _t_text(r.t_gram), r.k3_flag, r.mode] for r in rows]
     if out_format == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(TABLE_COLUMNS)
-        for g, h_sq, div, m, t, k3, mode in tups:
-            writer.writerow([g, h_sq, div, m, _t_text(t), k3, mode])
+        csv.writer(buf, lineterminator="\n").writerows([TABLE_COLUMNS, *cells])
         return buf.getvalue()
     if out_format == "markdown":
         lines = ["| " + " | ".join(TABLE_COLUMNS) + " |",
                  "|" + "|".join(" --- " for _ in TABLE_COLUMNS) + "|"]
-        for g, h_sq, div, m, t, k3, mode in tups:
-            cells = [g, str(h_sq), str(div), str(m), _t_text(t), k3, mode]
-            lines.append("| " + " | ".join(cells) + " |")
+        lines += ["| " + " | ".join(row) + " |" for row in cells]
         return "\n".join(lines) + "\n"
     raise InputError(f"unknown table format {out_format!r}")
 
@@ -269,11 +259,10 @@ def _cmd_glue_check(args) -> int:
         m_disc = _inline_disc(args)
     d_n = _resolve_disc(args)
     embeddings = anti_embeddings(m_disc, d_n)
-    # an injective map of order |D_N| / 2 is onto c^perp iff y . w = 0 mod e
-    rows = ([w for _, w, _ in admissible_images(d_n)]
+    # an injective map of order |D_N| / 2 is onto c^perp iff its images are
+    rows = ([w for _, w in admissible_images(d_n)]
             if 2 * m_disc.order == d_n.order else [])
-    e = max(d_n.orders, default=1)
-    admissible = sum(any(all(not sum(map(mul, y, w)) % e for y in gam.images)
+    admissible = sum(any(all(in_perp(d_n, y, w) for y in gam.images)
                          for w in rows) for gam in embeddings)
     print("anti-embeddings:", len(embeddings))
     print("admissible:", admissible)

@@ -12,7 +12,7 @@ Fields inside a group block:
     gram <n>                followed by n rows of n integers (repeatable)
     disc <o1> <o2> ...      generator orders of the coinvariant disc form
     q <v1> <v2> ...         q values of those generators, rationals mod 2
-    b <i> <j> <v>           off-diagonal pairing, one line per nonzero value
+    b <i> <j> <v>           off-diagonal pairing, one line per nonzero (i, j)
     obar <x,..> <x,..> ...  an isometry of the disc form, one image per
                             generator as comma-joined coordinates (repeatable)
     coinv_gram <n>          Gram matrix of the coinvariant lattice itself
@@ -90,13 +90,17 @@ def disc_form(orders: Sequence[int], q_vals: Sequence[Fraction],
     r = len(orders)
     if len(q_vals) != r:
         raise ValueError("q: want one value per disc generator")
-    b_off = [[Fraction(0)] * (r - 1 - i) for i in range(r)]
+    given: dict[tuple[int, int], Fraction] = {}
     for i, j, val in b_triples:
         if not 0 <= i < j < r:
             raise ValueError(f"b {i} {j}: indices must satisfy "
                              "0 <= i < j < rank")
-        b_off[i][j - i - 1] = val
-    return Fqm(tuple(orders), tuple(q_vals), tuple(map(tuple, b_off)))
+        if (i, j) in given:
+            raise ValueError(f"b {i} {j}: pairing given twice")
+        given[i, j] = val
+    return Fqm(tuple(orders), tuple(q_vals), tuple(
+        tuple(given.get((i, j), Fraction(0)) for j in range(i + 1, r))
+        for i in range(r)))
 
 
 def b_entries(fqm: Fqm) -> list[str]:
@@ -231,9 +235,13 @@ def _parse_group_block(lines: Lines, start: int,
         elif key == "b":
             if len(toks) != 4:
                 _fail(line, "b wants 'b <i> <j> <value>'")
-            b_triples.append((_int(toks[1], line, "b"),
-                              _int(toks[2], line, "b"),
-                              _rational(toks[3], line, "b")))
+            i, j = _int(toks[1], line, "b"), _int(toks[2], line, "b")
+            pair = f"b {i} {j}"
+            if pair in line_of:
+                _fail(line, f"repeated {pair}: already given on line "
+                            f"{line_of[pair]}")
+            line_of[pair] = line
+            b_triples.append((i, j, _rational(toks[3], line, "b")))
         elif key == "obar":
             obar_rows.append((line, toks[1:]))
         elif key == "coinv_gram":

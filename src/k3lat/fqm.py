@@ -14,11 +14,11 @@ per module when it is built.  q and b still return Fractions; the searches
 (anti-embeddings, isomorphisms), the form checks of FqmHom and the glue
 criterion make none.  Every scan of a whole module is one incremental walk
 (Fqm._walk), which steps e*q by one add per element.  The glue criterion is
-decided once per module: admissible_images caches on it one
-(c, w, c^perp) triple per admissible image, c an order-2 class with
-q = 3/2 and w its pairing row, read off the at most 2^r classes of the
-2-torsion, and k3sq_glue_images scans D(N) once for one anti-embedding
-onto each.
+decided once per module: admissible_images caches on it one (c, w) pair
+per admissible image c^perp, c an order-2 class with q = 3/2 and w its
+pairing row (y is in c^perp iff y . w = 0 mod e: in_perp), read off the at
+most 2^r classes of the 2-torsion, and k3sq_glue_images scans D(N) once
+for one anti-embedding onto each.
 
 A subgroup is kept as the Hermite basis of its preimage lattice in Z^r:
 order, membership and equality cost O(r^2) integer operations, and its
@@ -187,33 +187,16 @@ class Fqm:
         return sum(c * w for c, w in zip(x, self._pair_row(y))) % self._ints[0]
 
     @cached_property
-    def _admissible_images(self) -> list[tuple[Element, tuple[int, ...],
-                                                Subgroup]]:
+    def _admissible_images(self) -> list[tuple[Element, tuple[int, ...]]]:
         """admissible_images(self), built on first use."""
         e = self._ints[0]
         if e % 2:  # no q = 3/2 level
             return []
-        out = []
         # b(2c, .) = 0 is 2c = 0, as b has no radical: c is 2-torsion, with
         # each coordinate 0 or d_i / 2, listed in elements() order
-        for c in itertools.product(*[(0, d // 2) if d % 2 == 0 else (0,)
-                                     for d in self.orders]):
-            if self._eq(c) != 3 * e // 2:
-                continue
-            w = self._pair_row(c)
-            # each w_i is 0 or e/2, so x is in c^perp iff its coefficients
-            # on the support of w have even sum: e_i off the support and
-            # e_i + e_s on it, s the first index there, generate c^perp
-            s = next((i for i, x in enumerate(w) if x), None)
-            image = Subgroup.generated(self, [
-                [int(j == i) + int(j == s and x != 0)
-                 for j in range(self.rank)] for i, x in enumerate(w)])
-            if 2 * image.order != self.order:
-                raise RuntimeError(f"c^perp for the character {w} has order "
-                                   f"{image.order} in a module of order "
-                                   f"{self.order}, not index 2")
-            out.append((c, w, image))
-        return out
+        return [(c, self._pair_row(c)) for c in itertools.product(
+            *[(0, d // 2) if d % 2 == 0 else (0,) for d in self.orders])
+            if self._eq(c) == 3 * e // 2]
 
     def q(self, x: Iterable[int]) -> Fraction:
         """q(x) = sum c_i^2 q_i + 2 sum_{i<j} c_i c_j b_ij, reduced mod 2."""
@@ -465,23 +448,25 @@ def is_isomorphic(a: Fqm, b: Fqm) -> bool:
         next(_form_embeddings(a, b, 1), None) is not None
 
 
-def admissible_images(d_n: Fqm
-                      ) -> list[tuple[Element, tuple[int, ...], Subgroup]]:
-    """The admissible glue images of D(N) as (c, w, c^perp) triples, built
-    once per module and cached on it.
+def admissible_images(d_n: Fqm) -> list[tuple[Element, tuple[int, ...]]]:
+    """The admissible glue images c^perp of D(N) as (c, w) pairs, one per
+    order-2 class c with q(c) = 3/2, in elements() order, read off the
+    2-torsion alone and cached on the module.
 
     An admissible image H has index 2 and a class c outside it with
     q(c) = 3/2 and b(c, H) = 0.  As b(c, c) = q(c) mod 1 = 1/2, H = c^perp
-    and b(c, .) is a character of order 2; conversely every c with
-    q(c) = 3/2 and b(2c, .) = 0 makes c^perp admissible.  As b has no
-    radical, b(2c, .) = 0 means 2c = 0, and distinct c have distinct
-    characters: one triple per order-2 class c with q(c) = 3/2, in
-    elements() order, read off the 2-torsion alone.  w is the row
-    d_n._pair_row(c), with e b(x, c) = sum_i x_i w_i mod e, each w_i 0 or
-    e/2.
-    Raises if some c^perp does not have index 2.
+    and b(c, .) has order 2, so 2c = 0 as b has no radical.  Conversely,
+    for such a c, b(c, .) is nonzero (c is not 0) of order 2, so c^perp
+    has index 2, and distinct c have distinct characters.  w is
+    d_n._pair_row(c), each w_i 0 or e/2, and in_perp(d_n, y, w) tests y.
     """
     return d_n._admissible_images
+
+
+def in_perp(d_n: Fqm, y: Iterable[int], w: tuple[int, ...]) -> bool:
+    """Is y in c^perp, for w = d_n._pair_row(c)?  e b(y, c) = y . w mod e,
+    well defined on unreduced coordinates."""
+    return not sum(map(operator.mul, y, w)) % d_n._ints[0]
 
 
 def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
@@ -489,42 +474,41 @@ def k3sq_glue_admissible(d_n: Fqm, image: Subgroup) -> bool:
 
     True iff the image has index 2 and some x outside it pairs integrally
     with the whole image and has q(x) = 3/2 mod 2, i.e. iff it is c^perp
-    for an order-2 class c with q(c) = 3/2, one of admissible_images(d_n).
-    This is the uniqueness criterion for the glued lattice being the
-    rank-23 hyperkaehler one.
+    for a c of admissible_images(d_n), iff it has index 2 and each basis
+    row lies in c^perp.  This is the uniqueness criterion for the glued
+    lattice being the rank-23 hyperkaehler one.
     """
     if image.ambient != d_n:
         raise ValueError("image must be a subgroup of the given module")
-    return any(h.basis == image.basis for _, _, h in admissible_images(d_n))
+    return 2 * image.order == d_n.order and any(
+        all(in_perp(d_n, y, w) for y in image.basis)
+        for _, w in admissible_images(d_n))
 
 
-def k3sq_glue_images(a: Fqm, d_n: Fqm
-                     ) -> list[tuple[Element, Subgroup, FqmHom]]:
-    """(c, c^perp, gamma) for the admissible_images triples whose c^perp
+def k3sq_glue_images(a: Fqm, d_n: Fqm) -> list[tuple[Element, FqmHom]]:
+    """(c, gamma) for the admissible_images pairs whose c^perp
     anti-embeddings A -> D(N) reach, gamma the first one onto c^perp, in
     the order in which anti_embeddings(a, d_n) first meets the images.
-    D(N) is scanned for candidates once; each triple then runs its own
-    search on the candidates inside its c^perp and stops at its first map:
-    the others onto the image are its compositions with O(A).
+    D(N) is scanned for candidates once; each c then runs its own search
+    on the candidates inside its c^perp and stops at its first map: the
+    others onto the image are its compositions with O(A).
     """
     if 2 * a.order != d_n.order:
         return []
     _check_bound(a, d_n)
-    triples = admissible_images(d_n)
-    if not triples:
+    pairs = admissible_images(d_n)
+    if not pairs:
         return []
-    e = d_n._ints[0]
     candidates = _candidates(a, d_n, -1)
     found = []
-    for c, row, image in triples:
-        inside = [[y for y in ys if not sum(map(operator.mul, y, row)) % e]
-                  for ys in candidates]
+    for c, w in pairs:
+        inside = [[y for y in ys if in_perp(d_n, y, w)] for ys in candidates]
         gam = next(_form_embeddings(a, d_n, -1, inside), None)
         if gam is not None:
-            found.append((c, image, gam))
+            found.append((c, gam))
     # each candidate list is in elements() order, so sorting by the first
     # map's images is the order in which anti_embeddings meets the images
-    found.sort(key=lambda item: item[2].images)
+    found.sort(key=lambda item: item[1].images)
     return found
 
 

@@ -199,7 +199,7 @@ def partner_disc_candidates(n: Lattice) -> list[Fqm]:
     disc = disc_map.__wrapped__  # uncached: nothing asks for N~_c again
     kept: list[Fqm] = []
     # each w_i is 0 or e/2: reversed rows compare as the support masks do
-    for c, _, _ in sorted(admissible_images(d), key=lambda t: t[1][::-1]):
+    for c, _ in sorted(admissible_images(d), key=lambda t: t[1][::-1]):
         form = disc(overlattice_pairs(n, two, [(c, (1,))])).fqm
         # negation preserves isomorphism, so only the kept forms negate
         if not any(is_isomorphic(form, seen) for seen in kept):

@@ -14,7 +14,8 @@ binary-quadratic solver hilb2.vector_with replaced; parse_table, the
 reader that round-trips the `k3lat table` schema; fixed_line_by_kernel,
 classify's per-isometry fixed line and complement from two Smith-form
 kernels (lattice.invariant_and_coinvariant); and admissible_images_by_walk,
-the admissible scan over a whole Fqm walk.
+the admissible scan over a whole Fqm walk, with perp_subgroup, the c^perp
+Subgroup that fqm.admissible_images built before it kept (c, w) alone.
 """
 
 from __future__ import annotations
@@ -468,12 +469,12 @@ def form_candidates_scan(src_orders, src_q, dst_orders, dst_q, dst_b, sign):
 
 def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
                         rows):
-    """The glue images as one search per admissible row: for each (c, w, H)
+    """The glue images as one search per admissible row: for each (c, w)
     of rows, the candidates inside c^perp (sum x_i w_i = 0 mod the
     exponent) are scanned afresh and the anti-embeddings into them found
-    by a lexicographic backtrack on Fractions.  Returns (H, image tuples)
-    for each H that some injective map reaches, with its first map, sorted
-    by that map.  src_b and dst_b are dicts {(i,j): Fraction}."""
+    by a lexicographic backtrack on Fractions.  Returns (c, image tuples)
+    for each c^perp that some injective map reaches, with its first map,
+    sorted by that map.  src_b and dst_b are dicts {(i,j): Fraction}."""
     if 2 * math.prod(src_orders) != math.prod(dst_orders):
         return []
     e = dst_orders[-1]
@@ -494,14 +495,14 @@ def glue_images_per_row(src_orders, src_q, src_b, dst_orders, dst_q, dst_b,
                 yield from extend(chosen + [y], cands)
 
     found = []
-    for _, w, image in rows:
+    for c, w in rows:
         inside = [[y for y in ys if not sum(map(operator.mul, y, w)) % e]
                   for ys in form_candidates_scan(src_orders, src_q,
                                                  dst_orders, dst_q, dst_b,
                                                  -1)]
         first = next(extend([], inside), None)
         if first is not None:
-            found.append((image, first))
+            found.append((c, first))
     found.sort(key=lambda item: item[1])
     return found
 
@@ -589,16 +590,20 @@ def admissible_images_by_walk(d):
     e = d._ints[0]
     if e % 2:
         return []
-    out = []
-    for c, v in d._walk():
-        if v != 3 * e // 2 or any(d.scale(2, c)):
-            continue
-        w = d._pair_row(c)
-        s = next((i for i, x in enumerate(w) if x), None)
-        out.append((c, w, Subgroup.generated(d, [
-            [int(j == i) + int(j == s and x != 0) for j in range(d.rank)]
-            for i, x in enumerate(w)])))
-    return out
+    return [(c, d._pair_row(c)) for c, v in d._walk()
+            if v == 3 * e // 2 and not any(d.scale(2, c))]
+
+
+def perp_subgroup(d, w):
+    """c^perp as a Subgroup, for w = d._pair_row(c) with each w_i 0 or
+    e/2, as admissible_images built it before it kept (c, w) alone: x is
+    in c^perp iff its coefficients on the support of w have even sum, so
+    e_i off the support and e_i + e_s on it, s the first index there,
+    generate c^perp."""
+    s = next((i for i, x in enumerate(w) if x), None)
+    return Subgroup.generated(d, [
+        [int(j == i) + int(j == s and x != 0) for j in range(d.rank)]
+        for i, x in enumerate(w)])
 
 
 def subgroup_closure(orders, gens):

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -28,13 +29,14 @@ from k3lat.lattice import Lattice, disc_map, induced_map
 from oracles import (char_poly, compose, conjugates_by_search,
                      fixed_line_and_complement, fixed_line_by_kernel,
                      glue_images, good_isometries_unfiltered, negation_hom,
-                     rand_unimodular, subgroup_presentation)
+                     perp_subgroup, rand_unimodular, subgroup_presentation)
 
 A6_GRAM = ((6, 3, 0), (3, 6, 0), (0, 0, 6))
 L2_11_GRAM = ((2, 1, 0), (1, 6, 0), (0, 0, 22))
 DIAG6 = Lattice(((6, 0, 0), (0, 6, 0), (0, 0, 6)))
 # order 6, trace 2, fixes e3
 A6_BLOCK = ((0, 1, 0), (-1, 1, 0), (0, 0, 1))
+BUILTIN_GROUPS = [g.name for g in builtin_dataset().groups]
 
 
 def negated(m: Fqm) -> Fqm:
@@ -184,25 +186,122 @@ class TestPolarization:
         assert checked > 100
 
 
+def glued_divs(n, c, w, vectors):
+    """div of each vector in the lattice glued along c^perp, by
+    divisibility_in_glued over the c^perp Subgroup built from w."""
+    image = perp_subgroup(disc_map(n).fqm, w)
+    return tuple(divisibility_in_glued(n, v, image) for v in vectors)
+
+
+def flag_of(n, c, t_rows):
+    dm = disc_map(n)
+    return k3_birational_flag(dm.den, dm.lift(c), t_rows)
+
+
 class TestBirationalFlag:
+    # on real admissible classes c: each built-in Gram's D(N), the axis h
+    # of a good isometry and T = h^perp
+    L3_4 = Lattice(((2, 0, 0), (0, 10, 4), (0, 4, 10)))
+
     def test_odd_divisibilities_unknown(self):
         n = Lattice(L2_11_GRAM)
-        img = Subgroup.generated(disc_map(n).fqm, ())
-        assert k3_birational_flag(n, ((1, 0, 0), (0, 1, 0)), img) == "unknown"
+        (c, w), = admissible_images(disc_map(n).fqm)
+        t_rows, _ = _complement(n, (0, 0, 1))
+        assert t_rows == ((1, 0, 0), (0, 1, 0))
+        assert glued_divs(n, c, w, [(1, 0, 0), (0, 1, 0), (1, 1, 0)]) \
+            == (1, 1, 1)
+        assert flag_of(n, c, t_rows) == "unknown"
 
     def test_basis_vector_with_divisibility_two(self):
-        n = Lattice(((2, 0, 0), (0, 4, 0), (0, 0, 6)))
-        img = Subgroup.generated(disc_map(n).fqm, ())
-        assert k3_birational_flag(n, ((1, 0, 0), (0, 0, 1)), img) == "excluded"
+        n = Lattice(L2_11_GRAM)
+        (c, w), = admissible_images(disc_map(n).fqm)
+        t_rows, _ = _complement(n, (1, -2, 0))
+        assert t_rows == ((1, 0, 0), (0, 0, 1))
+        assert glued_divs(n, c, w, [(1, 0, 0), (0, 0, 1), (1, 0, 1)]) \
+            == (1, 2, 1)
+        assert flag_of(n, c, t_rows) == "excluded"
 
     def test_only_sum_has_divisibility_two(self):
-        # in the A3 gram both basis vectors pair oddly but their sum is even
-        n = Lattice(((2, 1, 0), (1, 2, 1), (0, 1, 2)))
-        img = Subgroup.generated(disc_map(n).fqm, ())
-        assert lattice.divisibility(n, (1, 0, 0)) == 1
-        assert lattice.divisibility(n, (0, 0, 1)) == 1
-        assert lattice.divisibility(n, (1, 0, 1)) == 2
-        assert k3_birational_flag(n, ((1, 0, 0), (0, 0, 1)), img) == "excluded"
+        n = self.L3_4
+        c = (1, 1, 21)
+        (w,) = [w for x, w in admissible_images(disc_map(n).fqm) if x == c]
+        t_rows, _ = _complement(n, (0, 1, -1))
+        assert t_rows == ((1, 0, 0), (0, 1, 1))
+        assert glued_divs(n, c, w, [(1, 0, 0), (0, 1, 1), (1, 1, 1)]) \
+            == (1, 1, 2)
+        assert flag_of(n, c, t_rows) == "excluded"
+
+    def test_every_builtin_axis_and_class(self):
+        kinds = Counter()
+        for g in builtin_dataset().groups:
+            for n in g.grams:
+                axes = {_fixed_line(f.matrix) for f in good_isometries(n)}
+                for c, w in admissible_images(disc_map(n).fqm):
+                    for h in axes:
+                        (t1, t2), _ = _complement(n, h)
+                        divs = glued_divs(n, c, w, [
+                            t1, t2, [a + b for a, b in zip(t1, t2)]])
+                        assert flag_of(n, c, (t1, t2)) == (
+                            "excluded" if 2 in divs else "unknown")
+                        kinds[divs] += 1
+        # div 2 on t1 alone, t2 alone, the sum alone, or on none
+        assert kinds == {(1, 1, 1): 96, (1, 2, 1): 40, (2, 1, 1): 28,
+                         (1, 1, 2): 14}
+
+
+def even_ternaries(rng, count):
+    """The first count even positive definite ternary Grams with det at
+    most 300 drawn with diagonal in 2..12 and off-diagonal in -5..5."""
+    out = []
+    while len(out) < count:
+        g = [[0] * 3 for _ in range(3)]
+        for i in range(3):
+            g[i][i] = 2 * rng.randint(1, 6)
+            for j in range(i):
+                g[i][j] = g[j][i] = rng.randint(-5, 5)
+        if 0 < exact.bareiss_det(g) <= 300 and (
+                n := Lattice(g)).is_positive_definite:
+            out.append(n)
+    return out
+
+
+BOX = [v for v in itertools.product(range(-3, 4), repeat=3)
+       if math.gcd(*v) == 1]
+
+
+class TestGluedDivisibilityOracle:
+    # classify reads div(v) in the glued lattice off the class c alone:
+    # it must be what divisibility_in_glued computes over the c^perp
+    # Subgroup, for every admissible c and every primitive v in a box, on
+    # every built-in Gram with 20 seeded rebasings of it, and on a seeded
+    # sample of even ternaries
+    @staticmethod
+    def check(n):
+        dm = disc_map(n)
+        checked = 0
+        for c, w in admissible_images(dm.fqm):
+            x = dm.lift(c)
+            want = glued_divs(n, c, w, BOX)
+            assert [classify_module._glued_div(dm.den, v, x)
+                    for v in BOX] == list(want), (n.gram, c)
+            checked += len(BOX)
+        return checked
+
+    @pytest.mark.parametrize("group", BUILTIN_GROUPS)
+    def test_builtin_grams_and_rebasings(self, group):
+        g = builtin_dataset().group(group)
+        checked = 0
+        for k, n0 in enumerate(g.grams):
+            rng = random.Random(2900 + 100 * BUILTIN_GROUPS.index(group) + k)
+            for n in [n0] + [Lattice(exact.conjugate_rows(
+                    rand_unimodular(rng, 3), n0.gram)) for _ in range(20)]:
+                checked += self.check(n)
+        assert checked > 0
+
+    def test_even_ternaries(self):
+        lattices = even_ternaries(random.Random(2929), 100)
+        counts = Counter(bool(self.check(n)) for n in lattices)
+        assert counts[True] > 0 and counts[False] > 0
 
 
 class TestClassify:
@@ -240,7 +339,7 @@ class TestClassify:
         disc = coinv_disc(n, ((1, 0), (0, 2)))
         md = CoinvariantData(disc=disc,
                              obar=tuple(orthogonal_group(disc)[0]))
-        (c, _, _), = admissible_images(disc_map(n).fqm)
+        (c, _), = admissible_images(disc_map(n).fqm)
         assert classify_module._fixes(disc_map(n), bogus.matrix,
                                       disc_map(n).lift(c))
         if mode == "permissive":
@@ -377,6 +476,15 @@ def inverse_pairs(goods):
             if f.order > 2 and exact.mat_mul(f.matrix, g.matrix) == ident]
 
 
+def reference_flag(n, t_rows, image):
+    """k3_birational_flag decided by divisibility_in_glued over the image
+    subgroup, on t1, t2 and t1+t2."""
+    t1, t2 = t_rows
+    return "excluded" if any(
+        divisibility_in_glued(n, v, image) == 2
+        for v in (t1, t2, [a + b for a, b in zip(t1, t2)])) else "unknown"
+
+
 def reference_classify(lattices, m_data, group_name, mode="permissive"):
     """classify as a plain per-(image, f, gamma) loop with every decision
     made afresh and a row from every good isometry: the merged rows and
@@ -405,7 +513,7 @@ def reference_classify(lattices, m_data, group_name, mode="permissive"):
                 h, t_rows, t_gram = fixed_line_by_kernel(n, f.matrix)
                 row = ClassificationRow(
                     group_name, n.norm(h), divisibility_in_glued(n, h, image),
-                    f.order, t_gram, k3_birational_flag(n, t_rows, image),
+                    f.order, t_gram, reference_flag(n, t_rows, image),
                     n.gram, mode)
                 key = (row.h_sq, row.h_div, row.m, row.invariant_gram,
                        gauss_reduced(t_gram))
@@ -553,7 +661,7 @@ class TestHoistedLoop:
             ident = identity_hom(g.disc).images
             for n in g.grams:
                 pairs = inverse_pairs(good_isometries(n))
-                for _, _, gam in k3sq_glue_images(g.disc, disc_map(n).fqm):
+                for _, gam in k3sq_glue_images(g.disc, disc_map(n).fqm):
                     for f, f_inv in pairs:
                         ok, w = check_extendable(induced_map(n, f.matrix),
                                                  gam, realized)
@@ -690,11 +798,11 @@ class TestConjugacyClosure:
 
         def last_gamma_images(a, d_n):
             out = []
-            for c, image, gam in real(a, d_n):
+            for c, gam in real(a, d_n):
                 onto = [f for f in anti_embeddings(a, d_n)
-                        if hom_image(f) == image]
+                        if hom_image(f) == hom_image(gam)]
                 moved.append(onto[-1] != gam)
-                out.append((c, image, onto[-1]))
+                out.append((c, onto[-1]))
             return out
         monkeypatch.setattr(classify_module, "k3sq_glue_images",
                             last_gamma_images)
@@ -703,15 +811,14 @@ class TestConjugacyClosure:
         assert any(moved)
 
 
-BUILTIN_GROUPS = [g.name for g in builtin_dataset().groups]
 MOVES_SOME_C = {"2xL2(7)", "M10", "Q(3^2:2)", "3^2:QD16", "3^(1+4):2.2^2"}
 
 
 class TestFixedClassCriterion:
     # condition 1 of check_extendable on H = c^perp is "f fixes c": for
     # every built-in Gram and 20 seeded rebasings of it, every good
-    # isometry (not only one per <f>), every admissible (c, w, c^perp)
-    # and every anti-embedding onto c^perp from each partner form, which
+    # isometry (not only one per <f>), every admissible (c, w) and every
+    # anti-embedding onto c^perp from each partner form, which
     # covers every admissible image
     @pytest.mark.parametrize("group", BUILTIN_GROUPS)
     def test_fixing_c_decides_every_gamma(self, group):
@@ -726,13 +833,15 @@ class TestFixedClassCriterion:
                 if dm.fqm not in onto_of:
                     maps = [gam for a in partner_disc_candidates(n)
                             for gam in anti_embeddings(a, dm.fqm)]
+                    image_of = {c: perp_subgroup(dm.fqm, w)
+                                for c, w in admissible_images(dm.fqm)}
                     onto_of[dm.fqm] = {
-                        h: [gam for gam in maps if hom_image(gam) == h]
-                        for _, _, h in admissible_images(dm.fqm)}
+                        c: [gam for gam in maps if hom_image(gam) == h]
+                        for c, h in image_of.items()}
                 goods = good_isometries(n)
                 fbars = [induced_map(n, f.matrix) for f in goods]
-                for c, _, image in admissible_images(dm.fqm):
-                    onto = onto_of[dm.fqm][image]
+                for c, _ in admissible_images(dm.fqm):
+                    onto = onto_of[dm.fqm][c]
                     assert onto, (n.gram, c)
                     for f, fbar in zip(goods, fbars):
                         fixed = classify_module._fixes(dm, f.matrix,

@@ -279,6 +279,16 @@ class TestParseEmit:
                            f"{field}: already given on line {first}$"):
             parse_dataset(self.SINGLE.replace(once, twice, 1))
 
+    @pytest.mark.parametrize("again", ["b 0 1 1/2", "b 0 01 0"])
+    def test_pairing_is_not_repeated(self, again):
+        # a second b for one (i, j) used to override the first silently
+        text = self.SINGLE.replace("disc 2\nq 3/2\n",
+                                   "disc 2 2\nq 3/2 3/2\nb 0 1 0\n"
+                                   f"{again}\n")
+        with pytest.raises(DatasetError, match="line 12: repeated b 0 1: "
+                                               "already given on line 11$"):
+            parse_dataset(text)
+
     def test_load_dataset_from_file(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text(DATASET_TEXT)
@@ -610,6 +620,15 @@ class TestMain:
                      "--disc", "11,11", "--q", "16/11,20/11", "--b", "0"]) == 1
         assert capsys.readouterr().err == (
             "k3lat: disc form: --b wants i,j,value triples, got '0'\n")
+
+    def test_glue_check_repeated_b_is_refused(self, capsys):
+        assert main(["glue-check", "--gram", "2 1 0; 1 6 0; 0 0 22",
+                     "--disc", "2,2", "--q", "3/2,3/2", "--b", "0,1,0",
+                     "--b", "0,1,1/2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("k3lat: disc form: b 0 1: pairing given "
+                                "twice\n")
 
     def test_glue_check_without_data(self, capsys):
         assert main(["glue-check", "--group", "2:A6"]) == 1

@@ -19,9 +19,9 @@ from k3lat.cli import run_table
 from k3lat.dataset import builtin_dataset
 from k3lat.fqm import (TRIVIAL, Fqm, FqmHom, Subgroup, admissible_images,
                        anti_embeddings, conjugates, hom_closure_images,
-                       hom_image, hom_preimage, identity_hom, is_isomorphic,
-                       isomorphisms, k3sq_glue_admissible, k3sq_glue_images,
-                       negated, orthogonal_group)
+                       hom_image, hom_preimage, identity_hom, in_perp,
+                       is_isomorphic, isomorphisms, k3sq_glue_admissible,
+                       k3sq_glue_images, negated, orthogonal_group)
 from k3lat.glue import partner_disc_candidates
 from k3lat.lattice import disc_map
 from oracles import (admissible_images_by_walk, all_anti_embeddings,
@@ -29,8 +29,9 @@ from oracles import (admissible_images_by_walk, all_anti_embeddings,
                      form_candidates_scan, fqm_b_value,
                      fqm_q_value, glue_admissible_scan, glue_admissible_walk,
                      glue_images, glue_images_per_row, greedy_generators,
-                     negation_hom, nondegenerate_scan, presented_form,
-                     radical_scan, subgroup_closure, subgroup_presentation)
+                     negation_hom, nondegenerate_scan, perp_subgroup,
+                     presented_form, radical_scan, subgroup_closure,
+                     subgroup_presentation)
 
 F = Fraction
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -912,14 +913,15 @@ class TestK3sqGlueImages:
         # that image are exactly the gamma o a for a in O(D_M), each once
         want = admissible_images_by_listing(d_m, d_n)
         first = k3sq_glue_images(d_m, d_n)
-        assert [image for _, image, _ in first] == [image for image, _ in want]
-        assert [gam for _, _, gam in first] == [gams[0] for _, gams in want]
-        # each image comes with the class c of its admissible triple
-        class_of = {image: c for c, _, image in admissible_images(d_n)}
-        assert [c for c, _, _ in first] == [class_of[image]
-                                            for _, image, _ in first]
+        assert [hom_image(gam) for _, gam in first] == [
+            image for image, _ in want]
+        assert [gam for _, gam in first] == [gams[0] for _, gams in want]
+        # each gamma comes with the class c whose c^perp it lands on
+        class_of = {perp_subgroup(d_n, w): c
+                    for c, w in admissible_images(d_n)}
+        assert [c for c, _ in first] == [class_of[image] for image, _ in want]
         autos = isomorphisms(d_m, d_m)
-        for (_, _, gam), (_, gams) in zip(first, want):
+        for (_, gam), (_, gams) in zip(first, want):
             torsor = [compose(gam, a).images for a in autos]
             assert len(set(torsor)) == len(torsor) == len(gams)
             assert sorted(torsor) == sorted(f.images for f in gams)
@@ -952,7 +954,7 @@ class TestK3sqGlueImages:
             onto = collections.Counter(hom_image(f) for f
                                        in anti_embeddings(d_m, d_n))
             cases.add((2 * d_m.order == d_n.order, len(images) > 0,
-                       max((onto[image] for _, image, _ in images),
+                       max((onto[hom_image(gam)] for _, gam in images),
                            default=0) > 1))
         assert {(False, False, False), (True, False, False),
                 (True, True, False), (True, True, True)} <= cases
@@ -995,9 +997,7 @@ class TestSharedGlueScan:
         for d_m, d_n in pairs[part::4]:
             rows = admissible_images(d_n)
             found = k3sq_glue_images(d_m, d_n)
-            got = [(image, gam.images) for _, image, gam in found]
-            class_of = {image: c for c, _, image in rows}
-            assert all(class_of[image] == c for c, image, _ in found)
+            got = [(c, gam.images) for c, gam in found]
             assert got == glue_images_per_row(
                 d_m.orders, d_m.q_diag, b_dict(d_m), d_n.orders,
                 d_n.q_diag, b_dict(d_n), rows)
@@ -1030,8 +1030,9 @@ class TestGlueImage:
                 if any(2 * x % e for x in w):
                     continue  # the character of c has order above 2
                 perp = [x for x in d.elements() if d._eb(x, c) == 0]
-                assert (w, Subgroup.generated(d, perp)) in [
-                    (row, h) for _, row, h in admissible_images(d)]
+                assert (c, w) in admissible_images(d)
+                assert perp == [x for x in d.elements() if in_perp(d, x, w)]
+                assert Subgroup.generated(d, perp) == perp_subgroup(d, w)
                 checked += 1
         assert checked > 20
 
@@ -1043,15 +1044,15 @@ class TestGlueImage:
                 continue
             for n in g.grams:
                 d_n = disc_map(n).fqm
-                e, triples = d_n._ints[0], admissible_images(d_n)
+                e, pairs = d_n._ints[0], admissible_images(d_n)
                 for gam in anti_embeddings(g.disc, d_n):
                     image = hom_image(gam)
                     if not scan_agrees(d_n, gam.images):
                         continue
-                    (perp,) = [h for _, w, h in triples if not any(
+                    (w,) = [w for _, w in pairs if not any(
                         sum(a * b for a, b in zip(y, w)) % e
                         for y in gam.images)]
-                    assert image == perp
+                    assert image == perp_subgroup(d_n, w)
                     checked += 1
         assert checked == 832
 
@@ -1089,8 +1090,13 @@ class TestAdmissibleImages:
                     for n in g.grams]
         found = 0
         for d in modules:
-            rows = [(c, w) for c, w, _ in admissible_images(d)]
+            rows = admissible_images(d)
             assert rows == character_rows(d)
+            # c^perp has index 2 and leaves c out: b(c, .) is a nonzero
+            # character of order 2, as b has no radical
+            for c, w in rows:
+                perp = perp_subgroup(d, w)
+                assert 2 * perp.order == d.order and c not in perp
             found += bool(rows)
         assert found > 40
 
@@ -1121,20 +1127,7 @@ class TestAdmissibleImages:
         first = admissible_images(d)
         assert d.__dict__["_admissible_images"] is first
         assert admissible_images(d) is first
-        assert [(c, w) for c, w, _ in first] == [((0, 1), (0, 1)),
-                                                 ((1, 0), (1, 0))]
-
-    def test_index_check_raises(self, monkeypatch):
-        # c^perp always has index 2 (b(c, c) = 1/2); a constructor that
-        # built another subgroup instead must not go unnoticed
-        real = Subgroup.generated.__func__
-
-        def trivial(cls, ambient, gens):
-            return real(cls, ambient, [])
-        monkeypatch.setattr(Subgroup, "generated", classmethod(trivial))
-        with pytest.raises(RuntimeError, match="order 1 in a module of "
-                                               "order 4, not index 2"):
-            admissible_images(Fqm((2, 2), (F(3, 2), F(3, 2)), ((F(0),), ())))
+        assert first == [((0, 1), (0, 1)), ((1, 0), (1, 0))]
 
 
 class TestScanCounters:
@@ -1149,7 +1142,10 @@ class TestScanCounters:
         read = set()  # ids of the modules whose q or b is read
         for name in ("_eq", "_pair_row"):
             def spy(self, x, real=getattr(Fqm, name), name=name):
-                calls[name, sys._getframe(1).f_code.co_name] += 1
+                caller = sys._getframe(1)  # the function, not its <listcomp>
+                while caller.f_code.co_name.startswith("<"):
+                    caller = caller.f_back
+                calls[name, caller.f_code.co_name] += 1
                 read.add(id(self))
                 if name == "_eq":
                     q_reads[id(self)] += 1

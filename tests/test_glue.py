@@ -17,8 +17,9 @@ from k3lat.glue import (check_extendable, divisibility_in_glued, glue_pairs,
 from k3lat.lattice import (Lattice, a2, direct_sum, disc_map, divisibility,
                            e8, induced_map, rescale, span_of_square)
 from oracles import (compose, hermite_basis, index_two_glue_kernels,
-                     laplace_det, negation_hom, rand_definite_even_gram,
-                     rand_even_gram, rand_int_matrix, subgroup_presentation)
+                     laplace_det, negation_hom, perp_subgroup,
+                     rand_definite_even_gram, rand_even_gram, rand_int_matrix,
+                     subgroup_presentation)
 
 
 def a2_glue():
@@ -432,15 +433,16 @@ class TestCoinvariantRepresentative:
         for g in builtin_dataset().groups:
             for n in g.grams:
                 d_n = disc_map(n).fqm
-                for c, _, image in admissible_images(d_n):
+                for c, w in admissible_images(d_n):
+                    image = perp_subgroup(d_n, w)
                     n_c = overlattice_pairs(n, two, [(c, (1,))])
                     m = direct_sum(rescale(n_c, -1), e8(-1), e8(-1))
                     assert m.signature == (0, 20)
                     d_m = disc_map(m).fqm
                     assert is_isomorphic(
                         d_m, negated(subgroup_presentation(image).source))
-                    gam = {h: f for _, h, f
-                           in k3sq_glue_images(d_m, d_n)}[image]
+                    gam = dict(k3sq_glue_images(d_m, d_n))[c]
+                    assert hom_image(gam) == image
                     glued = overlattice(n, m, gam)
                     assert glued.is_even and abs(glued.det) == 2
                     assert glued.signature == (3, 20)

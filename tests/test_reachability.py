@@ -179,6 +179,16 @@ def test_hermite_row_basis_is_not_in_src():
         tree for _, tree in modules())
 
 
+def test_glue_images_are_classes_not_subgroups():
+    # classify reads extension, div and the k3 flag off the class c, and
+    # the admissible scan keeps (c, w) pairs: neither builds a Subgroup
+    classify_tree = [tree for stem, tree in modules() if stem == "classify"]
+    assert not {"divisibility_in_glued", "Subgroup"} & mentioned(
+        classify_tree)
+    node, _ = definitions()["fqm.Fqm._admissible_images"]
+    assert "Subgroup" not in mentioned([node])
+
+
 def test_assigned_names_reach_nothing():
     # a local named like a package function, such as a2 or e8 in lattice,
     # is written, not read, and must not mark that function reached
