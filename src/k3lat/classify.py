@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from . import exact
-from .enumeration import Isometry, all_automorphisms
+from .enumeration import Isometry, NotDefiniteError, all_automorphisms
 from .fqm import Fqm, FqmHom, conjugates, k3sq_glue_images
 from .glue import check_extendable, realized_actions
 from .lattice import Lattice, disc_map, induced_map, orthogonal_complement
@@ -36,12 +36,20 @@ def good_isometries(n: Lattice) -> list[Isometry]:
     det 1 but the identity.  f has finite order, so its characteristic
     polynomial is a product of cyclotomic polynomials of degree <= 2: its
     eigenvalues are det f = +-1 and a pair of product 1.  With det 1 the
-    trace is 3 only for f = 1, and -1, 0, 1, 2 give orders 2, 3, 4, 6."""
-    if n.rank != 3 or not n.is_even or not n.is_positive_definite:
-        raise ValueError("good isometries live on even rank-3 positive "
-                         "definite lattices")
+    trace is 3 only for f = 1, and -1, 0, 1, 2 give orders 2, 3, 4, 6.
+
+    N is positive definite iff all_automorphisms succeeds (N is definite)
+    and G00 > 0."""
+    domain = ("good isometries live on even rank-3 positive definite "
+              "lattices")
+    if n.rank != 3 or not n.is_even or n.gram[0][0] <= 0:
+        raise ValueError(domain)
+    try:
+        autos = all_automorphisms(n)
+    except NotDefiniteError:
+        raise ValueError(domain) from None
     out = []
-    for q in all_automorphisms(n):
+    for q in autos:
         order = _ORDER_OF_TRACE.get(q[0][0] + q[1][1] + q[2][2])
         if order is not None and exact.bareiss_det(q) == 1:
             out.append(Isometry(q, order))

@@ -311,11 +311,13 @@ def parse_dataset(text: str) -> Dataset:
     groups: list[GroupEntry] = []
     lattices: list[tuple[str, Lattice]] = []
     seen: set[str] = set()
+    lattice_names: set[str] = set()
     for line, toks in lines:
         if toks[0] == "lattice":
             name, lat = _parse_lattice_block(lines, line, toks)
-            if any(key == name for key, _ in lattices):
+            if name in lattice_names:
                 _fail(line, f"duplicate lattice name {name!r}")
+            lattice_names.add(name)
             lattices.append((name, lat))
         elif toks[0] == "group":
             entry = _parse_group_block(lines, line, toks)

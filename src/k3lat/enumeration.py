@@ -1,12 +1,18 @@
 """Short-vector enumeration and isometry search for definite lattices.
 
-Everything here runs on integers: bases are reduced by one pass of
-integral LLL at delta = 99/100, vectors of a given norm come from a
-Fincke-Pohst walk down an LDL decomposition scaled to integers (one per
-reduced Gram) that visits one of each pair +-v, and automorphism / isometry
-searches backtrack over images of basis vectors with partial-Gram pruning,
-pairing each candidate image once.  Results are deterministic
-(lexicographic order) and vector lists are closed under negation.
+Everything here runs on integers.  Each definite lattice gets one pass
+of integral LLL at delta = 99/100, on sign * G with sign that of G00: the
+pass completes iff sign * G is positive definite (its first leading minors
+are those of the input, Sylvester's criterion), so it decides the sign
+with no separate signature, and the Gram-Schmidt data it ends with are
+the LDL decomposition, scaled to integers, of the reduced Gram.  Vectors
+of a given norm come from a Fincke-Pohst walk down that LDL that visits
+one of each pair +-v, and only that half is written in the original
+basis.  Automorphism / isometry searches backtrack over images of basis
+vectors with partial-Gram pruning, pairing each candidate image once; the
+automorphism search takes the first image from the walked half only, as
+-1 is an automorphism.  Results are deterministic (lexicographic order)
+and vector lists are closed under negation.
 """
 
 from __future__ import annotations
@@ -63,13 +69,27 @@ def _gram_schmidt_row(h, k, d, lam) -> None:
 def _lll(gram):
     """Integral LLL (delta = 99/100) of a positive definite integer gram.
 
-    Returns (gram', U, U^-1) with U unimodular and gram' = U * gram * U^T,
-    so the rows of U are the reduced basis written in the original
-    coordinates.  Cohen, GTM 138, Alg. 2.6.7 (de Weger 1989): the leading
-    minors d and the scaled coefficients lam are integers, Gram-Schmidt rows
-    are computed once each and updated in place on a swap.  Row k is
-    size-reduced against k-1, ..., 0 before the Lovasz test
-    100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam[k][k-1]^2.
+    Returns (gram', U, U^-1, ldl) with U unimodular and gram' = U * gram *
+    U^T, so the rows of U are the reduced basis written in the original
+    coordinates, and ldl = _scaled_ldl of gram'.  Cohen, GTM 138, Alg. 2.6.7
+    (de Weger 1989): the leading minors d and the scaled coefficients lam
+    are integers, Gram-Schmidt rows are computed once each and updated in
+    place on a swap, so when the loop ends they are the Gram-Schmidt data of
+    gram' itself.  Row k is size-reduced against k-1, ..., 0 before the
+    Lovasz test 100 d[k+1] d[k-1] >= 99 d[k]^2 - 100 lam[k][k-1]^2.
+
+    The pass completes iff gram is positive definite, and raises ValueError
+    at the first leading minor <= 0 otherwise.  When row k is first
+    computed (k > k_max), rows < k have only been size-reduced and swapped
+    among themselves and row k is row k of the input, so the first k + 1
+    rows are V (+) 1 times the first k + 1 input rows for a unimodular V,
+    and d[k+1] = det(V)^2 * minor = the leading (k+1)-minor of the input.
+    A positive definite gram has every leading minor positive (Sylvester's
+    criterion), and a swap keeps d positive (its new d[k] is (d[k-1] d[k+1]
+    + lam[k][k-1]^2) / d[k]), so the pass never raises and ends as LLL
+    does.  Otherwise let minor m + 1 be the first one <= 0: the first m
+    input rows span a positive definite lattice, LLL on them ends, so the
+    pass reaches k = m, computes that minor and raises.
     """
     n = len(gram)
     h = [list(row) for row in gram]
@@ -119,23 +139,22 @@ def _lll(gram):
             lam_i[k - 1] = (b * t + lam_kk * lam_i[k]) // d[k + 1]
         d[k] = b
         k = max(k - 1, 1)
-    return _int_matrix(h), _int_matrix(u), _int_matrix(u_inv)
+    return _int_matrix(h), _int_matrix(u), _int_matrix(u_inv), \
+        _scaled_ldl(d, lam)
 
 
-def _scaled_ldl(gram):
+def _scaled_ldl(d, lam):
     """Integers (e, terms, w, scale) with, for every integer x,
 
         scale * x gram x^T = sum_i w[i] * (e[i] x_i + s_i)^2,
         s_i = sum of m * x_j over (j, m) in terms[i] (all j > i):
 
-    the LDL form Q(x) = sum_i B_i (x_i + sum_{j>i} mu_ji x_j)^2 of a positive
-    definite gram with each row cleared of its denominator e[i].
+    the LDL form Q(x) = sum_i B_i (x_i + sum_{j>i} mu_ji x_j)^2 of the
+    positive definite gram whose integral Gram-Schmidt data (as
+    _gram_schmidt_row fills them) are d and lam, with each row cleared of
+    its denominator e[i].
     """
-    n = len(gram)
-    d = [1] * (n + 1)
-    lam = [[0] * n for _ in range(n)]
-    for k in range(n):
-        _gram_schmidt_row(gram, k, d, lam)
+    n = len(lam)
     e, terms, weights = [], [], []
     for i in range(n):
         # mu_ji = lam[j][i] / d[i+1] and B_i = d[i+1] / d[i]
@@ -150,14 +169,15 @@ def _scaled_ldl(gram):
 
 
 def _fp_vectors(ldl, target: int) -> list[Vector]:
-    """All x (reduced coordinates, zero excluded) with x gram_red x^T = target,
-    given ldl = _scaled_ldl(gram_red), in lexicographic order of x[::-1].
+    """The walked half of {x : x gram_red x^T = target} (reduced
+    coordinates): the x whose last nonzero coordinate is positive, one of
+    each +-x, given ldl = _scaled_ldl of gram_red, in lexicographic order of
+    x[::-1].  _signed(half) is the whole set.
 
     A Fincke-Pohst walk from the last coordinate down: with the remaining
-    scaled norm r, level i admits |e_i x_i + s_i| <= isqrt(r // w_i).  Only
-    the x whose last nonzero coordinate x_k is positive are walked (x_i = 0
-    above k, so s_k = 0), for k = 0, 1, ... in turn, which lists them in
-    order; the -x, in reverse, all come before them.
+    scaled norm r, level i admits |e_i x_i + s_i| <= isqrt(r // w_i).  The x
+    with last nonzero coordinate x_k > 0 (x_i = 0 above k, so s_k = 0) are
+    walked for k = 0, 1, ... in turn, which lists them in order.
     """
     e, terms, w, scale = ldl
     found: list[Vector] = []
@@ -198,34 +218,72 @@ def _fp_vectors(ldl, target: int) -> list[Vector]:
             elif not remaining:
                 found.append(tuple(coords))
         coords[k] = 0
-    return [tuple(-x for x in v) for v in reversed(found)] + found
+    return found
 
 
-def _positive_form(lat: Lattice) -> tuple[int, IntMatrix]:
-    """(sign, sign * gram) with the second positive definite."""
-    if lat.is_positive_definite:
-        return 1, lat.gram
-    if lat.is_negative_definite:
-        return -1, tuple(tuple(-x for x in row) for row in lat.gram)
-    raise ValueError("enumeration requires a definite lattice")
+def _negated(v: Vector) -> Vector:
+    return tuple(-x for x in v)
+
+
+def _signed(half: list[Vector]) -> list[Vector]:
+    """Both signs of a walked half, in lexicographic order of x[::-1]: the
+    negatives, in reverse, all come before the half."""
+    return [_negated(v) for v in reversed(half)] + half
+
+
+class NotDefiniteError(ValueError):
+    """An enumeration entry point was handed a lattice that is not
+    definite (rank 0 included)."""
+
+
+def _frame(lat: Lattice):
+    """(sign, gram', U, U^-1, ldl) with sign * G positive definite and
+    (gram', U, U^-1, ldl) = _lll(sign * G), or None if L is not definite.
+
+    One LLL pass decides: a definite form has the sign of its diagonal, so
+    sign is that of G00, and sign * G is positive definite iff its LLL pass
+    completes (_lll).
+    """
+    if not lat.rank:
+        return None
+    sign = 1 if lat.gram[0][0] > 0 else -1
+    gram = lat.gram if sign > 0 else [[-x for x in row] for row in lat.gram]
+    try:
+        return (sign, *_lll(gram))
+    except ValueError:  # a leading minor of sign * G is <= 0
+        return None
+
+
+def _definite_frame(lat: Lattice):
+    frame = _frame(lat)
+    if frame is None:
+        raise NotDefiniteError("enumeration requires a definite lattice")
+    return frame
 
 
 def vectors_of_norm(lat: Lattice, n: int) -> list[Vector]:
-    """All nonzero v with v.G.v^T = n, sorted, closed under negation."""
-    sign, gram = _positive_form(lat)
-    if lat.rank == 0 or n == 0 or (n > 0) != (sign > 0):
+    """All nonzero v with v.G.v^T = n, sorted, closed under negation.  Only
+    the walked half, one of each +-v, is written in the original basis."""
+    sign, _, u, _, ldl = _definite_frame(lat)
+    if n == 0 or (n > 0) != (sign > 0):
         return []
-    gram_red, u, _ = _lll(gram)
-    # _times yields its products, so sorted builds the only list of them
-    return sorted(_times(_fp_vectors(_scaled_ldl(gram_red), abs(n)), u))
+    out = list(_times(_fp_vectors(ldl, abs(n)), u))
+    out += [_negated(v) for v in out]
+    out.sort()
+    return out
 
 
-def _image_backtrack(target_gram, source_gram, candidates, first_only):
+def _image_backtrack(target_gram, source_gram, candidates, first_only,
+                     up_to_sign=False):
     """Rows q with q * target_gram * q^T = source_gram, images drawn from
-    candidates[i] (vectors with the right norm), partial-Gram pruned.
+    candidates[i] (vectors with the right norm, in _signed order),
+    partial-Gram pruned.
 
     The pairing row cand * target_gram of each candidate is computed once
-    per candidate list (levels of equal norm share one list).
+    per candidate list (levels of equal norm share one list).  -q solves
+    whenever q does, so up_to_sign draws the first image from the walked
+    half of candidates[0] only, its second half: each row found stands for
+    itself and its negative, and the element store counts both.
     """
     n = len(source_gram)
     paired = {}
@@ -234,13 +292,18 @@ def _image_backtrack(target_gram, source_gram, candidates, first_only):
             paired[id(cands)] = [(c, exact.mat_vec(c, target_gram))
                                  for c in cands]
     levels = [paired[id(cands)] for cands in candidates]
+    per_row = 2 if up_to_sign else 1
+    if up_to_sign:
+        levels[0] = levels[0][len(levels[0]) // 2:]
     results = []
     rows: list[Vector] = []
 
     def walk(i):
         if i == n:
             results.append(tuple(rows))
-            exact.check_element_store(len(results), "isometry search")
+            held = per_row * len(results)
+            for size in range(held - per_row + 1, held + 1):
+                exact.check_element_store(size, "isometry search")
             return first_only
         want = source_gram[i]
         for cand, cand_g in levels[i]:
@@ -274,19 +337,31 @@ def _times(rows, m) -> Iterator[Vector]:
 
 
 def all_automorphisms(lat: Lattice) -> list[IntMatrix]:
-    """Every isometry of a definite lattice, sorted (element store)."""
+    """Every isometry of a definite lattice, sorted (element store).
+
+    -1 is one, so the backtrack finds one of each +-q (its first image from
+    the walked half) and each is mapped back once, then negated.
+    """
     if lat.rank == 0:
         return [()]
-    gram_red, u, u_inv = _lll(_positive_form(lat)[1])
-    ldl = _scaled_ldl(gram_red)
+    _, gram_red, u, u_inv, ldl = _definite_frame(lat)
     norms = [gram_red[i][i] for i in range(lat.rank)]
-    by_norm = {norm: _fp_vectors(ldl, norm) for norm in set(norms)}
-    candidates = [by_norm[norm] for norm in norms]
-    autos = _image_backtrack(gram_red, gram_red, candidates, first_only=False)
-    # q is U^-1 (q U) in the original basis, each candidate times U once
-    orig = {c: v for cands in by_norm.values()
-            for c, v in zip(cands, _times(cands, u))}
-    return sorted(tuple(_times(u_inv, [orig[c] for c in q])) for q in autos)
+    halves = {norm: _fp_vectors(ldl, norm) for norm in set(norms)}
+    by_norm = {norm: _signed(half) for norm, half in halves.items()}
+    autos = _image_backtrack(gram_red, gram_red,
+                             [by_norm[norm] for norm in norms],
+                             first_only=False, up_to_sign=True)
+    # q is U^-1 (q U) in the original basis, each +-candidate times U once
+    orig = {}
+    for half in halves.values():
+        for c, v in zip(half, _times(half, u)):
+            orig[c], orig[_negated(c)] = v, _negated(v)
+    out = []
+    for q in autos:
+        f = tuple(_times(u_inv, [orig[c] for c in q]))
+        out += f, tuple(map(_negated, f))
+    out.sort()
+    return out
 
 
 def automorphism_group(lat: Lattice) -> tuple[list[Isometry], int]:
@@ -307,22 +382,25 @@ def is_isometric(l1: Lattice, l2: Lattice) -> Optional[Isometry]:
         raise ValueError("rank mismatch")
     if l1.rank == 0:
         return Isometry((), 1)
-    if l1.det != l2.det or l1.signature != l2.signature:
+    if l1.det != l2.det:
         return None
-    (sign1, g1), (sign2, g2) = _positive_form(l1), _positive_form(l2)
-    if sign1 != sign2:
+    frame1, frame2 = _frame(l1), _frame(l2)
+    if frame1 is None and frame2 is None and l1.signature == l2.signature:
+        raise NotDefiniteError("enumeration requires a definite lattice")
+    # a definite and an indefinite lattice, or two of opposite signs,
+    # differ in signature
+    if frame1 is None or frame2 is None or frame1[0] != frame2[0]:
         return None
-    g1_red, _, u1_inv = _lll(g1)
-    g2_red, u2, _ = _lll(g2)
+    (_, g1_red, _, u1_inv, ldl1), (_, g2_red, u2, _, ldl2) = frame1, frame2
     # the backtrack draws images from L2's vectors of each basis norm of
     # L1; if L1 has a different count at one of them, there is no isometry
     norms = [g1_red[i][i] for i in range(l1.rank)]
-    ldl1, ldl2 = _scaled_ldl(g1_red), _scaled_ldl(g2_red)
     by_norm: dict[int, list[Vector]] = {}
     for k in sorted(set(norms)):
-        by_norm[k] = _fp_vectors(ldl2, k)
-        if len(_fp_vectors(ldl1, k)) != len(by_norm[k]):
+        half = _fp_vectors(ldl2, k)
+        if len(_fp_vectors(ldl1, k)) != len(half):
             return None
+        by_norm[k] = _signed(half)
     candidates = [by_norm[k] for k in norms]
     hits = _image_backtrack(g2_red, g1_red, candidates, first_only=True)
     if not hits:

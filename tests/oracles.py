@@ -193,6 +193,28 @@ def conjugate_back(q_red, u, u_inv):
     return matrix_product(matrix_product(u_inv, q_red), u)
 
 
+def scaled_ldl_by_fractions(gram):
+    """(e, terms, w, scale) of a positive definite Gram from a rational
+    Gram-Schmidt pass: e_i the least common denominator of the mu_ji
+    (j > i), terms[i] the (j, e_i mu_ji) with mu_ji != 0, and w_i = scale *
+    B_i / e_i^2 for scale the least common denominator of the B_i / e_i^2."""
+    n = len(gram)
+    b, mu = [], [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[i][k] * mu[j][k] * b[k]
+                                         for k in range(j))) / b[j]
+        b.append(Fraction(gram[i][i])
+                 - sum(mu[i][k] ** 2 * b[k] for k in range(i)))
+    e = [math.lcm(1, *(mu[j][i].denominator for j in range(i + 1, n)))
+         for i in range(n)]
+    terms = [[(j, int(mu[j][i] * e[i])) for j in range(i + 1, n) if mu[j][i]]
+             for i in range(n)]
+    ratios = [b[i] / e[i] ** 2 for i in range(n)]
+    scale = math.lcm(*(r.denominator for r in ratios))
+    return e, terms, [int(r * scale) for r in ratios], scale
+
+
 def two_sign_walk(ldl, target):
     """Every nonzero x with sum_i w_i (e_i x_i + s_i)^2 = scale * target for
     ldl = (e, terms, w, scale), by a Fincke-Pohst walk over both signs of

@@ -1,10 +1,16 @@
+import hashlib
+import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from k3lat import enumeration, exact, lattice
+from k3lat.classify import good_isometries
 from k3lat.enumeration import (all_automorphisms, automorphism_group,
                                is_isometric, vectors_of_norm)
 from k3lat.dataset import builtin_dataset
@@ -12,10 +18,73 @@ from k3lat.fqm import Subgroup
 from k3lat.glue import wall_divisor_scan
 from k3lat.lattice import Lattice, disc_map
 from oracles import (box_bound_for, box_vectors, brute_isometries,
-                     conjugate_back, greedy_generators, image_backtrack,
-                     matrix_order, rand_definite_even_gram,
-                     rand_definite_odd_gram, rand_unimodular, two_sign_walk)
+                     congruence_signature, conjugate_back, greedy_generators,
+                     image_backtrack, laplace_det, matrix_order,
+                     rand_definite_even_gram, rand_definite_odd_gram,
+                     rand_even_gram, rand_unimodular, scaled_ldl_by_fractions,
+                     two_sign_walk)
 from test_acceptance import criterion_7_grams
+
+FROZEN = Path(__file__).parent / "data" / "enumeration_outputs.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def frozen_cases():
+    """(label, L, L'): each built-in invariant Gram and seeded definite
+    Grams of rank 1 to 5 (even and odd), each also negated, with L' a
+    seeded rebasing of L."""
+    rng = random.Random(3007)
+    grams = [(f"{g.name}/{k}", n.gram) for g in builtin_dataset().groups
+             for k, n in enumerate(g.grams)]
+    for n in range(1, 6):
+        grams += [(f"even{n}.{i}", rand_definite_even_gram(rng, n))
+                  for i in range(4)]
+        grams += [(f"odd{n}.{i}", rand_definite_odd_gram(rng, n))
+                  for i in range(2)]
+    for label, gram in grams:
+        for sign, mark in ((1, "+"), (-1, "-")):
+            g = [[sign * x for x in row] for row in gram]
+            moved = exact.conjugate_rows(rand_unimodular(rng, len(g)), g)
+            yield label + mark, Lattice(g), Lattice(moved)
+
+
+def frozen_shells():
+    """(label, L, norm) for the larger shells: Leech, E8 rebased, E8+E8."""
+    rng = random.Random(3011)
+    e8 = Lattice(exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
+                                      [list(r) for r in lattice.e8().gram]))
+    yield "Leech@2", builtin_dataset().lattice("Leech"), 2
+    for norm in (2, 4):
+        yield f"E8rebased@{norm}", e8, norm
+    yield "E8(-1)@-2", lattice.e8(-1), -2
+    yield "E8+E8@2", lattice.direct_sum(lattice.e8(), lattice.e8()), 2
+
+
+def enumeration_outputs(lat, other):
+    """What the enumeration entry points (and good_isometries) return on L
+    and on the pairs of L and L', as one list."""
+    sign = 1 if lat.gram[0][0] > 0 else -1
+    gens, order = automorphism_group(lat)
+    out = [[vectors_of_norm(lat, sign * k) for k in (1, 2, 3, 4, 6, 8)],
+           vectors_of_norm(lat, -sign * 2), all_automorphisms(lat),
+           [(g.matrix, g.order) for g in gens], order]
+    for a, b in ((lat, other), (other, lat), (lat, lat)):
+        w = is_isometric(a, b)
+        out.append(None if w is None else (w.matrix, w.order))
+    if lat.rank == 3 and lat.is_even and sign > 0:
+        out.append([(g.matrix, g.order) for g in good_isometries(lat)])
+    return out
+
+
+def output_digests():
+    """label -> first 16 hex digits of sha256(repr(outputs))."""
+    def digest(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+    out = {label: digest(enumeration_outputs(lat, other))
+           for label, lat, other in frozen_cases()}
+    out.update((label, digest(vectors_of_norm(lat, norm)))
+               for label, lat, norm in frozen_shells())
+    return out
 
 
 def norm_of(gram, v):
@@ -159,11 +228,10 @@ class TestAutomorphismGroup:
         lattices = [*self._lattices(), *map(Lattice, criterion_7_grams())]
         for lat in lattices:
             sign = 1 if lat.is_positive_definite else -1
-            g_red, u, u_inv = enumeration._lll(
+            g_red, u, u_inv, ldl = enumeration._lll(
                 [[sign * x for x in row] for row in lat.gram])
-            ldl = enumeration._scaled_ldl(g_red)
-            cands = [enumeration._fp_vectors(ldl, g_red[i][i])
-                     for i in range(len(g_red))]
+            cands = [enumeration._signed(enumeration._fp_vectors(
+                ldl, g_red[i][i])) for i in range(len(g_red))]
             autos = enumeration._image_backtrack(g_red, g_red, cands, False)
             assert all_automorphisms(lat) == sorted(
                 conjugate_back(q, u, u_inv) for q in autos), lat.gram
@@ -214,14 +282,14 @@ class TestImageBacktrack:
     def test_matches_reference(self):
         # every norm's candidate list is shared by the levels asking for it
         for gram, other in self._cases():
-            g1, _, _ = enumeration._lll(gram)
-            g2, _, _ = enumeration._lll(other)
-            ldl = enumeration._scaled_ldl(g2)
+            g1, _, _, _ = enumeration._lll(gram)
+            g2, _, _, ldl = enumeration._lll(other)
             by_norm = {}
             for i in range(len(g1)):
                 norm = g1[i][i]
                 if norm not in by_norm:
-                    by_norm[norm] = enumeration._fp_vectors(ldl, norm)
+                    by_norm[norm] = enumeration._signed(
+                        enumeration._fp_vectors(ldl, norm))
             cands = [by_norm[g1[i][i]] for i in range(len(g1))]
             for source in (g1, g2):
                 if any(source[i][i] != g1[i][i] for i in range(len(g1))):
@@ -231,6 +299,12 @@ class TestImageBacktrack:
                                                        first_only)
                     assert got == image_backtrack(g2, source, cands,
                                                   first_only), gram
+                # up to sign: the rows whose first image is walked
+                walked = set(cands[0][len(cands[0]) // 2:])
+                assert enumeration._image_backtrack(
+                    g2, source, cands, False, up_to_sign=True) == [
+                    q for q in image_backtrack(g2, source, cands, False)
+                    if q[0] in walked], gram
             assert enumeration._image_backtrack(g2, g1, cands, False)
 
 
@@ -317,8 +391,10 @@ class TestReduction:
     def test_lll_is_reduced(self):
         for gram in self._grams():
             n = len(gram)
-            g_red, u, u_inv = enumeration._lll(gram)
+            g_red, u, u_inv, ldl = enumeration._lll(gram)
             assert exact.mat_mul(u, u_inv) == exact.identity(n)
+            # the LDL LLL ends with is that of the reduced Gram
+            assert ldl == scaled_ldl_by_fractions(g_red)
             assert [list(r) for r in g_red] == exact.conjugate_rows(u, gram)
             b, mu = _gram_schmidt(g_red)
             for k in range(n):
@@ -339,8 +415,8 @@ class TestReduction:
         rng = random.Random(43)
         gram = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
                                     [list(r) for r in lattice.e8().gram])
-        g_red, _, _ = enumeration._lll(gram)
-        assert len(enumeration._fp_vectors(enumeration._scaled_ldl(g_red), 4)) \
+        _, _, _, ldl = enumeration._lll(gram)
+        assert len(enumeration._signed(enumeration._fp_vectors(ldl, 4))) \
             == 2160
         assert made == []
 
@@ -348,20 +424,19 @@ class TestReduction:
 class TestFinckePohst:
     def _ldls(self):
         for gram in TestReduction()._grams():
-            g_red, _, _ = enumeration._lll(gram)
-            yield enumeration._scaled_ldl(g_red), range(1, 9)
+            yield enumeration._lll(gram)[3], range(1, 9)
         rng = random.Random(43)
         e8 = exact.conjugate_rows(rand_unimodular(rng, 8, steps=20),
                                   [list(r) for r in lattice.e8().gram])
-        yield enumeration._scaled_ldl(enumeration._lll(e8)[0]), (4,)
+        yield enumeration._lll(e8)[3], (4,)
 
     def test_half_walk_gives_the_two_sign_list(self):
         # walking one of +-v and adding -v returns the full walk's list,
         # order included
         for ldl, norms in self._ldls():
             for norm in norms:
-                assert enumeration._fp_vectors(ldl, norm) \
-                    == two_sign_walk(ldl, norm)
+                assert enumeration._signed(enumeration._fp_vectors(
+                    ldl, norm)) == two_sign_walk(ldl, norm)
 
     @staticmethod
     def _walk_calls(lat, norm):
@@ -403,3 +478,259 @@ class TestWallDivisorScan:
     def test_positive_definite_rejected(self):
         with pytest.raises(ValueError):
             wall_divisor_scan(lattice.a2())
+
+
+def _leading_minors(gram):
+    return [laplace_det([row[:k] for row in gram[:k]])
+            for k in range(1, len(gram) + 1)]
+
+
+def _sign_cases():
+    """Seeded Grams of rank 1 to 6: positive and negative definite, random
+    indefinite, and rebased indefinite Grams whose leading minors first go
+    non-positive at the last one (diag(2, ..., 2, -2), E8 + <-2>)."""
+    rng = random.Random(3013)
+    for n in range(1, 7):
+        for sign in (1, -1):
+            yield rand_definite_even_gram(rng, n, sign=sign)
+            yield [[sign * x for x in row]
+                   for row in rand_definite_odd_gram(rng, n)]
+        for _ in range(3):
+            yield rand_even_gram(rng, n)
+    lates = [[[2 * (i == j) * (-1 if i == n - 1 else 1) for j in range(n)]
+              for i in range(n)] for n in range(2, 6)]
+    lates.append([list(r) for r in lattice.direct_sum(
+        lattice.e8(), lattice.span_of_square(-2)).gram])
+    for diag in lates:
+        yield diag
+        n, kept = len(diag), 0
+        while kept < 4:
+            g = exact.conjugate_rows(rand_unimodular(rng, n), diag)
+            if all(m > 0 for m in _leading_minors(g)[:-1]):
+                kept += 1
+                yield g
+
+
+class TestSignFromReduction:
+    def test_lll_sign_matches_congruence_signature(self, monkeypatch):
+        # _lll(G) completes iff G is positive definite, and otherwise raises
+        # when it computes the row of the first leading minor <= 0
+        rows = []
+        real = enumeration._gram_schmidt_row
+        monkeypatch.setattr(enumeration, "_gram_schmidt_row",
+                            lambda h, k, d, lam: rows.append(k)
+                            or real(h, k, d, lam))
+        seen, late = set(), 0
+        for gram in _sign_cases():
+            n = len(gram)
+            pos, neg = congruence_signature(gram)
+            want = 1 if pos == n else -1 if neg == n else None
+            frame = enumeration._frame(Lattice(gram))
+            assert (frame and frame[0]) == want, gram
+            seen.add(want)
+            rows.clear()
+            minors = _leading_minors(gram)
+            if want == 1:
+                enumeration._lll(gram)
+                continue
+            with pytest.raises(ValueError, match="positive definite"):
+                enumeration._lll(gram)
+            first = next(k for k, m in enumerate(minors) if m <= 0)
+            assert max(rows) == rows[-1] == first, gram
+            late += want is None and first == n - 1 and n > 1
+        assert seen == {1, -1, None}
+        assert late >= 20
+
+    @staticmethod
+    def _results(code_lines):
+        """What each line of the probe prints: a value or an error."""
+        out = []
+        for line in code_lines:
+            try:
+                out.append(repr(eval(line)))
+            except ValueError as exc:
+                out.append(f"ValueError: {exc}")
+        return out
+
+    PROBES = [
+        "vectors_of_norm(Lattice(()), 2)",
+        "vectors_of_norm(lattice.hyperbolic_plane(), 2)",
+        "vectors_of_norm(lattice.hyperbolic_plane(), 0)",
+        "vectors_of_norm(Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))), 2)",
+        "vectors_of_norm(lattice.a2(), 0)",
+        "vectors_of_norm(lattice.a2(-1), 2)",
+        "all_automorphisms(Lattice(()))",
+        "all_automorphisms(lattice.hyperbolic_plane())",
+        "all_automorphisms(Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 2))))",
+        "is_isometric(Lattice(()), Lattice(()))",
+        "is_isometric(lattice.hyperbolic_plane(), lattice.hyperbolic_plane())",
+        "is_isometric(Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))),"
+        " Lattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2))))",
+        "is_isometric(Lattice(((-2, 0, 0), (0, -2, 0), (0, 0, -2))),"
+        " Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))))",
+        "is_isometric(Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2))),"
+        " Lattice(((2, 0, 0), (0, 2, 0), (0, 0, 2))))",
+        "is_isometric(Lattice(((2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0),"
+        " (0, 0, 0, -2))), Lattice(((2, 0, 0, 0), (0, -2, 0, 0),"
+        " (0, 0, -2, 0), (0, 0, 0, -2))))",
+        "is_isometric(Lattice(((2, 0), (0, 2))), Lattice(((-2, 0), (0, -2))))",
+        "good_isometries(Lattice(()))",
+        "good_isometries(Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2))))",
+        "good_isometries(Lattice(((-2, 0, 0), (0, 2, 0), (0, 0, 2))))",
+        "good_isometries(Lattice(((0, 1, 0), (1, 0, 0), (0, 0, 2))))",
+        "good_isometries(Lattice(((-6, 0, 0), (0, -6, 0), (0, 0, -6))))",
+    ]
+    # what the two-pass kernels (a Bareiss signature, then LLL) returned
+    WANT = [
+        "ValueError: enumeration requires a definite lattice",
+        "ValueError: enumeration requires a definite lattice",
+        "ValueError: enumeration requires a definite lattice",
+        "ValueError: enumeration requires a definite lattice",
+        "[]",
+        "[]",
+        "[()]",
+        "ValueError: enumeration requires a definite lattice",
+        "ValueError: enumeration requires a definite lattice",
+        "Isometry(matrix=(), order=1)",
+        "ValueError: enumeration requires a definite lattice",
+        "None",
+        "None",
+        "None",
+        "None",
+        "None",
+    ] + ["ValueError: good isometries live on even rank-3 positive "
+         "definite lattices"] * 5
+
+    def test_rank_zero_and_indefinite_keep_their_results(self):
+        assert self._results(self.PROBES) == self.WANT
+
+    def test_rank_zero_and_indefinite_under_python_O(self):
+        code = ("from k3lat import lattice\n"
+                "from k3lat.lattice import Lattice\n"
+                "from k3lat.classify import good_isometries\n"
+                "from k3lat.enumeration import (all_automorphisms,\n"
+                "    is_isometric, vectors_of_norm)\n"
+                f"for line in {self.PROBES!r}:\n"
+                "    try:\n"
+                "        print(repr(eval(line)))\n"
+                "    except ValueError as exc:\n"
+                "        print(f'ValueError: {exc}')\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-O", "-c", code],
+                              capture_output=True, env=env, timeout=60)
+        assert done.stdout.decode().splitlines() == self.WANT
+
+
+def _counted_lattices():
+    """Every built-in Gram, its negative, and three seeded rebasings of
+    each, as fresh Lattices (no cached signature)."""
+    rng = random.Random(3017)
+    for g in builtin_dataset().groups:
+        for n in g.grams:
+            for sign in (1, -1):
+                gram = [[sign * x for x in row] for row in n.gram]
+                yield gram
+                for _ in range(3):
+                    yield exact.conjugate_rows(rand_unimodular(rng, 3), gram)
+
+
+class TestOneReduction:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Counts of _lll and exact.signature calls, the rows of each
+        _image_backtrack result and of each _times call."""
+        tally = {"lll": 0, "signature": 0, "backtrack": [], "times": 0}
+
+        def counted(name, fn, record):
+            def wrapper(*args, **kwargs):
+                return record(fn(*args, **kwargs))
+            monkeypatch.setattr(*name, wrapper)
+
+        def bump(key):
+            def record(result):
+                tally[key] += 1
+                return result
+            return record
+
+        counted((enumeration, "_lll"), enumeration._lll, bump("lll"))
+        counted((exact, "signature"), exact.signature, bump("signature"))
+        counted((enumeration, "_image_backtrack"),
+                enumeration._image_backtrack,
+                lambda r: tally["backtrack"].append(len(r)) or r)
+        real_times = enumeration._times
+
+        def times(rows, m):
+            for row in real_times(rows, m):
+                tally["times"] += 1
+                yield row
+        monkeypatch.setattr(enumeration, "_times", times)
+        return tally
+
+    @staticmethod
+    def _reset(tally):
+        tally.update(lll=0, signature=0, backtrack=[], times=0)
+
+    def test_one_lll_and_no_signature_per_lattice(self, counts):
+        for gram in _counted_lattices():
+            sign = 1 if gram[0][0] > 0 else -1
+            for call, lls in (
+                    (lambda: vectors_of_norm(Lattice(gram), 2 * sign), 1),
+                    (lambda: all_automorphisms(Lattice(gram)), 1),
+                    (lambda: automorphism_group(Lattice(gram)), 1),
+                    (lambda: is_isometric(Lattice(gram), Lattice(gram)), 2)):
+                self._reset(counts)
+                call()
+                assert (counts["lll"], counts["signature"]) == (lls, 0), gram
+            if sign > 0:
+                self._reset(counts)
+                good_isometries(Lattice(gram))
+                assert (counts["lll"], counts["signature"]) == (1, 0), gram
+
+    def test_backtrack_finds_half_the_group(self, counts):
+        for gram in _counted_lattices():
+            self._reset(counts)
+            autos = all_automorphisms(Lattice(gram))
+            assert counts["backtrack"] == [len(autos) // 2], gram
+
+    def test_half_the_vectors_are_mapped_back(self, counts):
+        e8 = lattice.e8()
+        assert len(vectors_of_norm(e8, 2)) == 240
+        assert counts["times"] == 120
+        for gram in _counted_lattices():
+            sign = 1 if gram[0][0] > 0 else -1
+            for norm in (2, 4, 6):
+                self._reset(counts)
+                vs = vectors_of_norm(Lattice(gram), sign * norm)
+                assert 2 * counts["times"] == len(vs), gram
+
+
+class TestElementStoreCountsBothSigns:
+    @pytest.mark.parametrize("gram", [
+        ((6, 0, 0), (0, 6, 0), (0, 0, 6)),
+        ((-6, 0, 0), (0, -6, 0), (0, 0, -6)),
+        ((2, -1), (-1, 2)),
+        ((2,),)])
+    def test_limit_is_the_group_order(self, monkeypatch, gram):
+        # |O(L)| = 48, 48, 12, 2: one below raises and names the bound, at
+        # the limit the whole group is listed
+        lat = Lattice(gram)
+        autos = all_automorphisms(lat)
+        order = len(autos)
+        monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", order - 1)
+        with pytest.raises(ValueError,
+                           match=f"element-store limit of {order - 1} "):
+            all_automorphisms(lat)
+        monkeypatch.setattr(exact, "_ELEMENT_STORE_LIMIT", order)
+        assert all_automorphisms(lat) == autos
+        assert automorphism_group(lat)[1] == order
+
+
+class TestOutputsUnchanged:
+    def test_match_the_frozen_outputs(self):
+        # vectors_of_norm, all_automorphisms, automorphism_group,
+        # is_isometric witnesses and good_isometries on every case, against
+        # the outputs of the kernels that ran a separate signature and LDL
+        want = json.loads(FROZEN.read_text())["digests"]
+        got = output_digests()
+        assert sorted(got) == sorted(want)
+        assert [k for k in want if got[k] != want[k]] == []
